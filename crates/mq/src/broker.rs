@@ -6,7 +6,11 @@ use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Default per-partition retention (records).
+/// Default per-partition record-count cap. A fallback, not a memory
+/// bound — 2²⁰ records of the pipeline's 8 KB frames would be ≈8 GB: what
+/// keeps a subscribed partition small is reader-driven release (see
+/// [`crate::PartitionLog`]); this cap only governs partitions without a
+/// subscriber and readers that have stopped polling.
 pub const DEFAULT_RETENTION: usize = 1 << 20;
 
 /// An in-process broker holding named topics.
@@ -38,7 +42,8 @@ impl Broker {
         Broker::default()
     }
 
-    /// Creates a topic with the default retention.
+    /// Creates a topic with the default record-count cap
+    /// ([`DEFAULT_RETENTION`]).
     ///
     /// # Errors
     ///
@@ -47,7 +52,7 @@ impl Broker {
         self.create_topic_with_retention(name, partitions, DEFAULT_RETENTION)
     }
 
-    /// Creates a topic with explicit per-partition retention.
+    /// Creates a topic with an explicit per-partition record-count cap.
     ///
     /// # Errors
     ///

@@ -410,38 +410,69 @@ pub fn encode_columns_into(batch: &ColumnarBatch, buf: &mut BytesMut) {
     put_column(buf, &batch.source_ts);
 }
 
-/// Encodes an **AoS** batch into a v2 columnar frame — four strided
-/// passes over the items instead of a transposing copy, for producers
-/// (like the pipeline source) that hold a [`Batch`] but feed columnar
-/// consumers. Byte-identical to converting to a [`ColumnarBatch`] first
-/// and calling [`encode_columns_into`].
+/// Encodes an **AoS** batch into a v2 columnar frame, for producers that
+/// hold a [`Batch`] but feed columnar consumers. Byte-identical to
+/// converting to a [`ColumnarBatch`] first and calling
+/// [`encode_columns_into`].
 pub fn encode_batch_v2_into(batch: &Batch, buf: &mut BytesMut) {
-    buf.clear();
-    buf.reserve(encoded_len_v2(batch));
-    buf.put_u16_le(MAGIC);
-    buf.put_u8(VERSION_COLUMNAR);
-    buf.put_u32_le(batch.weights.len() as u32);
-    for (stratum, weight) in batch.weights.iter() {
-        buf.put_u32_le(stratum.index());
-        buf.put_f64_le(weight);
+    encode_v2_with(batch, buf, |item| item.source_ts);
+}
+
+/// [`encode_batch_v2_into`] with every item's `source_ts` written as
+/// `source_ts` instead of its own — the wall-clock source path, which
+/// stamps items with their send time. Byte-identical to cloning the
+/// batch, overwriting each item's `source_ts` and encoding the clone,
+/// without the clone or the second walk over the items.
+pub fn encode_batch_v2_stamped_into(batch: &Batch, source_ts: u64, buf: &mut BytesMut) {
+    encode_v2_with(batch, buf, |_| source_ts);
+}
+
+/// Writes `batch` as a v2 frame in one pass over its items, each item's
+/// four fields going straight to their place in the four column runs.
+fn encode_v2_with(batch: &Batch, buf: &mut BytesMut, source_ts: impl Fn(&StreamItem) -> u64) {
+    let n = batch.items.len();
+    // Sized, not cleared: every byte is overwritten below, so a reused
+    // buffer that last held a frame this long is not zero-filled again.
+    buf.resize(encoded_len_v2(batch), 0);
+    let (head, body) = buf.split_at_mut(HEADER + 4 + batch.weights.len() * WEIGHT_ENTRY);
+    head[..2].copy_from_slice(&MAGIC.to_le_bytes());
+    head[2] = VERSION_COLUMNAR;
+    head[HEADER..HEADER + 4].copy_from_slice(&(batch.weights.len() as u32).to_le_bytes());
+    for ((stratum, weight), entry) in batch
+        .weights
+        .iter()
+        .zip(head[HEADER + 4..].chunks_exact_mut(WEIGHT_ENTRY))
+    {
+        entry[..4].copy_from_slice(&stratum.index().to_le_bytes());
+        entry[4..].copy_from_slice(&weight.to_le_bytes());
     }
-    let n = batch.items.len() as u32;
-    buf.put_u32_le(n);
-    for item in &batch.items {
-        buf.put_u32_le(item.stratum.index());
+    let (strata, body) = column_run(body, n, 4);
+    let (values, body) = column_run(body, n, 8);
+    let (seqs, body) = column_run(body, n, 8);
+    let (stamps, _) = column_run(body, n, 8);
+    for ((((item, stratum), value), seq), stamp) in batch
+        .items
+        .iter()
+        .zip(strata.chunks_exact_mut(4))
+        .zip(values.chunks_exact_mut(8))
+        .zip(seqs.chunks_exact_mut(8))
+        .zip(stamps.chunks_exact_mut(8))
+    {
+        stratum.copy_from_slice(&item.stratum.index().to_le_bytes());
+        value.copy_from_slice(&item.value.to_le_bytes());
+        seq.copy_from_slice(&item.seq.to_le_bytes());
+        stamp.copy_from_slice(&source_ts(item).to_le_bytes());
     }
-    buf.put_u32_le(n);
-    for item in &batch.items {
-        buf.put_f64_le(item.value);
-    }
-    buf.put_u32_le(n);
-    for item in &batch.items {
-        buf.put_u64_le(item.seq);
-    }
-    buf.put_u32_le(n);
-    for item in &batch.items {
-        buf.put_u64_le(item.source_ts);
-    }
+}
+
+/// Splits one length-prefixed run of `n` `size`-byte elements off the
+/// front of `body`, writes its count prefix, and returns the element
+/// bytes and what follows the run.
+fn column_run(body: &mut [u8], n: usize, size: usize) -> (&mut [u8], &mut [u8]) {
+    let (run, rest) = body.split_at_mut(4 + n * size);
+    let (count, elems) = run.split_at_mut(4);
+    count.copy_from_slice(&(n as u32).to_le_bytes());
+    (elems, rest)
 }
 
 /// Decodes a v2 wire frame into a columnar batch.

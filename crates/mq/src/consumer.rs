@@ -25,6 +25,14 @@ pub enum StartOffset {
 /// Polling round-robins across the assigned partitions so one hot partition
 /// cannot starve the others.
 ///
+/// Subscribing registers the consumer as a reader of each assigned
+/// partition, and every poll tells the partition how far the consumer has
+/// got: a partition log keeps only what its slowest subscribed consumer
+/// has not yet polled past (see [`crate::PartitionLog`]). The records of
+/// one poll are released by the *next* poll of the same partition, so a
+/// consumer that stops polling pins the log (up to the count cap) and one
+/// that is dropped releases its hold.
+///
 /// # Examples
 ///
 /// ```
@@ -47,10 +55,11 @@ pub struct Consumer {
     topic: Arc<Topic>,
     /// Next offset to read, per assigned partition.
     offsets: BTreeMap<u32, u64>,
-    /// The assigned partitions in ascending order — cached at subscribe
+    /// The assigned partitions in ascending order, each with this
+    /// consumer's reader slot on that partition's log — fixed at subscribe
     /// time (the assignment never changes afterwards) so polling never
     /// rebuilds the key list.
-    partitions: Vec<u32>,
+    partitions: Vec<(u32, usize)>,
     /// Rotation cursor for fairness.
     cursor: usize,
 }
@@ -65,17 +74,18 @@ impl Consumer {
     /// Subscribes to an explicit partition set (out-of-range indices are
     /// ignored, matching Kafka's lazy assignment semantics).
     pub fn subscribe(topic: Arc<Topic>, partitions: &[u32], start: StartOffset) -> Self {
+        let mut assigned: Vec<u32> = partitions.to_vec();
+        assigned.sort_unstable();
+        assigned.dedup();
         let mut offsets = BTreeMap::new();
-        for &p in partitions {
-            if let Ok(log) = topic.partition(p) {
-                let offset = match start {
-                    StartOffset::Earliest => log.earliest_offset(),
-                    StartOffset::Latest => log.latest_offset(),
-                };
+        let mut partitions = Vec::new();
+        for p in assigned {
+            if let Some(log) = topic.partitions().get(p as usize) {
+                let (slot, offset) = log.register_reader(start == StartOffset::Latest);
                 offsets.insert(p, offset);
+                partitions.push((p, slot));
             }
         }
-        let partitions = offsets.keys().copied().collect();
         Consumer {
             topic,
             offsets,
@@ -150,8 +160,8 @@ impl Consumer {
             if out.len() >= max {
                 break;
             }
-            let p = self.partitions[(self.cursor + step) % n];
-            match self.drain_partition_into(p, max - out.len(), Duration::ZERO, out) {
+            let i = (self.cursor + step) % n;
+            match self.drain_partition_into(i, max - out.len(), Duration::ZERO, out) {
                 Ok(_) => {}
                 Err(MqError::Closed) => closed += 1,
                 Err(e) => return Err(e),
@@ -166,9 +176,8 @@ impl Consumer {
         }
         // Phase 2: fully caught up — spend the timeout blocking on the
         // first open partition (the same drain, now allowed to wait).
-        for step in 0..n {
-            let p = self.partitions[step];
-            match self.drain_partition_into(p, max, timeout, out) {
+        for i in 0..n {
+            match self.drain_partition_into(i, max, timeout, out) {
                 Ok(_) => {}
                 Err(MqError::Closed) => continue,
                 Err(e) => return Err(e),
@@ -178,23 +187,26 @@ impl Consumer {
         Ok(out.len())
     }
 
-    /// Drains one partition into `out` (appending), advancing its offset
-    /// past the delivered records. Shared by both poll phases.
+    /// Drains the `i`-th assigned partition into `out` (appending),
+    /// advancing its offset past the delivered records. Shared by both
+    /// poll phases. Reading as this consumer's reader slot is what lets
+    /// the log release the records the previous drain delivered.
     fn drain_partition_into(
         &mut self,
-        partition: u32,
+        i: usize,
         max: usize,
         timeout: Duration,
         out: &mut Vec<Record>,
     ) -> Result<usize, MqError> {
-        let log = self.topic.partition(partition)?;
+        let (partition, slot) = self.partitions[i];
+        let log = &self.topic.partitions()[partition as usize];
         let offset = *self.offsets.get(&partition).unwrap_or(&0);
-        let taken = match log.read_into(offset, max, timeout, out) {
+        let taken = match log.read_as(Some(slot), offset, max, timeout, out) {
             Ok(taken) => taken,
             Err(MqError::OffsetOutOfRange { earliest, .. }) => {
                 // auto.offset.reset = earliest
                 self.offsets.insert(partition, earliest);
-                log.read_into(earliest, max, timeout, out)?
+                log.read_as(Some(slot), earliest, max, timeout, out)?
             }
             Err(e) => return Err(e),
         };
@@ -270,6 +282,16 @@ impl Consumer {
                     .map(|log| log.latest_offset().saturating_sub(o))
             })
             .sum()
+    }
+}
+
+impl Drop for Consumer {
+    /// Releases this consumer's reader slots, so the partitions stop
+    /// retaining records on its behalf.
+    fn drop(&mut self) {
+        for &(partition, slot) in &self.partitions {
+            self.topic.partitions()[partition as usize].release_reader(slot);
+        }
     }
 }
 
@@ -436,6 +458,119 @@ mod tests {
         let got = consumer.poll(10, Duration::ZERO).expect("poll");
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].offset, 8);
+    }
+
+    #[test]
+    fn slower_reader_pins_retention_and_loses_nothing() {
+        let (_b, topic, producer) = setup(1);
+        let mut fast = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
+        let mut slow = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
+        for i in 0..10 {
+            producer.send(&batch(i as f64)).expect("send");
+        }
+        assert_eq!(fast.poll(10, Duration::ZERO).expect("poll").len(), 10);
+        assert_eq!(slow.poll(4, Duration::ZERO).expect("poll").len(), 4);
+        // The fast reader reports position 10 and the slow one position 4,
+        // each on the poll after the one that delivered the records.
+        assert!(fast.poll(10, Duration::ZERO).expect("poll").is_empty());
+        assert_eq!(slow.poll(3, Duration::ZERO).expect("poll").len(), 3);
+        assert_eq!(topic.len(), 6, "released up to the slow reader only");
+        assert_eq!(topic.partitions()[0].earliest_offset(), 4);
+        let rest = slow.poll(10, Duration::ZERO).expect("poll");
+        let offsets: Vec<u64> = rest.iter().map(|r| r.offset).collect();
+        assert_eq!(offsets, vec![7, 8, 9], "the slow reader skipped nothing");
+        assert!(slow.poll(10, Duration::ZERO).expect("poll").is_empty());
+        assert!(topic.is_empty(), "both readers are past everything");
+    }
+
+    #[test]
+    fn dropping_a_consumer_releases_its_hold() {
+        let (_b, topic, producer) = setup(1);
+        let mut live = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
+        let stalled = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
+        for i in 0..5 {
+            producer.send(&batch(i as f64)).expect("send");
+        }
+        assert_eq!(live.poll(10, Duration::ZERO).expect("poll").len(), 5);
+        assert!(live.poll(10, Duration::ZERO).expect("poll").is_empty());
+        assert_eq!(topic.len(), 5, "pinned by the reader that never polls");
+        drop(stalled);
+        assert!(live.poll(10, Duration::ZERO).expect("poll").is_empty());
+        assert!(
+            topic.is_empty(),
+            "only the live reader's position counts now"
+        );
+    }
+
+    #[test]
+    fn partition_without_a_reader_keeps_count_retention() {
+        let broker = Broker::new();
+        let topic = broker
+            .create_topic_with_retention("t", 2, 3)
+            .expect("create");
+        let producer = BatchProducer::new(Arc::clone(&topic));
+        // Partition 0 has a subscriber, partition 1 has none.
+        let mut consumer = Consumer::subscribe(Arc::clone(&topic), &[0], StartOffset::Earliest);
+        for i in 0..5 {
+            producer.send_to(0, &batch(i as f64), 0).expect("send");
+            producer.send_to(1, &batch(i as f64), 0).expect("send");
+            consumer.poll(10, Duration::ZERO).expect("poll");
+        }
+        let unread = &topic.partitions()[1];
+        assert_eq!((unread.len(), unread.earliest_offset()), (3, 2));
+        // A direct read is anonymous: it releases nothing.
+        assert_eq!(
+            unread.read_from(2, 10, Duration::ZERO).expect("read").len(),
+            3
+        );
+        assert_eq!(
+            unread.read_from(4, 10, Duration::ZERO).expect("read").len(),
+            1
+        );
+        assert_eq!(unread.len(), 3);
+        assert_eq!(topic.partitions()[0].len(), 1, "the subscribed one drains");
+    }
+
+    #[test]
+    fn late_earliest_subscriber_starts_at_earliest_retained() {
+        let (_b, topic, producer) = setup(1);
+        let mut first = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
+        for i in 0..6 {
+            producer.send(&batch(i as f64)).expect("send");
+        }
+        assert_eq!(first.poll(4, Duration::ZERO).expect("poll").len(), 4);
+        assert_eq!(first.poll(1, Duration::ZERO).expect("poll").len(), 1);
+        // Offsets 0..4 are gone; a newcomer cannot ask for them.
+        let mut late = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
+        assert_eq!(late.position(0), Some(4));
+        let got = late.poll(10, Duration::ZERO).expect("poll");
+        assert_eq!(got.iter().map(|r| r.offset).collect::<Vec<_>>(), [4, 5]);
+    }
+
+    #[test]
+    fn handed_out_records_outlive_the_log_entry() {
+        let (_b, topic, producer) = setup(1);
+        let mut consumer = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
+        producer.send(&batch(42.0)).expect("send");
+        let kept = consumer.poll(10, Duration::ZERO).expect("poll");
+        assert!(consumer.poll(10, Duration::ZERO).expect("poll").is_empty());
+        assert!(topic.is_empty(), "the log has dropped the record");
+        let decoded = decode_batch(&kept[0].value).expect("payload still readable");
+        assert_eq!(decoded.items[0].value, 42.0);
+    }
+
+    #[test]
+    fn seek_below_released_data_resets_to_earliest() {
+        let (_b, topic, producer) = setup(1);
+        let mut consumer = Consumer::subscribe_all(topic, StartOffset::Earliest);
+        for i in 0..4 {
+            producer.send(&batch(i as f64)).expect("send");
+        }
+        assert_eq!(consumer.poll(3, Duration::ZERO).expect("poll").len(), 3);
+        assert_eq!(consumer.poll(1, Duration::ZERO).expect("poll").len(), 1);
+        consumer.seek(0, 0);
+        let got = consumer.poll(10, Duration::ZERO).expect("poll");
+        assert_eq!(got[0].offset, 3, "offsets 0..3 were released");
     }
 
     #[test]

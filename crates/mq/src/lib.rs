@@ -11,8 +11,17 @@
 //!    layer of the logical tree (paper §IV, Figure 4).
 //! 2. **Partitioned, offset-addressed logs** so consumers track their own
 //!    progress and multiple sampling workers can share a layer.
-//! 3. **Blocking consumption with backpressure-adjacent retention** —
-//!    bounded logs whose truncation surfaces to slow consumers.
+//! 3. **Blocking consumption with reader-driven retention** — a
+//!    partition log keeps what is *in flight*: every subscribed
+//!    [`Consumer`] registers as a reader, each poll tells the log how far
+//!    it has got, and the log drops what its slowest reader has polled
+//!    past (dropping the consumer releases its hold). A partition nobody
+//!    subscribes to falls back to a record-count cap
+//!    ([`DEFAULT_RETENTION`]), which also bounds how far a stalled reader
+//!    can pin the log; a reader that is truncated past is reset to the
+//!    earliest retained offset instead of wedging. There is no producer
+//!    back-pressure: a producer that outruns its readers queues without
+//!    bound up to that cap.
 //! 4. **A wire format** so the network layer can meter real bytes for the
 //!    bandwidth-saving experiment (Figure 7).
 //!

@@ -1,5 +1,5 @@
-//! The partition log: an append-only, offset-addressed record sequence with
-//! size-bounded retention and blocking reads.
+//! The partition log: an append-only, offset-addressed record sequence
+//! that forgets what its readers have consumed, with blocking reads.
 
 use crate::error::MqError;
 use crate::record::Record;
@@ -16,14 +16,39 @@ struct LogState {
     /// Offset the next appended record will get.
     next: u64,
     closed: bool,
+    /// Position (next offset to read) of every registered reader, indexed
+    /// by reader slot; `None` is a free slot.
+    readers: Vec<Option<u64>>,
+}
+
+impl LogState {
+    /// Drops every record below the slowest registered reader's position;
+    /// with no registered reader nothing is released.
+    fn release_consumed(&mut self) {
+        if let Some(&floor) = self.readers.iter().flatten().min() {
+            let released = floor.min(self.next).saturating_sub(self.earliest);
+            self.records.drain(..released as usize);
+            self.earliest += released;
+        }
+    }
 }
 
 /// A single partition: an append-only log with monotonically increasing
 /// offsets.
 ///
-/// Retention is size-based: when more than `retention` records are stored,
-/// the oldest are truncated and consumers positioned before the new earliest
-/// offset receive [`MqError::OffsetOutOfRange`].
+/// Retention is **reader-driven**: every [`crate::Consumer`] subscribed to
+/// the partition registers a reader slot, each read records how far that
+/// reader has got, and the log drops everything below the slowest
+/// registered reader — so the log holds what is in flight, not what was
+/// ever appended. [`Record`]s already handed out stay valid (their payload
+/// is reference-counted); a reader that rewinds below the released prefix
+/// receives [`MqError::OffsetOutOfRange`].
+///
+/// The record-count `retention` is the fallback, not a memory bound: it
+/// is the only rule on a partition nobody has subscribed to, and a cap on
+/// how far a stalled reader can pin the log. When more than `retention`
+/// records are stored the oldest are truncated, and readers positioned
+/// before the new earliest offset receive [`MqError::OffsetOutOfRange`].
 #[derive(Debug)]
 pub struct PartitionLog {
     index: u32,
@@ -33,8 +58,8 @@ pub struct PartitionLog {
 }
 
 impl PartitionLog {
-    /// Creates an empty partition retaining at most `retention` records
-    /// (`usize::MAX` for unbounded).
+    /// Creates an empty partition capped at `retention` records
+    /// (`usize::MAX` for no cap) — the fallback rule; see the type docs.
     pub fn new(index: u32, retention: usize) -> Self {
         PartitionLog {
             index,
@@ -98,6 +123,10 @@ impl PartitionLog {
     /// sweeps several partitions into one reused buffer). Record clones
     /// only bump the payload's refcount; no payload bytes are copied.
     ///
+    /// A direct read like this one is anonymous: it neither pins nor
+    /// releases anything. Only a [`crate::Consumer`]'s reads move the
+    /// retention floor.
+    ///
     /// # Errors
     ///
     /// Same contract as [`PartitionLog::read_from`].
@@ -108,7 +137,56 @@ impl PartitionLog {
         timeout: Duration,
         out: &mut Vec<Record>,
     ) -> Result<usize, MqError> {
+        self.read_as(None, offset, max, timeout, out)
+    }
+
+    /// Registers a reader positioned at the earliest retained offset (or
+    /// at the log end with `at_end`), returning its slot and that
+    /// position. From here on the log keeps every record at or above the
+    /// reader's last recorded position (up to the count cap) until
+    /// [`PartitionLog::release_reader`].
+    pub(crate) fn register_reader(&self, at_end: bool) -> (usize, u64) {
         let mut state = self.state.lock();
+        let position = if at_end { state.next } else { state.earliest };
+        let slot = match state.readers.iter().position(Option::is_none) {
+            Some(free) => free,
+            None => {
+                state.readers.push(None);
+                state.readers.len() - 1
+            }
+        };
+        state.readers[slot] = Some(position);
+        (slot, position)
+    }
+
+    /// Frees a reader slot: the reader no longer holds anything back.
+    pub(crate) fn release_reader(&self, slot: usize) {
+        self.state.lock().readers[slot] = None;
+    }
+
+    /// The read path. A registered `reader` first records `offset` as its
+    /// position — everything below it has been delivered to it by earlier
+    /// reads — and, under the same lock acquisition, the log releases what
+    /// every reader has moved past.
+    pub(crate) fn read_as(
+        &self,
+        reader: Option<usize>,
+        offset: u64,
+        max: usize,
+        timeout: Duration,
+        out: &mut Vec<Record>,
+    ) -> Result<usize, MqError> {
+        let mut state = self.state.lock();
+        if let Some(slot) = reader {
+            state.readers[slot] = Some(offset);
+            state.release_consumed();
+        }
+        if offset >= state.next && !state.closed {
+            // Caught up: wait for an append or the timeout.
+            self.appended.wait_for(&mut state, timeout);
+        }
+        // Checked after the wait: appends during it may have pushed the
+        // count cap past `offset`.
         if offset < state.earliest {
             return Err(MqError::OffsetOutOfRange {
                 requested: offset,
@@ -116,18 +194,11 @@ impl PartitionLog {
             });
         }
         if offset >= state.next {
-            if state.closed {
-                return Err(MqError::Closed);
-            }
-            // Wait for an append or timeout.
-            self.appended.wait_for(&mut state, timeout);
-            if offset >= state.next {
-                return if state.closed {
-                    Err(MqError::Closed)
-                } else {
-                    Ok(0)
-                };
-            }
+            return if state.closed {
+                Err(MqError::Closed)
+            } else {
+                Ok(0)
+            };
         }
         let start = (offset - state.earliest) as usize;
         let end = state.records.len().min(start + max);

@@ -1,7 +1,8 @@
 //! Producers: typed convenience handles for publishing batches.
 
 use crate::codec::{
-    encode_batch_into, encode_batch_v2_into, encode_columns_into, encode_summaries_into,
+    encode_batch_into, encode_batch_v2_into, encode_batch_v2_stamped_into, encode_columns_into,
+    encode_summaries_into,
 };
 use crate::error::MqError;
 use crate::record::ProducerRecord;
@@ -17,9 +18,10 @@ use std::sync::Arc;
 ///
 /// Encoding runs through a producer-owned scratch buffer
 /// ([`crate::codec::encode_batch_into`]), so the only per-send allocation
-/// is the one the log's retention model requires: the shared immutable
-/// payload handed to the partition. The scratch itself never shrinks and
-/// stops growing once it has seen the largest frame the producer sends.
+/// is the shared immutable payload handed to the partition — which the
+/// partition frees again once its readers have polled past it (see
+/// [`crate::PartitionLog`]). The scratch itself never shrinks and stops
+/// growing once it has seen the largest frame the producer sends.
 ///
 /// # Examples
 ///
@@ -58,17 +60,34 @@ impl BatchProducer {
         }
     }
 
-    /// Encodes `batch` through the reused scratch and returns the shared
-    /// payload to append, metering as it goes.
-    fn encode_frame(&self, batch: &Batch) -> Bytes {
-        let mut scratch = self.scratch.lock();
-        encode_batch_into(batch, &mut scratch);
-        self.bytes_sent
-            .fetch_add(scratch.len() as u64, Ordering::Relaxed);
-        self.batches_sent.fetch_add(1, Ordering::Relaxed);
-        self.items_sent
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        Bytes::copy_from_slice(&scratch)
+    /// The one send body: runs `encode` against the reused scratch, meters
+    /// the frame as `items` items, and appends the shared payload to
+    /// `partition` (`None` = the topic's partitioner chooses).
+    fn send_frame(
+        &self,
+        partition: Option<u32>,
+        items: u64,
+        timestamp: u64,
+        encode: impl FnOnce(&mut BytesMut),
+    ) -> Result<(u32, u64), MqError> {
+        let value = {
+            let mut scratch = self.scratch.lock();
+            encode(&mut scratch);
+            self.bytes_sent
+                .fetch_add(scratch.len() as u64, Ordering::Relaxed);
+            self.batches_sent.fetch_add(1, Ordering::Relaxed);
+            self.items_sent.fetch_add(items, Ordering::Relaxed);
+            Bytes::copy_from_slice(&scratch)
+        };
+        let record = ProducerRecord {
+            key: None,
+            value,
+            timestamp,
+        };
+        match partition {
+            Some(partition) => self.topic.append_to(partition, record),
+            None => self.topic.append(record),
+        }
     }
 
     /// The topic this producer publishes to.
@@ -91,11 +110,8 @@ impl BatchProducer {
     ///
     /// Returns [`MqError::Closed`] once the topic is closed.
     pub fn send_at(&self, batch: &Batch, timestamp: u64) -> Result<(u32, u64), MqError> {
-        let frame = self.encode_frame(batch);
-        self.topic.append(ProducerRecord {
-            key: None,
-            value: frame,
-            timestamp,
+        self.send_frame(None, batch.len() as u64, timestamp, |buf| {
+            encode_batch_into(batch, buf)
         })
     }
 
@@ -111,15 +127,9 @@ impl BatchProducer {
         batch: &Batch,
         timestamp: u64,
     ) -> Result<(u32, u64), MqError> {
-        let frame = self.encode_frame(batch);
-        self.topic.append_to(
-            partition,
-            ProducerRecord {
-                key: None,
-                value: frame,
-                timestamp,
-            },
-        )
+        self.send_frame(Some(partition), batch.len() as u64, timestamp, |buf| {
+            encode_batch_into(batch, buf)
+        })
     }
 
     /// Publishes a columnar batch to a specific partition as a **v2**
@@ -135,24 +145,9 @@ impl BatchProducer {
         batch: &ColumnarBatch,
         timestamp: u64,
     ) -> Result<(u32, u64), MqError> {
-        let frame = {
-            let mut scratch = self.scratch.lock();
-            encode_columns_into(batch, &mut scratch);
-            self.bytes_sent
-                .fetch_add(scratch.len() as u64, Ordering::Relaxed);
-            self.batches_sent.fetch_add(1, Ordering::Relaxed);
-            self.items_sent
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            Bytes::copy_from_slice(&scratch)
-        };
-        self.topic.append_to(
-            partition,
-            ProducerRecord {
-                key: None,
-                value: frame,
-                timestamp,
-            },
-        )
+        self.send_frame(Some(partition), batch.len() as u64, timestamp, |buf| {
+            encode_columns_into(batch, buf)
+        })
     }
 
     /// Publishes an **AoS** batch to a specific partition as a **v2**
@@ -168,24 +163,30 @@ impl BatchProducer {
         batch: &Batch,
         timestamp: u64,
     ) -> Result<(u32, u64), MqError> {
-        let frame = {
-            let mut scratch = self.scratch.lock();
-            encode_batch_v2_into(batch, &mut scratch);
-            self.bytes_sent
-                .fetch_add(scratch.len() as u64, Ordering::Relaxed);
-            self.batches_sent.fetch_add(1, Ordering::Relaxed);
-            self.items_sent
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            Bytes::copy_from_slice(&scratch)
-        };
-        self.topic.append_to(
-            partition,
-            ProducerRecord {
-                key: None,
-                value: frame,
-                timestamp,
-            },
-        )
+        self.send_frame(Some(partition), batch.len() as u64, timestamp, |buf| {
+            encode_batch_v2_into(batch, buf)
+        })
+    }
+
+    /// [`Self::send_v2_to`] with every item's `source_ts` written as
+    /// `source_ts` (see [`crate::codec::encode_batch_v2_stamped_into`]) —
+    /// the wall-clock source path, which stamps items with their send
+    /// time as it encodes them. The record's own `timestamp` is separate:
+    /// a jittered frame is held longer without its items looking younger.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MqError::PartitionOutOfRange`] or [`MqError::Closed`].
+    pub fn send_v2_stamped_to(
+        &self,
+        partition: u32,
+        batch: &Batch,
+        source_ts: u64,
+        timestamp: u64,
+    ) -> Result<(u32, u64), MqError> {
+        self.send_frame(Some(partition), batch.len() as u64, timestamp, |buf| {
+            encode_batch_v2_stamped_into(batch, source_ts, buf)
+        })
     }
 
     /// Publishes per-window stratum summaries to a specific partition as
@@ -205,26 +206,10 @@ impl BatchProducer {
         windows: &[(u64, StratumSummaries)],
         timestamp: u64,
     ) -> Result<(u32, u64), MqError> {
-        let frame = {
-            let mut scratch = self.scratch.lock();
-            encode_summaries_into(config, seed, windows, &mut scratch);
-            self.bytes_sent
-                .fetch_add(scratch.len() as u64, Ordering::Relaxed);
-            self.batches_sent.fetch_add(1, Ordering::Relaxed);
-            self.items_sent.fetch_add(
-                windows.iter().map(|(_, s)| s.count()).sum::<u64>(),
-                Ordering::Relaxed,
-            );
-            Bytes::copy_from_slice(&scratch)
-        };
-        self.topic.append_to(
-            partition,
-            ProducerRecord {
-                key: None,
-                value: frame,
-                timestamp,
-            },
-        )
+        let items = windows.iter().map(|(_, s)| s.count()).sum();
+        self.send_frame(Some(partition), items, timestamp, |buf| {
+            encode_summaries_into(config, seed, windows, buf)
+        })
     }
 
     /// Total encoded bytes published.
@@ -354,6 +339,28 @@ mod tests {
             records[0].value, records[1].value,
             "both entry points produce byte-identical v2 frames"
         );
+    }
+
+    #[test]
+    fn send_v2_stamped_to_stamps_items_not_the_record() {
+        use crate::codec::decode_columns;
+        let broker = Broker::new();
+        let topic = broker.create_topic("t", 1).expect("create");
+        let producer = BatchProducer::new(Arc::clone(&topic));
+        producer
+            .send_v2_stamped_to(0, &batch(3), 77, 99)
+            .expect("send");
+        assert_eq!(producer.items_sent(), 3);
+        let record = topic.partitions()[0]
+            .read_from(0, 1, std::time::Duration::ZERO)
+            .expect("read")
+            .pop()
+            .expect("one record");
+        assert_eq!(record.timestamp, 99, "the record keeps its own timestamp");
+        assert_eq!(producer.bytes_sent(), record.value.len() as u64);
+        let columns = decode_columns(&record.value).expect("v2 frame");
+        assert_eq!(columns.source_ts, vec![77; 3]);
+        assert_eq!(columns.values, vec![0.0, 1.0, 2.0]);
     }
 
     #[test]

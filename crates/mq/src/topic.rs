@@ -67,9 +67,15 @@ impl Topic {
     ///
     /// Returns [`MqError::PartitionOutOfRange`] for a bad index.
     pub fn partition(&self, index: u32) -> Result<Arc<PartitionLog>, MqError> {
+        self.log(index).cloned()
+    }
+
+    /// Borrows one partition. The per-frame paths go through here rather
+    /// than [`Topic::partition`]: an `Arc` clone per append would bounce
+    /// the refcount's cache line between producer and consumer threads.
+    fn log(&self, index: u32) -> Result<&Arc<PartitionLog>, MqError> {
         self.partitions
             .get(index as usize)
-            .cloned()
             .ok_or(MqError::PartitionOutOfRange {
                 partition: index,
                 partitions: self.partition_count(),
@@ -113,8 +119,7 @@ impl Topic {
     ///
     /// Returns [`MqError::PartitionOutOfRange`] or [`MqError::Closed`].
     pub fn append_to(&self, partition: u32, record: ProducerRecord) -> Result<(u32, u64), MqError> {
-        let log = self.partition(partition)?;
-        let offset = log.append(Record {
+        let offset = self.log(partition)?.append(Record {
             partition,
             offset: 0,
             timestamp: record.timestamp,

@@ -22,8 +22,9 @@ use approxiot_core::{
 };
 use approxiot_mq::codec::{
     decode_batch, decode_batch_any_into, decode_batch_into, decode_columns, decode_columns_into,
-    decode_summaries, decode_summaries_into, encode_batch, encode_batch_v2_into, encode_columns,
-    encode_summaries, encoded_len_columns, encoded_len_summaries, encoded_len_v2,
+    decode_summaries, decode_summaries_into, encode_batch, encode_batch_v2_into,
+    encode_batch_v2_stamped_into, encode_columns, encode_columns_into, encode_summaries,
+    encoded_len_columns, encoded_len_summaries, encoded_len_v2,
 };
 use bytes::BytesMut;
 use proptest::prelude::*;
@@ -89,7 +90,7 @@ proptest! {
         prop_assert_eq!(v2.len(), encoded_len_columns(&columns));
         prop_assert_eq!(v2.len(), encoded_len_v2(&batch));
 
-        // Both strided-encode entry points emit identical bytes.
+        // The AoS entry point emits the same bytes as the columnar one.
         let mut buf = BytesMut::new();
         encode_batch_v2_into(&batch, &mut buf);
         prop_assert_eq!(&buf[..], &v2[..]);
@@ -106,6 +107,32 @@ proptest! {
         prop_assert_eq!(&any, &batch);
         decode_batch_any_into(&v2, &mut any).expect("v2 via any");
         prop_assert_eq!(&any, &batch);
+    }
+
+    /// The stamped encoder is byte-identical to clone → stamp → encode,
+    /// against both the AoS entry point and the columnar reference, for
+    /// arbitrary batches (empty, with and without weights) — including
+    /// through a buffer still holding a previous frame of another size.
+    #[test]
+    fn stamped_v2_matches_clone_stamp_encode(
+        first in arb_batch(),
+        second in arb_batch(),
+        source_ts in any::<u64>(),
+    ) {
+        let mut buf = BytesMut::new();
+        let mut reference = BytesMut::new();
+        for batch in [&first, &second] {
+            let mut stamped = batch.clone();
+            for item in &mut stamped.items {
+                item.source_ts = source_ts;
+            }
+            encode_batch_v2_stamped_into(batch, source_ts, &mut buf);
+            encode_batch_v2_into(&stamped, &mut reference);
+            prop_assert_eq!(&buf[..], &reference[..]);
+            encode_columns_into(&ColumnarBatch::from_batch(&stamped), &mut reference);
+            prop_assert_eq!(&buf[..], &reference[..]);
+            prop_assert_eq!(buf.len(), encoded_len_v2(batch));
+        }
     }
 
     /// Every strict prefix of a v2 frame is rejected, and the recycled

@@ -2,7 +2,10 @@
 
 use approxiot_core::{Batch, StratumId, StreamItem, WeightMap};
 use approxiot_mq::codec::{decode_batch, encode_batch, encoded_len};
-use approxiot_mq::{assign_partitions, Broker, GroupCoordinator, PartitionLog, ProducerRecord};
+use approxiot_mq::{
+    assign_partitions, Broker, Consumer, GroupCoordinator, PartitionLog, ProducerRecord,
+    StartOffset,
+};
 use bytes::Bytes;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -160,6 +163,55 @@ proptest! {
                 prop_assert!(read_from < earliest);
             }
             Err(e) => prop_assert!(false, "unexpected error {e}"),
+        }
+    }
+
+    /// Reader-driven retention under arbitrary interleavings of appends,
+    /// polls, subscribes and drops: the log never holds more than what
+    /// its slowest reader has yet to poll past, and no reader ever sees a
+    /// gap — its own slot pins everything it has not been handed.
+    #[test]
+    fn readers_bound_the_log_and_never_miss_a_record(
+        ops in proptest::collection::vec((0u8..5, 0usize..4, 1usize..8), 1..120),
+    ) {
+        let broker = Broker::new();
+        let topic = broker.create_topic("t", 1).expect("create");
+        let log = &topic.partitions()[0];
+        // Per live reader: the consumer, the position the log last heard
+        // from it, and the next offset it must be handed.
+        let mut readers: Vec<(Consumer, u64, u64)> = Vec::new();
+        for (kind, pick, amount) in ops {
+            match kind {
+                0 | 1 => {
+                    for _ in 0..amount {
+                        topic.append(ProducerRecord::new(&b"x"[..])).expect("append");
+                    }
+                }
+                2 if readers.len() < 4 => {
+                    let consumer = Consumer::subscribe_all(topic.clone(), StartOffset::Earliest);
+                    let start = consumer.position(0).expect("assigned");
+                    prop_assert_eq!(start, log.earliest_offset());
+                    readers.push((consumer, start, start));
+                }
+                3 if !readers.is_empty() => {
+                    readers.remove(pick % readers.len());
+                }
+                _ if !readers.is_empty() => {
+                    let (consumer, heard, expected) = {
+                        let n = readers.len();
+                        &mut readers[pick % n]
+                    };
+                    *heard = *expected;
+                    for record in consumer.poll(amount, Duration::ZERO).expect("poll") {
+                        prop_assert_eq!(record.offset, *expected, "dense, gap-free offsets");
+                        *expected += 1;
+                    }
+                    let floor = readers.iter().map(|r| r.1).min().expect("non-empty");
+                    prop_assert!(log.len() as u64 <= log.latest_offset() - floor);
+                }
+                _ => {}
+            }
+            prop_assert_eq!(log.len() as u64, log.latest_offset() - log.earliest_offset());
         }
     }
 

@@ -503,10 +503,11 @@ impl ChurnDriver {
         }
     }
 
-    /// Accounts one re-stamped source batch in wall-clock mode: every
-    /// item lands in the wall window of `wall_ts`, which also serves as
-    /// the schedule interval (the wall engine maps the virtual timeline
-    /// onto wall windows).
+    /// Accounts one source batch sent at `wall_ts` in wall-clock mode:
+    /// every item lands in the wall window of `wall_ts` (the stamp the
+    /// encoder writes over each item's own `source_ts`, which is not read
+    /// here), which also serves as the schedule interval (the wall engine
+    /// maps the virtual timeline onto wall windows).
     pub(crate) fn note_wall(&mut self, source: usize, wall_ts: u64, batch: &Batch) {
         let interval = self.scheme.index_of(wall_ts);
         self.note_stats(interval);

@@ -52,7 +52,10 @@
 //!
 //! The whole inter-node wire runs on the **v2 columnar frame** and the
 //! [`ColumnarBatch`] hot-path representation: the driver encodes source
-//! batches straight into v2 ([`BatchProducer::send_v2_to`]), edge nodes
+//! batches straight into v2 in one pass over their items — in wall-clock
+//! mode writing the send time as every item's `source_ts` on the way
+//! ([`BatchProducer::send_v2_stamped_to`]; replay keeps event time,
+//! [`BatchProducer::send_v2_to`]) — edge nodes
 //! decode frames into recycled column sets drawn from a per-node
 //! [`ColumnarPool`] ([`decode_columns_into`] — four bulk copies per
 //! frame), sample through the flat-slice kernels
@@ -72,9 +75,13 @@
 //! the pool once sent — native nodes even *move* the input columns to the
 //! output instead of cloning them. Sharded WHS nodes sample on a
 //! persistent [`crate::WorkerPool`] rather than a per-batch thread scope,
-//! so thread lifecycle is off the per-batch path too; the
-//! `pipeline_throughput` bench (results in `BENCH_pipeline.json`) measures
-//! the combined effect at the system level.
+//! so thread lifecycle is off the per-batch path too.
+//!
+//! Memory follows what is in flight, not the length of the run: every
+//! node subscribes before the first push, and a partition log drops a
+//! frame once the node reading it has polled past it (see
+//! [`approxiot_mq::PartitionLog`]). There is no producer back-pressure —
+//! a source that outruns its consumers still queues without bound.
 
 use crate::churn::{ChurnDriver, ChurnSchedule, NodeChurnContext, NodeChurnState, NodeDisposition};
 use crate::engine::{fill_completeness, Engine, EngineError, RunReport};
@@ -350,6 +357,9 @@ pub fn run_pipeline(
 /// Records drained per poll by the node loops.
 const POLL_MAX: usize = 64;
 
+/// Item latencies the root keeps per run: the first this many it ingests.
+const LATENCY_SAMPLES: usize = 500_000;
+
 /// The threaded execution engine behind [`crate::EngineKind::Pipeline`]:
 /// one thread per edge node plus the root, connected through per-layer
 /// broker topics, driven incrementally through the [`Engine`] trait.
@@ -390,8 +400,6 @@ pub struct PipelineEngine {
     source_items: u64,
     intervals_pushed: u64,
     closed: bool,
-    /// Scratch for wall-mode re-stamping.
-    stamp_scratch: Batch,
     /// Churn bookkeeping (`None` on an unchurned topology: strict no-op).
     /// The driver notes inclusion tallies at push time; the root thread
     /// reads them (through the shared handle) at answer time.
@@ -652,7 +660,6 @@ impl PipelineEngine {
             source_items: 0,
             intervals_pushed: 0,
             closed: false,
-            stamp_scratch: Batch::new(),
             churn,
         })
     }
@@ -666,33 +673,32 @@ impl PipelineEngine {
     /// limiter and the wire are only charged for frames that survive, and
     /// wall-mode jitter is added to the send timestamp so the consumer
     /// side holds the frame longer.
+    ///
+    /// In wall-clock mode `ts` is the send time: the frame's items are
+    /// stamped with it as they are encoded (for true end-to-end latency)
+    /// and the record carries it plus any jitter. In replay mode `ts` is
+    /// the interval key and items keep their event time: the jitter draw
+    /// still happens (stream alignment with the sim engine) but must never
+    /// perturb the key.
     fn send_source(&mut self, partition: u32, batch: &Batch, ts: u64) -> Result<(), EngineError> {
         let limiter = &self.source_limiters[partition as usize];
         let producer = &self.producer;
-        // In replay mode `ts` is the interval key: the jitter draw still
-        // happens (stream alignment with the sim engine) but must never
-        // perturb the key.
         let wall = !self.options.deterministic;
+        let mut send = |frame: &Batch, extra: Duration| {
+            if let Some(l) = limiter {
+                l.acquire(encoded_len_v2(frame) as u64);
+            }
+            let sent = if wall {
+                let held_until = ts.saturating_add(extra.as_nanos() as u64);
+                producer.send_v2_stamped_to(partition, frame, ts, held_until)
+            } else {
+                producer.send_v2_to(partition, frame, ts)
+            };
+            sent.is_ok()
+        };
         let sent = match self.source_injectors[partition as usize].as_mut() {
-            Some(injector) => {
-                injector.transmit(std::slice::from_ref(batch), &mut |frame, extra| {
-                    if let Some(l) = limiter {
-                        l.acquire(encoded_len_v2(frame) as u64);
-                    }
-                    let stamp = if wall {
-                        ts.saturating_add(extra.as_nanos() as u64)
-                    } else {
-                        ts
-                    };
-                    producer.send_v2_to(partition, frame, stamp).is_ok()
-                })
-            }
-            None => {
-                if let Some(l) = limiter {
-                    l.acquire(encoded_len_v2(batch) as u64);
-                }
-                producer.send_v2_to(partition, batch, ts).is_ok()
-            }
+            Some(injector) => injector.transmit(std::slice::from_ref(batch), &mut send),
+            None => send(batch, Duration::ZERO),
         };
         if !sent {
             self.closed = true;
@@ -763,7 +769,8 @@ impl Engine for PipelineEngine {
                 // can reconstruct the canonical order.
                 self.send_source(s as u32, batch, key)?;
             } else {
-                // Re-stamp with wall send time for true end-to-end latency.
+                // Items are stamped with the wall send time as they are
+                // encoded, for true end-to-end latency.
                 let ts = self.epoch.elapsed().as_nanos() as u64;
                 if impaired {
                     *self
@@ -771,20 +778,13 @@ impl Engine for PipelineEngine {
                         .entry(self.scheme.index_of(ts))
                         .or_insert(0) += batch.len() as u64;
                 }
-                let mut stamped = std::mem::take(&mut self.stamp_scratch);
-                stamped.clone_from(batch);
-                for item in &mut stamped.items {
-                    item.source_ts = ts;
-                }
                 if let Some(churn) = self.churn.as_mut() {
                     // Wall mode maps the schedule onto wall windows: the
-                    // re-stamped send time decides both the window and the
-                    // interval the fleet's dispositions are evaluated at.
-                    churn.note_wall(s, ts, &stamped);
+                    // send time decides both the window and the interval
+                    // the fleet's dispositions are evaluated at.
+                    churn.note_wall(s, ts, batch);
                 }
-                let sent = self.send_source(s as u32, &stamped, ts);
-                self.stamp_scratch = stamped;
-                sent?;
+                self.send_source(s as u32, batch, ts)?;
             }
         }
         if !self.options.deterministic {
@@ -1295,6 +1295,9 @@ fn root_loop(
 ) {
     let mut pool = BatchPool::new(POLL_MAX + 2);
     let mut records: Vec<Record> = Vec::new();
+    // Sampled on this thread and handed over once, at exit: nothing reads
+    // `latencies` before the engine has joined the root.
+    let mut samples: Vec<u64> = Vec::new();
     'run: loop {
         match consumer.poll_into(&mut records, POLL_MAX, Duration::from_millis(5)) {
             Ok(_) => {
@@ -1304,14 +1307,16 @@ fn root_loop(
                         break 'run;
                     }
                     wait_until(epoch, record.timestamp, root_delay);
-                    let now = epoch.elapsed().as_nanos() as u64;
-                    {
-                        let mut lat = latencies
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        if lat.len() < 500_000 {
-                            lat.extend(batch.items.iter().map(|i| now.saturating_sub(i.source_ts)));
-                        }
+                    let room = LATENCY_SAMPLES - samples.len();
+                    if room > 0 {
+                        let now = epoch.elapsed().as_nanos() as u64;
+                        samples.extend(
+                            batch
+                                .items
+                                .iter()
+                                .take(room)
+                                .map(|i| now.saturating_sub(i.source_ts)),
+                        );
                     }
                     root.ingest_mut(&mut batch);
                     pool.put(batch);
@@ -1330,6 +1335,9 @@ fn root_loop(
             Err(_) => break,
         }
     }
+    *latencies
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner) = samples;
     for result in root.flush() {
         let _ = result_tx.send(result);
     }
@@ -1601,6 +1609,57 @@ mod tests {
         for (hop, bytes) in report.bytes.hops().iter().enumerate() {
             assert!(*bytes > 0, "hop {hop} billed no bytes");
         }
+    }
+
+    #[test]
+    fn wall_clock_logs_hold_what_is_in_flight_not_the_run() {
+        let topology = Topology::builder()
+            .sources(4)
+            .layer(LayerSpec::new(2))
+            .layer(LayerSpec::new(2))
+            .strategy(Strategy::whs())
+            .overall_fraction(0.5)
+            .window(Duration::from_millis(10))
+            // Long enough that a host stall cannot turn into late drops,
+            // short enough that windows close while the engine is open.
+            .allowed_lateness(Duration::from_secs(1))
+            .seed(7)
+            .build()
+            .expect("valid");
+        let options = PipelineOptions {
+            deterministic: false,
+            source_interval: Some(Duration::from_millis(1)),
+        };
+        let mut engine =
+            PipelineEngine::new(topology, QuerySet::default(), options).expect("valid");
+        let interval = &intervals(1, 4, 50, 1.0)[0];
+        let pushes = 500;
+        let mut arrived = 0;
+        for _ in 0..pushes {
+            Engine::push_interval(&mut engine, interval).expect("open");
+            arrived += Engine::poll(&mut engine).len();
+        }
+        // 2000 frames have gone through `layer0`. Once the leaves have
+        // caught up it holds none of them: each poll releases what the one
+        // before it delivered. (Asserted at rest, with a deadline, rather
+        // than as a peak during the pushes — how far a leaf thread falls
+        // behind mid-run is the host scheduler's business.)
+        let deadline = engine.epoch.elapsed() + Duration::from_secs(10);
+        while engine.producer.topic().len() >= POLL_MAX || arrived == 0 {
+            assert!(
+                engine.epoch.elapsed() < deadline,
+                "layer0 still holds {} of {} frames, {arrived} results so far",
+                engine.producer.topic().len(),
+                4 * pushes
+            );
+            thread::sleep(Duration::from_millis(5));
+            arrived += Engine::poll(&mut engine).len();
+        }
+        let report = Box::new(engine).finish();
+        assert!(report.results.len() >= arrived);
+        assert_eq!(report.source_items, 4 * 50 * pushes as u64);
+        let count: f64 = report.results.iter().map(|r| r.count_hat).sum();
+        assert_eq!(count, report.source_items as f64, "nothing lost or late");
     }
 
     #[test]
