@@ -9,9 +9,25 @@
 //! * the global `SUM* = Σ_i SUM_i` and `MEAN* = SUM* / Σ_i ĉ_i,b`, and
 //! * variance estimates for both (Equations 11 and 14), from which
 //!   [`crate::Estimate`] derives the "68–95–99.7" error bounds.
+//!
+//! Those estimators read each pair only through its per-stratum weight,
+//! `Σv`, `n` and `Σv²`, so `Θ` keeps exactly that: one [`ThetaRow`] per
+//! `(pair, stratum)`, condensed as the pair arrives, instead of the sampled
+//! items. Rows sit in pair order, stratum-ascending within a pair, and each
+//! row's moments accumulate in item order — the order a per-item grouping
+//! at window close would use — so every estimate is bit-identical to
+//! grouping the buffered items. Raw values, which only the quantile
+//! estimators read ([`crate::quantile`]), are kept beside the rows (in item
+//! order, each pointing at its row for the weight) unless the store is
+//! built with [`ThetaStore::with_values`]`(false)`.
+//!
+//! [`ThetaStore::stratum_estimates`] is the one pass over the rows;
+//! [`sum_of`], [`mean_of`] and [`count_of`] derive the global answers from
+//! its map, so a caller answering several queries per window computes it
+//! once.
 
 use crate::error::Estimate;
-use crate::item::StratumId;
+use crate::item::{StratumId, StreamItem};
 use crate::sampling::whs::WhsOutput;
 use std::collections::BTreeMap;
 
@@ -32,8 +48,24 @@ pub struct StratumEstimate {
     pub sum_variance: f64,
 }
 
-/// The root's buffer of `(W_out, sample)` pairs for one window (`Θ` in
-/// Algorithm 2).
+/// One `(W_out, sample)` pair's items of one stratum, condensed to what
+/// the estimators read.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ThetaRow {
+    /// The stratum.
+    pub stratum: StratumId,
+    /// The pair's weight for the stratum (`W_out_i`).
+    pub weight: f64,
+    /// `Σv` over the pair's items of the stratum, in item order.
+    pub value_sum: f64,
+    /// Number of those items (`|I_i|`).
+    pub n: u64,
+    /// `Σv²` over the same items, in item order.
+    pub value_sq_sum: f64,
+}
+
+/// The root's store of `(W_out, sample)` pairs for one window (`Θ` in
+/// Algorithm 2), condensed to one [`ThetaRow`] per pair and stratum.
 ///
 /// # Examples
 ///
@@ -49,46 +81,190 @@ pub struct StratumEstimate {
 /// });
 /// let sum = theta.sum_estimate();
 /// assert_eq!(sum.value, 15.0); // 5.0 * weight 3
+/// assert_eq!(theta.rows().len(), 1);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ThetaStore {
-    pairs: Vec<WhsOutput>,
+    rows: Vec<ThetaRow>,
+    /// `(value, row index)` per item, in item order; empty unless
+    /// `keep_values`.
+    values: Vec<(f64, usize)>,
+    keep_values: bool,
+    pairs: usize,
+}
+
+impl Default for ThetaStore {
+    fn default() -> Self {
+        ThetaStore::new()
+    }
 }
 
 impl ThetaStore {
-    /// Creates an empty store.
+    /// Creates an empty store that keeps raw values, so every estimator —
+    /// quantiles included — can read it.
     pub fn new() -> Self {
-        ThetaStore { pairs: Vec::new() }
+        ThetaStore::with_values(true)
+    }
+
+    /// Creates an empty store; with `keep_values` false it holds only the
+    /// rows, for callers that never ask it for a quantile.
+    pub fn with_values(keep_values: bool) -> Self {
+        ThetaStore {
+            rows: Vec::new(),
+            values: Vec::new(),
+            keep_values,
+            pairs: 0,
+        }
+    }
+
+    /// Whether the store keeps raw values for the quantile estimators.
+    pub fn keeps_values(&self) -> bool {
+        self.keep_values
     }
 
     /// Appends one `(W_out, sample)` pair (line 16 of Algorithm 2).
     pub fn push(&mut self, output: WhsOutput) {
-        self.pairs.push(output);
+        let WhsOutput { weights, sample } = output;
+        self.push_items(&sample, |stratum| weights.get(stratum));
+    }
+
+    /// Appends one pair given as its items and the weight of each stratum
+    /// present, condensing the items into one row per stratum. `weight_of`
+    /// is called once per row.
+    pub fn push_items(&mut self, items: &[StreamItem], weight_of: impl Fn(StratumId) -> f64) {
+        self.pairs += 1;
+        let first_row = self.rows.len();
+        let first_value = self.values.len();
+        let Some(first) = items.first() else {
+            return;
+        };
+        // The current row's moments stay in registers while consecutive
+        // items share its stratum (a grouped frame); on a change, the next
+        // row is tried first (rows are created in first-seen order, so a
+        // round-robin frame always hits it), then the pair's few rows are
+        // scanned.
+        let mut hit = self.row_for(first_row, first_row, first.stratum, &weight_of);
+        let mut row = self.rows[hit];
+        for item in items {
+            if item.stratum != row.stratum {
+                self.rows[hit] = row;
+                let next = if hit + 1 < self.rows.len() {
+                    hit + 1
+                } else {
+                    first_row
+                };
+                hit = self.row_for(first_row, next, item.stratum, &weight_of);
+                row = self.rows[hit];
+            }
+            row.value_sum += item.value;
+            row.n += 1;
+            row.value_sq_sum += item.value * item.value;
+            if self.keep_values {
+                self.values.push((item.value, hit));
+            }
+        }
+        self.rows[hit] = row;
+        self.sort_pair(first_row, first_value);
+    }
+
+    /// The newest pair's row (rows from `first_row`) for `stratum`, tried
+    /// at `guess` first; a new row weighted by `weight_of` if the pair has
+    /// none yet.
+    fn row_for(
+        &mut self,
+        first_row: usize,
+        guess: usize,
+        stratum: StratumId,
+        weight_of: &impl Fn(StratumId) -> f64,
+    ) -> usize {
+        if self
+            .rows
+            .get(guess)
+            .is_some_and(|row| row.stratum == stratum)
+        {
+            return guess;
+        }
+        if let Some(offset) = self.rows[first_row..]
+            .iter()
+            .position(|row| row.stratum == stratum)
+        {
+            return first_row + offset;
+        }
+        self.rows.push(ThetaRow {
+            stratum,
+            weight: weight_of(stratum),
+            value_sum: 0.0,
+            n: 0,
+            value_sq_sum: 0.0,
+        });
+        self.rows.len() - 1
+    }
+
+    /// Puts the newest pair's rows (from `first_row`) in stratum order,
+    /// repointing that pair's values (from `first_value`) at the moved
+    /// rows.
+    fn sort_pair(&mut self, first_row: usize, first_value: usize) {
+        let pair = &mut self.rows[first_row..];
+        if pair.windows(2).all(|w| w[0].stratum < w[1].stratum) {
+            return;
+        }
+        if self.keep_values {
+            let mut order: Vec<usize> = (0..pair.len()).collect();
+            order.sort_unstable_by_key(|&offset| pair[offset].stratum);
+            let mut moved_to = vec![0; pair.len()];
+            for (new, &old) in order.iter().enumerate() {
+                moved_to[old] = first_row + new;
+            }
+            for value in &mut self.values[first_value..] {
+                value.1 = moved_to[value.1 - first_row];
+            }
+        }
+        pair.sort_unstable_by_key(|row| row.stratum);
     }
 
     /// Number of buffered pairs.
     pub fn len(&self) -> usize {
-        self.pairs.len()
+        self.pairs
     }
 
     /// Returns `true` when no pair is buffered.
     pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
+        self.pairs == 0
     }
 
     /// Drops all buffered pairs for the next window.
     pub fn clear(&mut self) {
-        self.pairs.clear();
+        self.rows.clear();
+        self.values.clear();
+        self.pairs = 0;
     }
 
-    /// The buffered pairs.
-    pub fn pairs(&self) -> &[WhsOutput] {
-        &self.pairs
+    /// The condensed rows: pair order, stratum-ascending within a pair.
+    pub fn rows(&self) -> &[ThetaRow] {
+        &self.rows
+    }
+
+    /// Every kept sampled item as `(value, weight)`, in item order (empty
+    /// when the store does not keep values).
+    pub(crate) fn weighted_values(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+        self.values
+            .iter()
+            .map(|&(value, row)| (value, self.rows[row].weight))
+    }
+
+    /// Multiplies the weight of every row whose stratum `correction`
+    /// answers for by that factor.
+    pub fn rescale(&mut self, correction: impl Fn(StratumId) -> Option<f64>) {
+        for row in &mut self.rows {
+            if let Some(factor) = correction(row.stratum) {
+                row.weight *= factor;
+            }
+        }
     }
 
     /// Total number of sampled items buffered (across strata).
     pub fn sampled_items(&self) -> usize {
-        self.pairs.iter().map(|p| p.sample.len()).sum()
+        self.rows.iter().map(|row| row.n as usize).sum()
     }
 
     /// Computes all per-stratum aggregates (Equations 3, 8, 11, 12).
@@ -103,24 +279,13 @@ impl ThetaStore {
             value_sq_sum: f64,
         }
         let mut accs: BTreeMap<StratumId, Acc> = BTreeMap::new();
-        for pair in &self.pairs {
-            // Group this pair's items by stratum.
-            let mut per: BTreeMap<StratumId, (f64, u64, f64)> = BTreeMap::new();
-            for item in &pair.sample {
-                let e = per.entry(item.stratum).or_insert((0.0, 0, 0.0));
-                e.0 += item.value;
-                e.1 += 1;
-                e.2 += item.value * item.value;
-            }
-            for (stratum, (vsum, n, vsq)) in per {
-                let w = pair.weights.get(stratum);
-                let acc = accs.entry(stratum).or_default();
-                acc.sum += vsum * w;
-                acc.count_hat += n as f64 * w;
-                acc.zeta += n;
-                acc.value_sum += vsum;
-                acc.value_sq_sum += vsq;
-            }
+        for row in &self.rows {
+            let acc = accs.entry(row.stratum).or_default();
+            acc.sum += row.value_sum * row.weight;
+            acc.count_hat += row.n as f64 * row.weight;
+            acc.zeta += row.n;
+            acc.value_sum += row.value_sum;
+            acc.value_sq_sum += row.value_sq_sum;
         }
         accs.into_iter()
             .map(|(stratum, acc)| {
@@ -131,8 +296,8 @@ impl ThetaStore {
                     0.0
                 };
                 let s2 = if zeta > 1 {
-                    // Numerically the two-pass form is better, but Θ items are
-                    // gone after grouping; use the corrected sum-of-squares
+                    // Numerically the two-pass form is better, but Θ keeps
+                    // only moments; use the corrected sum-of-squares
                     // guarded against tiny negative round-off.
                     ((acc.value_sq_sum - zeta as f64 * mean * mean) / (zeta as f64 - 1.0)).max(0.0)
                 } else {
@@ -163,10 +328,7 @@ impl ThetaStore {
     /// The approximate total sum over all strata with its variance
     /// (`SUM*`, Equations 4 and 10–11).
     pub fn sum_estimate(&self) -> Estimate {
-        let per = self.stratum_estimates();
-        let value: f64 = per.values().map(|e| e.sum).sum();
-        let variance: f64 = per.values().map(|e| e.sum_variance).sum();
-        Estimate::new(value, variance)
+        sum_of(&self.stratum_estimates())
     }
 
     /// The approximate mean over all strata with its variance
@@ -175,43 +337,64 @@ impl ThetaStore {
     /// Returns an estimate of `0` with zero variance when the store is
     /// empty.
     pub fn mean_estimate(&self) -> Estimate {
-        let per = self.stratum_estimates();
-        let total_count: f64 = per.values().map(|e| e.count_hat).sum();
-        if total_count <= 0.0 {
-            return Estimate::new(0.0, 0.0);
-        }
-        let mut value = 0.0;
-        let mut variance = 0.0;
-        for est in per.values() {
-            let phi = est.count_hat / total_count;
-            if est.zeta == 0 || est.count_hat <= 0.0 {
-                continue;
-            }
-            let mean_i = est.sum / est.count_hat;
-            value += phi * mean_i;
-            let fpc = ((est.count_hat - est.zeta as f64) / est.count_hat).max(0.0);
-            variance += phi * phi * est.sample_variance / est.zeta as f64 * fpc;
-        }
-        Estimate::new(value, variance)
+        mean_of(&self.stratum_estimates())
     }
 
     /// The reconstructed total item count `Σ_i ĉ_i,b` (Equation 8 summed).
     pub fn count_estimate(&self) -> f64 {
-        self.stratum_estimates().values().map(|e| e.count_hat).sum()
+        count_of(&self.stratum_estimates())
     }
+}
+
+/// `SUM*` from a store's per-stratum estimates
+/// ([`ThetaStore::sum_estimate`] without recomputing them).
+pub fn sum_of(per: &BTreeMap<StratumId, StratumEstimate>) -> Estimate {
+    let value: f64 = per.values().map(|e| e.sum).sum();
+    let variance: f64 = per.values().map(|e| e.sum_variance).sum();
+    Estimate::new(value, variance)
+}
+
+/// `MEAN*` from a store's per-stratum estimates
+/// ([`ThetaStore::mean_estimate`] without recomputing them).
+pub fn mean_of(per: &BTreeMap<StratumId, StratumEstimate>) -> Estimate {
+    let total_count: f64 = per.values().map(|e| e.count_hat).sum();
+    if total_count <= 0.0 {
+        return Estimate::new(0.0, 0.0);
+    }
+    let mut value = 0.0;
+    let mut variance = 0.0;
+    for est in per.values() {
+        let phi = est.count_hat / total_count;
+        if est.zeta == 0 || est.count_hat <= 0.0 {
+            continue;
+        }
+        let mean_i = est.sum / est.count_hat;
+        value += phi * mean_i;
+        let fpc = ((est.count_hat - est.zeta as f64) / est.count_hat).max(0.0);
+        variance += phi * phi * est.sample_variance / est.zeta as f64 * fpc;
+    }
+    Estimate::new(value, variance)
+}
+
+/// `Σ_i ĉ_i,b` from a store's per-stratum estimates
+/// ([`ThetaStore::count_estimate`] without recomputing them).
+pub fn count_of(per: &BTreeMap<StratumId, StratumEstimate>) -> f64 {
+    per.values().map(|e| e.count_hat).sum()
 }
 
 impl FromIterator<WhsOutput> for ThetaStore {
     fn from_iter<I: IntoIterator<Item = WhsOutput>>(iter: I) -> Self {
-        ThetaStore {
-            pairs: iter.into_iter().collect(),
-        }
+        let mut theta = ThetaStore::new();
+        theta.extend(iter);
+        theta
     }
 }
 
 impl Extend<WhsOutput> for ThetaStore {
     fn extend<I: IntoIterator<Item = WhsOutput>>(&mut self, iter: I) {
-        self.pairs.extend(iter);
+        for output in iter {
+            self.push(output);
+        }
     }
 }
 

@@ -133,7 +133,7 @@ pub use batch::{distinct_strata_into, Batch, StrataIndex};
 pub use budget::{AdaptiveController, BudgetError, CostFunction, FixedSize, SamplingBudget};
 pub use columns::{distinct_strata_u32_into, ColumnarBatch, ColumnarPool, ColumnsView};
 pub use error::{accuracy_loss, Confidence, Estimate};
-pub use estimate::{StratumEstimate, ThetaStore};
+pub use estimate::{StratumEstimate, ThetaRow, ThetaStore};
 pub use item::{Measure, StratumId, StreamItem};
 pub use pool::BatchPool;
 pub use sampling::allocation::{Allocation, SizingScratch};

@@ -13,8 +13,9 @@
 //!   each carrying its variance from Equation 11.
 
 use crate::error::{Confidence, Estimate};
-use crate::estimate::ThetaStore;
+use crate::estimate::{StratumEstimate, ThetaStore};
 use crate::item::StratumId;
+use std::collections::BTreeMap;
 
 /// A quantile estimate with a distribution-free confidence interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,17 +30,14 @@ pub struct QuantileEstimate {
     pub q: f64,
 }
 
-/// Collects the `(value, weight)` pairs of a `Θ` store, sorted by value.
+/// Collects the `(value, weight)` pairs of a `Θ` store, sorted by value
+/// (stable, so tied values keep item order).
 fn weighted_values(theta: &ThetaStore) -> Vec<(f64, f64)> {
-    let mut pairs: Vec<(f64, f64)> = theta
-        .pairs()
-        .iter()
-        .flat_map(|p| {
-            p.sample
-                .iter()
-                .map(move |item| (item.value, p.weights.get(item.stratum)))
-        })
-        .collect();
+    debug_assert!(
+        theta.keeps_values(),
+        "quantiles read raw values; this store keeps only moments"
+    );
+    let mut pairs: Vec<(f64, f64)> = theta.weighted_values().collect();
     pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
     pairs
 }
@@ -182,10 +180,18 @@ pub fn quantile_with_bounds(
 /// assert_eq!(top[1].0, StratumId::new(2));
 /// ```
 pub fn top_k_strata(theta: &ThetaStore, k: usize) -> Vec<(StratumId, Estimate)> {
-    let mut ranked: Vec<(StratumId, Estimate)> = theta
-        .stratum_estimates()
-        .into_iter()
-        .map(|(s, e)| (s, Estimate::new(e.sum, e.sum_variance)))
+    top_k_of(&theta.stratum_estimates(), k)
+}
+
+/// [`top_k_strata`] from a store's per-stratum estimates, without
+/// recomputing them.
+pub fn top_k_of(
+    per: &BTreeMap<StratumId, StratumEstimate>,
+    k: usize,
+) -> Vec<(StratumId, Estimate)> {
+    let mut ranked: Vec<(StratumId, Estimate)> = per
+        .iter()
+        .map(|(&s, e)| (s, Estimate::new(e.sum, e.sum_variance)))
         .collect();
     ranked.sort_by(|a, b| {
         b.1.value

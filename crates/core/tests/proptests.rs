@@ -509,3 +509,206 @@ fn parallel_path_selection_is_uniform() {
         );
     }
 }
+
+// ---- The condensed Θ store against the per-item grouping it replaced ----
+//
+// `ThetaStore` keeps one (weight, Σv, n, Σv²) row per (pair, stratum)
+// instead of the sampled items. The oracle below is the per-item code the
+// store used to run at window close, over the same pairs kept whole: every
+// estimate must match it bit for bit, including after a per-stratum
+// weight rescale (what the root applies under fleet churn).
+
+use approxiot_core::estimate::{count_of, mean_of, sum_of};
+use approxiot_core::quantile::QuantileEstimate;
+use approxiot_core::{StratumEstimate, WhsOutput};
+
+/// Per-stratum estimates from whole pairs, grouped per item at close.
+fn oracle_estimates(pairs: &[WhsOutput]) -> BTreeMap<StratumId, StratumEstimate> {
+    #[derive(Default)]
+    struct Acc {
+        sum: f64,
+        count_hat: f64,
+        zeta: u64,
+        value_sum: f64,
+        value_sq_sum: f64,
+    }
+    let mut accs: BTreeMap<StratumId, Acc> = BTreeMap::new();
+    for pair in pairs {
+        let mut per: BTreeMap<StratumId, (f64, u64, f64)> = BTreeMap::new();
+        for item in &pair.sample {
+            let e = per.entry(item.stratum).or_insert((0.0, 0, 0.0));
+            e.0 += item.value;
+            e.1 += 1;
+            e.2 += item.value * item.value;
+        }
+        for (stratum, (vsum, n, vsq)) in per {
+            let w = pair.weights.get(stratum);
+            let acc = accs.entry(stratum).or_default();
+            acc.sum += vsum * w;
+            acc.count_hat += n as f64 * w;
+            acc.zeta += n;
+            acc.value_sum += vsum;
+            acc.value_sq_sum += vsq;
+        }
+    }
+    accs.into_iter()
+        .map(|(stratum, acc)| {
+            let zeta = acc.zeta;
+            let mean = if zeta > 0 {
+                acc.value_sum / zeta as f64
+            } else {
+                0.0
+            };
+            let s2 = if zeta > 1 {
+                ((acc.value_sq_sum - zeta as f64 * mean * mean) / (zeta as f64 - 1.0)).max(0.0)
+            } else {
+                0.0
+            };
+            let c = acc.count_hat;
+            let fpc = (c - zeta as f64).max(0.0);
+            let var = if zeta > 0 {
+                c * fpc * s2 / zeta as f64
+            } else {
+                0.0
+            };
+            let est = StratumEstimate {
+                sum: acc.sum,
+                count_hat: c,
+                zeta,
+                sample_mean: mean,
+                sample_variance: s2,
+                sum_variance: var,
+            };
+            (stratum, est)
+        })
+        .collect()
+}
+
+/// The weighted-CDF quantile with bounds, read from whole pairs.
+fn oracle_quantile(
+    pairs: &[WhsOutput],
+    q: f64,
+    confidence: Confidence,
+) -> Option<QuantileEstimate> {
+    let mut values: Vec<(f64, f64)> = pairs
+        .iter()
+        .flat_map(|p| {
+            p.sample
+                .iter()
+                .map(move |i| (i.value, p.weights.get(i.stratum)))
+        })
+        .collect();
+    values.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+    if values.is_empty() {
+        return None;
+    }
+    let invert = |target: f64| {
+        let mut acc = 0.0;
+        for &(value, weight) in &values {
+            acc += weight;
+            if acc >= target {
+                return value;
+            }
+        }
+        values.last().map_or(0.0, |p| p.0)
+    };
+    let total: f64 = values.iter().map(|p| p.1).sum();
+    let half_width = confidence.sigmas() * (q * (1.0 - q) / values.len() as f64).sqrt();
+    Some(QuantileEstimate {
+        value: invert(q * total),
+        lo: invert((q - half_width).max(0.0) * total),
+        hi: invert((q + half_width).min(1.0) * total),
+        q,
+    })
+}
+
+/// Random pairs over four strata: explicit weights for some strata, items
+/// interleaved across strata, values often tied.
+fn arb_pairs() -> impl Strategy<Value = Vec<WhsOutput>> {
+    let pair = (
+        proptest::collection::vec((0u32..4, 1.0f64..50.0), 0..4),
+        proptest::collection::vec((0u32..4, 0u32..6, -1e3f64..1e3, proptest::bool::ANY), 0..40),
+    )
+        .prop_map(|(weights, items)| WhsOutput {
+            weights: weights
+                .into_iter()
+                .map(|(s, w)| (StratumId::new(s), w))
+                .collect(),
+            sample: items
+                .into_iter()
+                .map(|(s, tie, free, tied)| {
+                    StreamItem::new(StratumId::new(s), if tied { tie as f64 } else { free })
+                })
+                .collect(),
+        });
+    proptest::collection::vec(pair, 0..8)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Condensed rows answer every root query bit-identically to per-item
+    /// grouping, before and after a per-stratum rescale.
+    #[test]
+    fn condensed_theta_matches_per_item_oracle(
+        pairs in arb_pairs(),
+        corrections in proptest::collection::vec((0u32..4, 0.2f64..3.0), 0..4),
+    ) {
+        let corrections: BTreeMap<StratumId, f64> =
+            corrections.into_iter().map(|(s, c)| (StratumId::new(s), c)).collect();
+        let mut theta: ThetaStore = pairs.iter().cloned().collect();
+        let mut moments_only = ThetaStore::with_values(false);
+        for pair in &pairs {
+            moments_only.push_items(&pair.sample, |s| pair.weights.get(s));
+        }
+        // What the root's inclusion rescale did to the whole pairs.
+        let mut rescaled = pairs.clone();
+        for pair in &mut rescaled {
+            let strata: std::collections::BTreeSet<StratumId> =
+                pair.sample.iter().map(|i| i.stratum).collect();
+            for stratum in strata {
+                if let Some(&c) = corrections.get(&stratum) {
+                    pair.weights.set(stratum, pair.weights.get(stratum) * c);
+                }
+            }
+        }
+        theta.rescale(|s| corrections.get(&s).copied());
+        moments_only.rescale(|s| corrections.get(&s).copied());
+
+        let oracle = oracle_estimates(&rescaled);
+        let per = theta.stratum_estimates();
+        let bits = |x: &dyn std::fmt::Debug| format!("{x:?}");
+        prop_assert_eq!(bits(&per), bits(&oracle));
+        prop_assert_eq!(bits(&moments_only.stratum_estimates()), bits(&oracle));
+        prop_assert_eq!(bits(&theta.sum_estimate()), bits(&sum_of(&oracle)));
+        prop_assert_eq!(bits(&theta.mean_estimate()), bits(&mean_of(&oracle)));
+        prop_assert_eq!(bits(&theta.count_estimate()), bits(&count_of(&oracle)));
+        prop_assert_eq!(
+            bits(&quantile::top_k_strata(&theta, 3)),
+            bits(&quantile::top_k_of(&oracle, 3))
+        );
+        prop_assert_eq!(theta.len(), pairs.len());
+        prop_assert_eq!(
+            theta.sampled_items(),
+            pairs.iter().map(|p| p.sample.len()).sum::<usize>()
+        );
+        for q in [0.0, 0.1, 0.5, 0.9, 1.0] {
+            prop_assert_eq!(
+                bits(&quantile::quantile_with_bounds(&theta, q, Confidence::P95)),
+                bits(&oracle_quantile(&rescaled, q, Confidence::P95))
+            );
+        }
+        // One row per (pair, stratum present), stratum-ascending per pair.
+        let rows: Vec<StratumId> = theta.rows().iter().map(|r| r.stratum).collect();
+        let expected: Vec<StratumId> = pairs
+            .iter()
+            .flat_map(|p| {
+                p.sample
+                    .iter()
+                    .map(|i| i.stratum)
+                    .collect::<std::collections::BTreeSet<_>>()
+            })
+            .collect();
+        prop_assert_eq!(rows, expected);
+    }
+}

@@ -346,8 +346,8 @@ impl SamplingNode {
     /// mutably so native (no-sampling) nodes can **move** it to the output
     /// instead of cloning every item. WHS/SRS nodes sample from the batch
     /// and leave it untouched; native nodes leave it empty. Either way the
-    /// caller keeps the storage and can recycle it (the pipeline returns
-    /// both input and output batches to a [`approxiot_core::BatchPool`]).
+    /// caller keeps the storage and can recycle it through a
+    /// [`approxiot_core::BatchPool`].
     pub fn process_batch_mut(&mut self, batch: &mut Batch) -> Batch {
         if matches!(self.strategy, Strategy::Native) {
             let out = std::mem::take(batch);

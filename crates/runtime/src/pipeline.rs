@@ -67,15 +67,20 @@
 //! parity tests), so fixed-seed estimates are unchanged — only the
 //! per-item traversal cost drops.
 //!
-//! The wall-clock node loops are steady-state allocation-free end to end.
-//! Every consumer polls through one reused record buffer
+//! The wall-clock edge node loops are steady-state allocation-free. Every
+//! consumer polls through one reused record buffer
 //! ([`Consumer::poll_into`] appending via the partition logs'
 //! `read_into`), every producer encodes through its own reused scratch,
 //! and both the input columns and the forwarded output batches return to
 //! the pool once sent — native nodes even *move* the input columns to the
 //! output instead of cloning them. Sharded WHS nodes sample on a
 //! persistent [`crate::WorkerPool`] rather than a per-batch thread scope,
-//! so thread lifecycle is off the per-batch path too.
+//! so thread lifecycle is off the per-batch path too. The root decodes
+//! into batches from its own [`BatchPool`] and condenses each into its
+//! window's `Θ` rows without taking it apart ([`RootNode::ingest_mut`]),
+//! so every decoded batch goes back to the pool whole; what the root
+//! still allocates is each window's rows and, under WHS or SRS, its own
+//! sampler's output batch per frame.
 //!
 //! Memory follows what is in flight, not the length of the run: every
 //! node subscribes before the first push, and a partition log drops a

@@ -14,8 +14,11 @@
 //!   closed window's `Θ` store and files the answers into a
 //!   [`QueryResults`] map on the window result.
 
-use approxiot_core::quantile::{quantile_with_bounds, top_k_strata, QuantileEstimate};
-use approxiot_core::{Confidence, Estimate, StratumId, StratumSummaries, ThetaStore};
+use approxiot_core::estimate::{count_of, mean_of, sum_of};
+use approxiot_core::quantile::{quantile_with_bounds, top_k_of, QuantileEstimate};
+use approxiot_core::{
+    Confidence, Estimate, StratumEstimate, StratumId, StratumSummaries, ThetaStore,
+};
 use std::collections::BTreeMap;
 
 /// A linear streaming query.
@@ -34,23 +37,34 @@ impl Query {
     /// Executes the query over a window's `Θ` store, returning the
     /// estimate with its variance (§III-C and §III-D).
     pub fn run(self, theta: &ThetaStore) -> Estimate {
-        match self {
-            Query::Sum => theta.sum_estimate(),
-            Query::Mean => theta.mean_estimate(),
-            // COUNT is SUM with all values 1; its estimator is the exact
-            // count reconstruction (Equation 8), variance 0 by the
-            // invariant.
-            Query::Count => Estimate::new(theta.count_estimate(), 0.0),
-        }
+        self.answer(&theta.stratum_estimates())
     }
 
     /// Executes the query per stratum (used by the per-pollutant variant of
     /// the Brasov query).
     pub fn run_per_stratum(self, theta: &ThetaStore) -> BTreeMap<StratumId, Estimate> {
-        theta
-            .stratum_estimates()
-            .into_iter()
-            .map(|(stratum, est)| {
+        self.answer_per_stratum(&theta.stratum_estimates())
+    }
+
+    /// [`Query::run`] from a window's per-stratum estimates.
+    pub(crate) fn answer(self, per: &BTreeMap<StratumId, StratumEstimate>) -> Estimate {
+        match self {
+            Query::Sum => sum_of(per),
+            Query::Mean => mean_of(per),
+            // COUNT is SUM with all values 1; its estimator is the exact
+            // count reconstruction (Equation 8), variance 0 by the
+            // invariant.
+            Query::Count => Estimate::new(count_of(per), 0.0),
+        }
+    }
+
+    /// [`Query::run_per_stratum`] from a window's per-stratum estimates.
+    pub(crate) fn answer_per_stratum(
+        self,
+        per: &BTreeMap<StratumId, StratumEstimate>,
+    ) -> BTreeMap<StratumId, Estimate> {
+        per.iter()
+            .map(|(&stratum, est)| {
                 let e = match self {
                     Query::Sum => Estimate::new(est.sum, est.sum_variance),
                     Query::Mean => {
@@ -348,29 +362,47 @@ impl QuerySet {
             .unwrap_or_default()
     }
 
+    /// Whether any registered query reads raw sampled values (only
+    /// `Quantile` does; everything else reads per-stratum moments).
+    pub(crate) fn reads_values(&self) -> bool {
+        self.specs
+            .iter()
+            .any(|spec| matches!(spec, QuerySpec::Quantile(_)))
+    }
+
     /// Runs every registered query over a window's `Θ` store.
     pub fn run(&self, theta: &ThetaStore) -> QueryResults {
+        self.run_with(theta, &theta.stratum_estimates())
+    }
+
+    /// [`QuerySet::run`] given the store's per-stratum estimates, so a
+    /// caller that needs them too computes them once per window.
+    pub(crate) fn run_with(
+        &self,
+        theta: &ThetaStore,
+        per: &BTreeMap<StratumId, StratumEstimate>,
+    ) -> QueryResults {
         let answers = self
             .specs
             .iter()
             .map(|&spec| {
                 let value = match spec {
-                    QuerySpec::Sum => QueryValue::Scalar(Query::Sum.run(theta)),
-                    QuerySpec::Mean => QueryValue::Scalar(Query::Mean.run(theta)),
-                    QuerySpec::Count => QueryValue::Scalar(Query::Count.run(theta)),
+                    QuerySpec::Sum => QueryValue::Scalar(Query::Sum.answer(per)),
+                    QuerySpec::Mean => QueryValue::Scalar(Query::Mean.answer(per)),
+                    QuerySpec::Count => QueryValue::Scalar(Query::Count.answer(per)),
                     QuerySpec::SumPerStratum => {
-                        QueryValue::PerStratum(Query::Sum.run_per_stratum(theta))
+                        QueryValue::PerStratum(Query::Sum.answer_per_stratum(per))
                     }
                     QuerySpec::MeanPerStratum => {
-                        QueryValue::PerStratum(Query::Mean.run_per_stratum(theta))
+                        QueryValue::PerStratum(Query::Mean.answer_per_stratum(per))
                     }
                     QuerySpec::CountPerStratum => {
-                        QueryValue::PerStratum(Query::Count.run_per_stratum(theta))
+                        QueryValue::PerStratum(Query::Count.answer_per_stratum(per))
                     }
                     QuerySpec::Quantile(q) => {
                         QueryValue::Quantile(quantile_with_bounds(theta, q, self.confidence))
                     }
-                    QuerySpec::TopK(k) => QueryValue::TopK(top_k_strata(theta, k)),
+                    QuerySpec::TopK(k) => QueryValue::TopK(top_k_of(per, k)),
                 };
                 (spec, value)
             })

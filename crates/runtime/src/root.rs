@@ -4,8 +4,9 @@
 use crate::churn::InclusionHandle;
 use crate::node::{SamplingNode, Strategy};
 use crate::query::{Query, QueryResults, QuerySet, QuerySpec, QueryValue};
+use approxiot_core::estimate::count_of;
 use approxiot_core::{
-    Batch, Confidence, Estimate, StratumId, StratumSummaries, ThetaStore, WeightMap, WhsOutput,
+    Batch, Confidence, Estimate, StratumId, StratumSummaries, StreamItem, ThetaStore, WeightMap,
 };
 use approxiot_streams::{TumblingWindow, WindowBuffer, WindowId};
 use std::collections::BTreeMap;
@@ -128,7 +129,14 @@ impl RootConfig {
 #[derive(Debug)]
 pub struct RootNode {
     sampler: SamplingNode,
-    buffer: WindowBuffer<WhsOutput>,
+    /// Each open window's `Θ` store — exactly one per window, condensed
+    /// rows (see [`approxiot_core::estimate`]).
+    buffer: WindowBuffer<ThetaStore>,
+    /// Whether `Θ` keeps raw values: only when a registered query reads
+    /// them (`Quantile`).
+    keep_values: bool,
+    /// Items received (pre-sampling).
+    items_in: u64,
     /// The sketch-strategy counterpart of `buffer`: per-window summary
     /// payloads from the final edge layer, merged at answer time. Only
     /// one of the two stores is ever populated — which one is decided by
@@ -184,6 +192,8 @@ impl RootNode {
                 .with_allowed_lateness(config.allowed_lateness),
             summaries: WindowBuffer::new(TumblingWindow::new(config.window))
                 .with_allowed_lateness(config.allowed_lateness),
+            keep_values: config.queries.reads_values(),
+            items_in: 0,
             primary: config.queries.primary(),
             queries: config.queries,
             strategy: config.strategy,
@@ -221,21 +231,25 @@ impl RootNode {
     }
 
     /// Ingests one batch from the final edge layer: the root samples it,
-    /// then files the weighted output into the per-window `Θ` store, with
-    /// items split across windows by their event time.
+    /// then condenses the weighted output into the per-window `Θ` store,
+    /// with items split across windows by their event time. A native root
+    /// condenses the batch itself, without copying it.
     pub fn ingest(&mut self, batch: &Batch) {
-        let sampled = self.sampler.process_batch(batch);
-        self.ingest_sampled(sampled);
+        self.items_in += batch.len() as u64;
+        if matches!(self.strategy, Strategy::Native) {
+            self.file(batch);
+        } else {
+            let sampled = self.sampler.process_batch(batch);
+            self.file(&sampled);
+        }
     }
 
-    /// Like [`RootNode::ingest`], but borrows the batch mutably so native
-    /// roots can consume it without cloning
-    /// ([`SamplingNode::process_batch_mut`]); the caller keeps the (then
-    /// possibly emptied) storage for recycling. The pipeline's root loop
-    /// uses this with a [`approxiot_core::BatchPool`].
+    /// [`RootNode::ingest`] for callers holding the batch mutably (the
+    /// pipeline's root loop, which recycles it through a
+    /// [`approxiot_core::BatchPool`]). The batch is left untouched, so the
+    /// pool gets its storage back whole.
     pub fn ingest_mut(&mut self, batch: &mut Batch) {
-        let sampled = self.sampler.process_batch_mut(batch);
-        self.ingest_sampled(sampled);
+        self.ingest(batch);
     }
 
     /// Ingests windowed summary payloads from a sketch-strategy edge
@@ -259,43 +273,26 @@ impl RootNode {
         }
     }
 
-    /// Files the root's own sampled output into `Θ`, **consuming** it: a
-    /// batch whose items all fall in one window (the overwhelmingly common
-    /// case — edge nodes forward at window granularity) moves its item
-    /// vector and weight map straight into the store, no per-item copies
-    /// and no weight-map clone. Only batches genuinely straddling a window
-    /// boundary take the splitting path. Items targeting a window that
-    /// already closed (past the allowed lateness) are dropped and counted.
-    fn ingest_sampled(&mut self, sampled: Batch) {
-        if sampled.is_empty() {
+    /// Files the root's own sampled output into `Θ`. A batch whose items
+    /// all fall in one window (the overwhelmingly common case — edge nodes
+    /// forward at window granularity) becomes one pair in that window; only
+    /// batches genuinely straddling a window boundary are split, one pair
+    /// per window. Items targeting a window that already closed (past the
+    /// allowed lateness) are dropped and counted.
+    fn file(&mut self, sampled: &Batch) {
+        let Some(first) = sampled.items.first() else {
             return;
-        }
+        };
         let scheme = self.buffer.scheme();
-        let first_window = scheme.index_of(sampled.items[0].source_ts);
-        if sampled
-            .items
-            .iter()
-            .all(|i| scheme.index_of(i.source_ts) == first_window)
-        {
-            if !self.buffer.accepts(sampled.items[0].source_ts) {
-                self.dropped_late += sampled.items.len() as u64;
-                return;
-            }
-            let Batch { weights, items } = sampled;
-            let weights = self.effective_weights_owned(weights, &items);
-            self.buffer.insert(
-                scheme.start_of(first_window),
-                WhsOutput {
-                    weights,
-                    sample: items,
-                },
-            );
+        let window = scheme.index_of(first.source_ts);
+        let span = scheme.start_of(window)..scheme.end_of(window);
+        if sampled.items.iter().all(|i| span.contains(&i.source_ts)) {
+            self.file_pair(span.start, &sampled.weights, &sampled.items);
             return;
         }
-        // Split the sampled batch by event-time window. Replicating the
-        // weight map across splits is safe: Θ's estimators sum |I|·W per
-        // pair, which is invariant under splitting.
-        let mut per_window: BTreeMap<WindowId, Vec<approxiot_core::StreamItem>> = BTreeMap::new();
+        // Replicating the weight map across splits is safe: Θ's estimators
+        // sum |I|·W per pair, which is invariant under splitting.
+        let mut per_window: BTreeMap<WindowId, Vec<StreamItem>> = BTreeMap::new();
         for item in &sampled.items {
             per_window
                 .entry(scheme.index_of(item.source_ts))
@@ -303,95 +300,33 @@ impl RootNode {
                 .push(*item);
         }
         for (window, items) in per_window {
-            if !self.buffer.accepts(scheme.start_of(window)) {
-                self.dropped_late += items.len() as u64;
-                continue;
-            }
-            let weights = self.effective_weights(&sampled.weights, &items);
-            self.buffer.insert(
-                scheme.start_of(window),
-                WhsOutput {
-                    weights,
-                    sample: items,
-                },
-            );
+            self.file_pair(scheme.start_of(window), &sampled.weights, &items);
         }
     }
 
-    /// Builds the weight map `Θ` should record for `items`:
-    /// WHS keeps the sampled weights; SRS substitutes the Horvitz–Thompson
-    /// scale; native forces weight 1 (exact). On an impaired topology,
-    /// every weight is additionally divided by the delivery factor so
-    /// randomly lost contributions are extrapolated back in
-    /// (Horvitz–Thompson under uniform loss).
-    ///
-    /// The owned variant is the single-window fast path — the WHS arm
-    /// passes the sampled map through without cloning it (and without
-    /// touching it at all when the network is perfect). The borrowed
-    /// variant serves the window-splitting path, where each split needs
-    /// its own copy.
-    fn effective_weights_owned(
-        &self,
-        sampled: WeightMap,
-        items: &[approxiot_core::StreamItem],
-    ) -> WeightMap {
-        match self.strategy {
-            Strategy::Whs { .. } => self.scale_for_loss(sampled, items),
-            Strategy::Srs => {
-                let mut w = WeightMap::new();
-                for item in items {
-                    w.set(item.stratum, self.srs_scale);
-                }
-                w
-            }
-            Strategy::Native => {
-                if self.loss_scale == 1.0 {
-                    WeightMap::new()
-                } else {
-                    // Exact execution still loses frames in flight: give
-                    // every delivered item the loss correction.
-                    let mut w = WeightMap::new();
-                    for item in items {
-                        w.set(item.stratum, self.loss_scale);
-                    }
-                    w
-                }
-            }
-            Strategy::Sketch(_) => {
-                unreachable!("sketch roots answer from summaries, not items")
-            }
+    /// Condenses one pair into the `Θ` store of the window starting at
+    /// `start`, with the weight `Θ` should record per stratum: WHS keeps
+    /// the sampled weight; SRS substitutes the Horvitz–Thompson scale;
+    /// native forces weight 1 (exact). On an impaired topology every
+    /// weight is additionally divided by the delivery factor so randomly
+    /// lost contributions are extrapolated back in (Horvitz–Thompson under
+    /// uniform loss); the SRS scale already includes it.
+    fn file_pair(&mut self, start: u64, weights: &WeightMap, items: &[StreamItem]) {
+        let (strategy, srs_scale, loss_scale) = (self.strategy, self.srs_scale, self.loss_scale);
+        let keep_values = self.keep_values;
+        let Some(stores) = self.buffer.window_mut(start) else {
+            self.dropped_late += items.len() as u64;
+            return;
+        };
+        if stores.is_empty() {
+            stores.push(ThetaStore::with_values(keep_values));
         }
-    }
-
-    fn effective_weights(
-        &self,
-        sampled: &WeightMap,
-        items: &[approxiot_core::StreamItem],
-    ) -> WeightMap {
-        match self.strategy {
-            Strategy::Whs { .. } => self.scale_for_loss(sampled.clone(), items),
-            _ => self.effective_weights_owned(WeightMap::new(), items),
-        }
-    }
-
-    /// Divides the sampled weight of every stratum present in `items` by
-    /// the delivery factor. Strata without an explicit entry (implicit
-    /// weight 1) get one, so the correction reaches unsampled strata too.
-    /// A no-op returning the map untouched on a perfect network.
-    fn scale_for_loss(
-        &self,
-        mut weights: WeightMap,
-        items: &[approxiot_core::StreamItem],
-    ) -> WeightMap {
-        if self.loss_scale == 1.0 {
-            return weights;
-        }
-        let strata: std::collections::BTreeSet<StratumId> =
-            items.iter().map(|i| i.stratum).collect();
-        for stratum in strata {
-            weights.set(stratum, weights.get(stratum) * self.loss_scale);
-        }
-        weights
+        stores[0].push_items(items, |stratum| match strategy {
+            Strategy::Whs { .. } => weights.get(stratum) * loss_scale,
+            Strategy::Srs => srs_scale,
+            Strategy::Native => loss_scale,
+            Strategy::Sketch(_) => unreachable!("sketch roots answer from summaries, not items"),
+        });
     }
 
     /// The node-level Horvitz–Thompson rescale (fleet churn only): divides
@@ -405,7 +340,7 @@ impl RootNode {
     /// delivery factor and the correction cancels. Strata whose factor is
     /// zero (nothing could have arrived) are left untouched — there is no
     /// unbiased extrapolation from an empty stratum.
-    fn rescale_for_inclusion(&self, window: WindowId, outputs: &mut [WhsOutput]) {
+    fn rescale_for_inclusion(&self, window: WindowId, theta: &mut ThetaStore) {
         let Some(inclusion) = &self.inclusion else {
             return;
         };
@@ -415,23 +350,10 @@ impl RootNode {
         let Some(tallies) = map.get(&window) else {
             return;
         };
-        for output in outputs {
-            let strata: std::collections::BTreeSet<StratumId> =
-                output.sample.iter().map(|i| i.stratum).collect();
-            for stratum in strata {
-                let Some(tally) = tallies.get(&stratum) else {
-                    continue;
-                };
-                let factor = tally.factor();
-                if factor <= 0.0 {
-                    continue;
-                }
-                let correction = 1.0 / (self.loss_scale * factor);
-                output
-                    .weights
-                    .set(stratum, output.weights.get(stratum) * correction);
-            }
-        }
+        theta.rescale(|stratum| {
+            let factor = tallies.get(&stratum)?.factor();
+            (factor > 0.0).then(|| 1.0 / (self.loss_scale * factor))
+        });
     }
 
     /// Advances the event-time watermark, closing and answering every
@@ -447,7 +369,7 @@ impl RootNode {
         let closed = self.buffer.drain_closed(watermark_nanos);
         closed
             .into_iter()
-            .map(|(id, outputs)| self.answer(id, outputs))
+            .map(|(id, stores)| self.answer(id, stores))
             .collect()
     }
 
@@ -462,7 +384,7 @@ impl RootNode {
         }
         let all = self.buffer.drain_all();
         all.into_iter()
-            .map(|(id, outputs)| self.answer(id, outputs))
+            .map(|(id, stores)| self.answer(id, stores))
             .collect()
     }
 
@@ -531,21 +453,26 @@ impl RootNode {
         }
     }
 
-    fn answer(&mut self, window: WindowId, mut outputs: Vec<WhsOutput>) -> WindowResult {
-        self.rescale_for_inclusion(window, &mut outputs);
-        let theta: ThetaStore = outputs.into_iter().collect();
-        let queries = self.queries.run(&theta);
+    /// Answers one window from its `Θ` store, computing the per-stratum
+    /// estimates once for every registered query and the result's own
+    /// fields.
+    fn answer(&mut self, window: WindowId, stores: Vec<ThetaStore>) -> WindowResult {
+        // `file_pair` keeps exactly one store per window.
+        let mut theta = stores.into_iter().next().unwrap_or_default();
+        self.rescale_for_inclusion(window, &mut theta);
+        let per = theta.stratum_estimates();
+        let queries = self.queries.run_with(&theta, &per);
         // Reuse the registered answers for the result's primary fields;
-        // only compute them separately when the set doesn't cover them.
+        // only derive them separately when the set doesn't cover them.
         let estimate = queries
             .get(QuerySpec::from(self.primary))
             .and_then(QueryValue::scalar)
             .copied()
-            .unwrap_or_else(|| self.primary.run(&theta));
+            .unwrap_or_else(|| self.primary.answer(&per));
         let per_stratum = queries
             .per_stratum(self.per_stratum_spec())
             .cloned()
-            .unwrap_or_else(|| self.primary.run_per_stratum(&theta));
+            .unwrap_or_else(|| self.primary.answer_per_stratum(&per));
         self.emitted += 1;
         let scheme = self.buffer.scheme();
         // Late drops are attributed to the result emitted after they
@@ -559,8 +486,8 @@ impl RootNode {
             estimate,
             per_stratum,
             queries,
-            sampled_items: theta.sampled_items(),
-            count_hat: theta.count_estimate(),
+            sampled_items: per.values().map(|e| e.zeta as usize).sum(),
+            count_hat: count_of(&per),
             completeness: 1.0,
             dropped_late,
         }
@@ -578,7 +505,7 @@ impl RootNode {
 
     /// Items received (pre-sampling) by the root.
     pub fn items_in(&self) -> u64 {
-        self.sampler.items_in()
+        self.items_in
     }
 }
 
@@ -639,11 +566,43 @@ mod tests {
     fn ingest_mut_consumes_native_batches_without_cloning() {
         let mut root = RootNode::new(cfg(Strategy::Native, 1.0, 1.0)).expect("valid");
         let mut batch = items(0, 10, 2.0, 100);
+        let sent = batch.clone();
         root.ingest_mut(&mut batch);
-        assert!(batch.is_empty(), "native root takes the items it owns");
+        assert_eq!(batch, sent, "the batch goes back to its pool whole");
         let results = root.advance_watermark(SEC);
         assert_eq!(results[0].estimate.value, 20.0);
+        assert_eq!(results[0].estimate.variance, 0.0);
         assert_eq!(results[0].count_hat, 10.0);
+        assert_eq!(results[0].sampled_items, 10);
+    }
+
+    #[test]
+    fn open_windows_hold_rows_per_frame_and_stratum_not_items() {
+        let (frames, strata, per_stratum) = (50, 4, 64);
+        let mut root = RootNode::new(cfg(Strategy::Native, 1.0, 1.0)).expect("valid");
+        let mut batch = Batch::new();
+        for frame in 0..frames {
+            batch.clear();
+            for k in 0..strata * per_stratum {
+                let stratum = StratumId::new((k % strata) as u32);
+                batch
+                    .items
+                    .push(StreamItem::with_meta(stratum, 1.0, k as u64, 100 + frame));
+            }
+            root.ingest_mut(&mut batch);
+        }
+        let theta = &root.buffer.window_mut(100).expect("window 0 is open")[0];
+        assert_eq!(theta.rows().len(), frames as usize * strata);
+        assert_eq!(
+            theta.sampled_items(),
+            frames as usize * strata * per_stratum
+        );
+        assert!(!theta.keeps_values(), "a SUM-only root keeps no raw values");
+        let results = root.advance_watermark(SEC);
+        assert_eq!(
+            results[0].count_hat,
+            (frames as usize * strata * per_stratum) as f64
+        );
     }
 
     #[test]

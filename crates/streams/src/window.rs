@@ -150,15 +150,29 @@ impl<T> WindowBuffer<T> {
     /// `false` (dropping the value and counting a late rejection) when
     /// that window was already closed by an earlier watermark.
     pub fn insert(&mut self, ts_nanos: u64, value: T) -> bool {
+        match self.window_mut(ts_nanos) {
+            Some(values) => {
+                values.push(value);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The values buffered for the window containing `ts_nanos` (opening
+    /// it empty if need be), for callers that fold arrivals into what the
+    /// window already holds instead of appending one value each. `None`,
+    /// counting a late rejection, when that window was already closed.
+    pub fn window_mut(&mut self, ts_nanos: u64) -> Option<&mut Vec<T>> {
         if !self.accepts(ts_nanos) {
             self.late_rejections += 1;
-            return false;
+            return None;
         }
-        self.windows
-            .entry(self.scheme.index_of(ts_nanos))
-            .or_default()
-            .push(value);
-        true
+        Some(
+            self.windows
+                .entry(self.scheme.index_of(ts_nanos))
+                .or_default(),
+        )
     }
 
     /// Number of values rejected for arriving after their window closed.
@@ -311,6 +325,16 @@ mod tests {
         assert_eq!(closed, vec![(0, vec!["on-time", "straggler"])]);
         assert!(!buf.accepts(900), "past end + lateness");
         assert!(!buf.insert(900, "too-late"));
+        assert_eq!(buf.late_rejections(), 1);
+    }
+
+    #[test]
+    fn window_mut_folds_into_the_open_window() {
+        let mut buf = WindowBuffer::new(TumblingWindow::new(Duration::from_secs(1)));
+        buf.window_mut(100).expect("window 0 is open").push(1);
+        buf.window_mut(200).expect("still open")[0] += 1;
+        assert_eq!(buf.drain_closed(SEC), vec![(0, vec![2])]);
+        assert!(buf.window_mut(300).is_none(), "window 0 already closed");
         assert_eq!(buf.late_rejections(), 1);
     }
 
