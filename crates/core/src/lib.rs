@@ -13,8 +13,8 @@
 //! This crate is pure algorithms: samplers, weight bookkeeping, estimators,
 //! error bounds and budget policies. The companion crates provide the
 //! messaging substrate (`approxiot-mq`), WAN emulation (`approxiot-net`),
-//! the stream-processing runtime (`approxiot-streams`, `approxiot-runtime`)
-//! and workload generators (`approxiot-workload`).
+//! event-time windows (`approxiot-streams`), the assembled runtime
+//! (`approxiot-runtime`) and workload generators (`approxiot-workload`).
 //!
 //! ## The sampling hot path
 //!
@@ -125,7 +125,6 @@ pub mod item;
 pub mod pool;
 pub mod quantile;
 pub mod sampling;
-pub mod stats;
 pub mod summary;
 pub mod weight;
 

@@ -238,31 +238,6 @@ impl Consumer {
             .collect()
     }
 
-    /// Subscribes to every partition, resuming each from its committed
-    /// offset in `store` (or `start` where the group never committed).
-    pub fn subscribe_committed(
-        topic: Arc<Topic>,
-        group: &str,
-        store: &crate::offsets::OffsetStore,
-        fallback: StartOffset,
-    ) -> Self {
-        let mut consumer = Consumer::subscribe_all(topic, fallback);
-        let name = consumer.topic.name().to_string();
-        for p in consumer.assignment() {
-            if let Some(offset) = store.fetch(group, &name, p) {
-                consumer.offsets.insert(p, offset);
-            }
-        }
-        consumer
-    }
-
-    /// Commits this consumer's current positions for `group` into `store`.
-    pub fn commit(&self, group: &str, store: &crate::offsets::OffsetStore) {
-        for (&p, &o) in &self.offsets {
-            store.commit(group, self.topic.name(), p, o);
-        }
-    }
-
     /// Seeks a partition to an absolute offset.
     pub fn seek(&mut self, partition: u32, offset: u64) {
         if self.offsets.contains_key(&partition) {
@@ -293,24 +268,6 @@ impl Drop for Consumer {
             self.topic.partitions()[partition as usize].release_reader(slot);
         }
     }
-}
-
-/// Splits a topic's partitions across `members` consumers round-robin — the
-/// broker-side half of Kafka's consumer-group assignment.
-///
-/// # Examples
-///
-/// ```
-/// use approxiot_mq::assign_partitions;
-///
-/// assert_eq!(assign_partitions(5, 2), vec![vec![0, 2, 4], vec![1, 3]]);
-/// ```
-pub fn assign_partitions(partitions: u32, members: usize) -> Vec<Vec<u32>> {
-    let mut out = vec![Vec::new(); members.max(1)];
-    for p in 0..partitions {
-        out[(p as usize) % members.max(1)].push(p);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -598,77 +555,11 @@ mod tests {
     }
 
     #[test]
-    fn assign_partitions_round_robin() {
-        assert_eq!(assign_partitions(4, 2), vec![vec![0, 2], vec![1, 3]]);
-        assert_eq!(assign_partitions(2, 3), vec![vec![0], vec![1], vec![]]);
-        assert_eq!(
-            assign_partitions(3, 0),
-            vec![vec![0, 1, 2]],
-            "zero members clamped to one"
-        );
-    }
-
-    #[test]
     fn lag_counts_unread_records() {
         let (_b, topic, producer) = setup(1);
         let consumer = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
         producer.send(&batch(1.0)).expect("send");
         producer.send(&batch(2.0)).expect("send");
         assert_eq!(consumer.lag(), 2);
-    }
-}
-
-#[cfg(test)]
-mod committed_offset_tests {
-    use super::*;
-    use crate::broker::Broker;
-    use crate::offsets::OffsetStore;
-    use crate::producer::BatchProducer;
-    use approxiot_core::{Batch, StratumId, StreamItem};
-
-    fn b(v: f64) -> Batch {
-        Batch::from_items(vec![StreamItem::new(StratumId::new(0), v)])
-    }
-
-    #[test]
-    fn consumer_resumes_from_committed_offsets() {
-        let broker = Broker::new();
-        let topic = broker.create_topic("t", 1).expect("create");
-        let producer = BatchProducer::new(Arc::clone(&topic));
-        let store = OffsetStore::new();
-        for i in 0..5 {
-            producer.send(&b(i as f64)).expect("send");
-        }
-        // First consumer reads 3 records and commits.
-        let mut first = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
-        let got = first.poll(3, Duration::ZERO).expect("poll");
-        assert_eq!(got.len(), 3);
-        first.commit("analytics", &store);
-        drop(first);
-        // A restarted member resumes at offset 3, not 0.
-        let mut second =
-            Consumer::subscribe_committed(topic, "analytics", &store, StartOffset::Earliest);
-        let rest = second.poll(10, Duration::ZERO).expect("poll");
-        assert_eq!(rest.len(), 2);
-        assert_eq!(rest[0].offset, 3);
-    }
-
-    #[test]
-    fn uncommitted_partitions_use_fallback() {
-        let broker = Broker::new();
-        let topic = broker.create_topic("t", 2).expect("create");
-        let producer = BatchProducer::new(Arc::clone(&topic));
-        let store = OffsetStore::new();
-        producer.send_to(0, &b(1.0), 0).expect("send");
-        producer.send_to(1, &b(2.0), 0).expect("send");
-        store.commit("g", "t", 0, 1); // partition 0 fully consumed
-        let mut consumer = Consumer::subscribe_committed(topic, "g", &store, StartOffset::Earliest);
-        let got = consumer.poll(10, Duration::ZERO).expect("poll");
-        assert_eq!(
-            got.len(),
-            1,
-            "only partition 1 (fallback earliest) has data left"
-        );
-        assert_eq!(got[0].partition, 1);
     }
 }

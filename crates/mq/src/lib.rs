@@ -9,8 +9,9 @@
 //!
 //! 1. **Named topics** decoupling the edge-computing layers — one topic per
 //!    layer of the logical tree (paper §IV, Figure 4).
-//! 2. **Partitioned, offset-addressed logs** so consumers track their own
-//!    progress and multiple sampling workers can share a layer.
+//! 2. **Partitioned, offset-addressed logs** so each consumer tracks its
+//!    own progress, and each sender writes its own partition of a layer's
+//!    topic.
 //! 3. **Blocking consumption with reader-driven retention** — a
 //!    partition log keeps what is *in flight*: every subscribed
 //!    [`Consumer`] registers as a reader, each poll tells the log how far
@@ -50,19 +51,15 @@ pub mod broker;
 pub mod codec;
 pub mod consumer;
 pub mod error;
-pub mod group;
 pub mod log;
-pub mod offsets;
 pub mod producer;
 pub mod record;
 pub mod topic;
 
 pub use broker::{Broker, DEFAULT_RETENTION};
-pub use consumer::{assign_partitions, Consumer, StartOffset};
+pub use consumer::{Consumer, StartOffset};
 pub use error::MqError;
-pub use group::{GroupCoordinator, Membership, UnknownMemberError};
 pub use log::PartitionLog;
-pub use offsets::OffsetStore;
 pub use producer::BatchProducer;
 pub use record::{ProducerRecord, Record};
 pub use topic::{Partitioner, Topic};

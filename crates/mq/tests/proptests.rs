@@ -1,11 +1,8 @@
-//! Property-based tests on the broker's log, codec and group invariants.
+//! Property-based tests on the broker's log, codec and partitioning invariants.
 
 use approxiot_core::{Batch, StratumId, StreamItem, WeightMap};
 use approxiot_mq::codec::{decode_batch, encode_batch, encoded_len};
-use approxiot_mq::{
-    assign_partitions, Broker, Consumer, GroupCoordinator, PartitionLog, ProducerRecord,
-    StartOffset,
-};
+use approxiot_mq::{Broker, Consumer, PartitionLog, ProducerRecord, StartOffset};
 use bytes::Bytes;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -212,51 +209,6 @@ proptest! {
                 _ => {}
             }
             prop_assert_eq!(log.len() as u64, log.latest_offset() - log.earliest_offset());
-        }
-    }
-
-    /// Partition assignment is an exact partition of the topic, balanced to
-    /// within one.
-    #[test]
-    fn assignment_partitions_exactly(partitions in 1u32..64, members in 1usize..16) {
-        let split = assign_partitions(partitions, members);
-        prop_assert_eq!(split.len(), members);
-        let mut all: Vec<u32> = split.iter().flatten().copied().collect();
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..partitions).collect::<Vec<_>>());
-        let min = split.iter().map(Vec::len).min().unwrap_or(0);
-        let max = split.iter().map(Vec::len).max().unwrap_or(0);
-        prop_assert!(max - min <= 1, "imbalanced: {min}..{max}");
-    }
-
-    /// Group membership churn always leaves the partitions exactly covered
-    /// by the surviving members.
-    #[test]
-    fn group_churn_keeps_exact_coverage(
-        partitions in 1u32..16,
-        ops in proptest::collection::vec(proptest::bool::ANY, 1..30),
-    ) {
-        let broker = Broker::new();
-        let topic = broker.create_topic("t", partitions).expect("create");
-        let group = GroupCoordinator::new(topic);
-        let mut members: Vec<u64> = Vec::new();
-        for join in ops {
-            if join || members.is_empty() {
-                members.push(group.join().member_id);
-            } else {
-                let id = members.remove(members.len() / 2);
-                group.leave(id).expect("member exists");
-            }
-            // Invariant: while any member is live, their partitions tile
-            // the topic exactly (an empty group trivially covers nothing).
-            if !members.is_empty() {
-                let mut covered: Vec<u32> = members
-                    .iter()
-                    .flat_map(|&id| group.assignment(id).expect("live member").partitions)
-                    .collect();
-                covered.sort_unstable();
-                prop_assert_eq!(covered, (0..partitions).collect::<Vec<_>>());
-            }
         }
     }
 

@@ -6,14 +6,12 @@
 //! The paper's evaluation sets round-trip delays of 20/40/80 ms between
 //! adjacent tree layers over 1 Gbps links. This crate provides:
 //!
-//! * [`Link`] — a point-to-point channel with configurable one-way
-//!   propagation delay and finite capacity (serialisation delay), driven by
-//!   a background pump thread;
+//! * [`RateLimiter`] — a token bucket modelling a link's finite capacity
+//!   for a producer thread sending through the shared broker;
 //! * [`ImpairmentSpec`] / [`Impairment`] — deterministic seeded loss,
 //!   jitter, duplication and bounded reorder (`tc netem`'s fault knobs),
 //!   the decision source behind the runtime's per-hop fault injection;
-//! * [`NetMetrics`] / [`bandwidth_saving`] — bytes-on-wire accounting for
-//!   the Figure 7 bandwidth experiment;
+//! * [`bandwidth_saving`] — the Figure 7 bandwidth-saving rate;
 //! * [`Clock`], [`WallClock`], [`SimClock`] — the time abstraction letting
 //!   accuracy experiments run in fast virtual time while latency
 //!   experiments use real waiting.
@@ -21,27 +19,21 @@
 //! ## Example
 //!
 //! ```
-//! use approxiot_net::{Link, LinkConfig};
-//! use std::time::Duration;
+//! use approxiot_net::RateLimiter;
 //!
-//! // The paper's first-layer link: 20 ms RTT → 10 ms one-way.
-//! let cfg = LinkConfig::with_delay(Duration::from_millis(10))
-//!     .capacity(125_000_000); // 1 Gbps in bytes/s
-//! let (tx, rx, _pump) = Link::connect(cfg);
-//! tx.send(b"frame".to_vec(), 5).expect("receiver alive");
-//! assert_eq!(rx.recv().expect("delivered"), b"frame");
+//! // The paper's 1 Gbps link in bytes/s, with a 64 KB burst allowance.
+//! let link = RateLimiter::new(125_000_000, 64_000);
+//! assert!(link.try_acquire(1_500)); // one frame, served from the burst
 //! ```
 
 #![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod impairment;
-pub mod link;
 pub mod metrics;
 pub mod ratelimit;
 
 pub use clock::{Clock, SimClock, WallClock};
 pub use impairment::{Impairment, ImpairmentSpec};
-pub use link::{Link, LinkClosed, LinkConfig, LinkSender};
-pub use metrics::{bandwidth_saving, NetMetrics};
+pub use metrics::bandwidth_saving;
 pub use ratelimit::RateLimiter;

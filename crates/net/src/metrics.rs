@@ -1,62 +1,4 @@
-//! Bytes-on-wire accounting backing the bandwidth experiments (Figure 7).
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Shared counters for one link (or one layer of links).
-///
-/// Handles are cheap clones sharing the same counters.
-///
-/// # Examples
-///
-/// ```
-/// use approxiot_net::NetMetrics;
-///
-/// let metrics = NetMetrics::new();
-/// metrics.record_send(1500);
-/// metrics.record_send(500);
-/// assert_eq!(metrics.bytes_sent(), 2000);
-/// assert_eq!(metrics.messages_sent(), 2);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct NetMetrics {
-    inner: Arc<Counters>,
-}
-
-#[derive(Debug, Default)]
-struct Counters {
-    bytes: AtomicU64,
-    messages: AtomicU64,
-}
-
-impl NetMetrics {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        NetMetrics::default()
-    }
-
-    /// Accounts one message of `bytes` payload.
-    pub fn record_send(&self, bytes: u64) {
-        self.inner.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.inner.messages.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total bytes sent.
-    pub fn bytes_sent(&self) -> u64 {
-        self.inner.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Total messages sent.
-    pub fn messages_sent(&self) -> u64 {
-        self.inner.messages.load(Ordering::Relaxed)
-    }
-
-    /// Resets both counters.
-    pub fn reset(&self) {
-        self.inner.bytes.store(0, Ordering::Relaxed);
-        self.inner.messages.store(0, Ordering::Relaxed);
-    }
-}
+//! The bandwidth-saving rate of the bandwidth experiment (Figure 7).
 
 /// Bandwidth saving rate of a sampled run against a native (unsampled) run:
 /// `1 − sampled/native`, as plotted in the paper's Figure 7.
@@ -82,53 +24,6 @@ pub fn bandwidth_saving(sampled_bytes: u64, native_bytes: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
-
-    #[test]
-    fn counters_start_at_zero() {
-        let m = NetMetrics::new();
-        assert_eq!(m.bytes_sent(), 0);
-        assert_eq!(m.messages_sent(), 0);
-    }
-
-    #[test]
-    fn clones_share_counters() {
-        let a = NetMetrics::new();
-        let b = a.clone();
-        a.record_send(10);
-        b.record_send(5);
-        assert_eq!(a.bytes_sent(), 15);
-        assert_eq!(b.messages_sent(), 2);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let m = NetMetrics::new();
-        m.record_send(10);
-        m.reset();
-        assert_eq!(m.bytes_sent(), 0);
-        assert_eq!(m.messages_sent(), 0);
-    }
-
-    #[test]
-    fn concurrent_updates_are_lossless() {
-        let m = NetMetrics::new();
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let m = m.clone();
-                thread::spawn(move || {
-                    for _ in 0..1000 {
-                        m.record_send(3);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("join");
-        }
-        assert_eq!(m.bytes_sent(), 12_000);
-        assert_eq!(m.messages_sent(), 4_000);
-    }
 
     #[test]
     fn saving_rate_edges() {

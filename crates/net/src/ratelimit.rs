@@ -1,6 +1,5 @@
 //! Token-bucket rate limiting: the in-band way to model link capacity when
-//! a component sends through a shared broker rather than a dedicated
-//! [`crate::Link`].
+//! a component sends through a shared broker.
 
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};

@@ -342,63 +342,6 @@ impl SamplingNode {
         out
     }
 
-    /// Like [`SamplingNode::process_batch`], but borrows the input
-    /// mutably so native (no-sampling) nodes can **move** it to the output
-    /// instead of cloning every item. WHS/SRS nodes sample from the batch
-    /// and leave it untouched; native nodes leave it empty. Either way the
-    /// caller keeps the storage and can recycle it through a
-    /// [`approxiot_core::BatchPool`].
-    pub fn process_batch_mut(&mut self, batch: &mut Batch) -> Batch {
-        if matches!(self.strategy, Strategy::Native) {
-            let out = std::mem::take(batch);
-            self.items_in += out.len() as u64;
-            self.items_out += out.len() as u64;
-            return out;
-        }
-        self.process_batch(batch)
-    }
-
-    /// Processes one batch using `workers` independent shards — the paper's
-    /// §III-E distributed execution. Each shard samples its portion into a
-    /// local reservoir of at most `N/workers` slots with its own arrival
-    /// counter, producing one output batch per shard; the root's `Θ`
-    /// handling accepts multiple pairs per stratum, so nothing else
-    /// changes.
-    ///
-    /// Only meaningful for the WHS strategy; SRS and native are per-item
-    /// and fall back to a single [`SamplingNode::process_batch`] output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn process_batch_sharded(&mut self, batch: &Batch, workers: usize) -> Vec<Batch> {
-        assert!(workers > 0, "workers must be positive");
-        match self.strategy {
-            Strategy::Whs { allocation } => {
-                self.items_in += batch.len() as u64;
-                let size = self.budget.sample_size(batch.len());
-                // Resolve carried weights exactly like the unsharded path.
-                let resolved = self.whs.resolve_weights(batch);
-                let outs = approxiot_core::sharded_whs_sample(
-                    batch,
-                    size,
-                    &resolved,
-                    allocation,
-                    workers,
-                    &mut self.rng,
-                );
-                outs.into_iter()
-                    .filter(|o| !o.sample.is_empty())
-                    .map(|o| {
-                        self.items_out += o.sample.len() as u64;
-                        o.into_batch()
-                    })
-                    .collect()
-            }
-            _ => vec![self.process_batch(batch)],
-        }
-    }
-
     /// Processes one batch on the node's persistent [`WorkerPool`]
     /// (§III-E): one output batch per worker shard, sampled concurrently
     /// on the pool's long-lived threads (no per-batch spawn).
@@ -462,8 +405,10 @@ impl SamplingNode {
 
     /// Like [`SamplingNode::process_columns`], but borrows the input
     /// mutably so native (no-sampling) nodes can **move** the columns to
-    /// the output instead of cloning them — the columnar twin of
-    /// [`SamplingNode::process_batch_mut`].
+    /// the output instead of cloning them. WHS/SRS nodes sample from the
+    /// columns and leave them untouched; native nodes leave them empty.
+    /// Either way the caller keeps the storage and can recycle it through
+    /// a [`approxiot_core::ColumnarPool`].
     pub fn process_columns_mut(&mut self, batch: &mut ColumnarBatch) -> ColumnarBatch {
         if matches!(self.strategy, Strategy::Native) {
             let out = std::mem::take(batch);
@@ -692,28 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn process_batch_mut_moves_native_input() {
-        let mut node = SamplingNode::new(Strategy::Native, 1.0, 3).expect("valid");
-        let mut input = batch(&[(0, 17)]);
-        let ptr = input.items.as_ptr();
-        let out = node.process_batch_mut(&mut input);
-        assert_eq!(out.len(), 17);
-        assert_eq!(out.items.as_ptr(), ptr, "moved, not cloned");
-        assert!(input.is_empty(), "input contents consumed");
-        assert_eq!(node.items_in(), 17);
-        assert_eq!(node.items_out(), 17);
-    }
-
-    #[test]
-    fn process_batch_mut_samples_whs_without_consuming() {
-        let mut node = SamplingNode::new(Strategy::whs(), 0.1, 1).expect("valid");
-        let mut input = batch(&[(0, 1000)]);
-        let out = node.process_batch_mut(&mut input);
-        assert_eq!(out.len(), 100);
-        assert_eq!(input.len(), 1000, "sampled from, not consumed");
-    }
-
-    #[test]
     fn strategy_labels() {
         assert_eq!(Strategy::whs().label(), "approxiot");
         assert_eq!(Strategy::Srs.label(), "srs");
@@ -865,62 +788,18 @@ mod sharded_tests {
     }
 
     #[test]
-    fn sharded_node_emits_one_batch_per_worker() {
-        let mut node = SamplingNode::new(Strategy::whs(), 0.1, 1).expect("valid");
-        let outs = node.process_batch_sharded(&batch(1_000), 4);
-        assert_eq!(outs.len(), 4);
-        let total: usize = outs.iter().map(Batch::len).sum();
-        assert_eq!(total, 100);
-    }
-
-    #[test]
-    fn sharded_outputs_reconstruct_the_count() {
-        let mut node = SamplingNode::new(Strategy::whs(), 0.2, 2).expect("valid");
-        let outs = node.process_batch_sharded(&batch(500), 5);
-        let theta: ThetaStore = outs
-            .into_iter()
-            .map(|b| WhsOutput {
-                weights: b.weights,
-                sample: b.items,
-            })
-            .collect();
-        assert!((theta.count_estimate() - 500.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn non_whs_strategies_fall_back_to_single_output() {
-        let mut node = SamplingNode::new(Strategy::Native, 1.0, 3).expect("valid");
-        let outs = node.process_batch_sharded(&batch(10), 4);
+        let mut node = SamplingNode::with_workers(Strategy::Native, 1.0, 3, 4).expect("valid");
+        assert_eq!(node.workers(), 1, "no worker pool for per-item strategies");
+        let outs = node.process_batch_parallel(&batch(10));
         assert_eq!(outs.len(), 1);
         assert_eq!(outs[0].len(), 10);
     }
 
     #[test]
-    fn sharded_node_honours_carried_weights() {
-        let mut node = SamplingNode::new(Strategy::whs(), 0.5, 4).expect("valid");
-        let mut first = batch(4);
-        first.weights.set(StratumId::new(0), 3.0);
-        node.process_batch_sharded(&first, 2);
-        // Weightless follow-up carries the 3.0 into every shard.
-        let outs = node.process_batch_sharded(&batch(8), 2);
-        let theta: ThetaStore = outs
-            .into_iter()
-            .map(|b| WhsOutput {
-                weights: b.weights,
-                sample: b.items,
-            })
-            .collect();
-        assert!(
-            (theta.count_estimate() - 24.0).abs() < 1e-9,
-            "3.0 * 8 items"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "workers must be positive")]
     fn zero_workers_rejected() {
-        let mut node = SamplingNode::new(Strategy::whs(), 0.5, 5).expect("valid");
-        node.process_batch_sharded(&batch(1), 0);
+        let _ = SamplingNode::with_workers(Strategy::whs(), 0.5, 5, 0);
     }
 
     #[test]
@@ -996,6 +875,8 @@ mod sharded_tests {
         assert_eq!(out.len(), 17);
         assert_eq!(out.strata.as_ptr(), ptr, "moved, not cloned");
         assert!(input.is_empty(), "input contents consumed");
+        assert_eq!(node.items_in(), 17);
+        assert_eq!(node.items_out(), 17);
     }
 
     #[test]

@@ -1,43 +1,34 @@
 //! # approxiot-streams
 //!
-//! A minimal stream-processing engine: the reproduction's substitute for
-//! Kafka Streams, on which the ApproxIoT prototype implements its sampling
-//! operator (paper §IV).
+//! Event-time windowing for the ApproxIoT reproduction: the computation
+//! windows of Algorithm 2's interval loop (0.5–4 s in the paper's
+//! evaluation).
 //!
-//! The pieces mirror what the paper uses from Kafka Streams:
+//! * [`TumblingWindow`] maps source timestamps to window indices
+//!   ([`WindowId`]).
+//! * [`WindowBuffer`] accumulates values per window and releases a window
+//!   once the watermark passes its end (plus any allowed lateness).
 //!
-//! * [`Processor`] — the Low-Level Processor API: a user-defined operator
-//!   receiving records and periodic punctuation. ApproxIoT's sampling
-//!   module is implemented as exactly such a processor (in
-//!   `approxiot-runtime`).
-//! * [`Processor::then`] — a linear topology builder (the paper's
-//!   "processing topology").
-//! * [`TumblingWindow`] / [`WindowBuffer`] — the computation windows of
-//!   Algorithm 2's interval loop (0.5–4 s in the evaluation).
-//! * [`StreamTask`] — the threaded driver pairing a source (e.g. an
-//!   `approxiot-mq` consumer) with a sink (e.g. a producer into the next
-//!   layer's topic).
+//! `approxiot-runtime` assigns items to windows and closes the root's
+//! windows through these two types.
 //!
 //! ## Example
 //!
 //! ```
-//! use approxiot_streams::{Context, MapProcessor, Processor};
+//! use approxiot_streams::{TumblingWindow, WindowBuffer};
+//! use std::time::Duration;
 //!
-//! // Build a two-stage topology and push a record through it.
-//! let mut topo = MapProcessor::new(|x: i32| x + 1).then(MapProcessor::new(|x: i32| x * 10));
-//! let mut ctx = Context::new();
-//! topo.process(4, &mut ctx);
-//! assert_eq!(ctx.drain(), vec![50]);
+//! // 1-second windows; the watermark at 2 s closes windows 0 and 1.
+//! let mut buf = WindowBuffer::new(TumblingWindow::new(Duration::from_secs(1)));
+//! for (ts, v) in [(100_000_000, 1.0), (1_200_000_000, 2.0), (1_900_000_000, 3.0)] {
+//!     buf.insert(ts, v);
+//! }
+//! let closed = buf.drain_closed(2_000_000_000);
+//! assert_eq!(closed, vec![(0, vec![1.0]), (1, vec![2.0, 3.0])]);
 //! ```
 
 #![forbid(unsafe_code)]
 
-pub mod aggregate;
-pub mod processor;
-pub mod runtime;
 pub mod window;
 
-pub use aggregate::{WindowAggregate, WindowedAggregate};
-pub use processor::{Chain, Context, FilterProcessor, MapProcessor, Processor};
-pub use runtime::{SourceEvent, StreamTask, TaskConfig};
 pub use window::{TumblingWindow, WindowBuffer, WindowId};

@@ -4,25 +4,29 @@
 //! root's Θ store was designed to accept multiple (weight, items) pairs
 //! per stratum from the start.
 //!
-//! Also shows the consumer-group machinery that would feed such workers in
-//! the threaded deployment.
+//! Exits non-zero unless the reconstructed count ĉ is within 1e-6 of the
+//! 200 000 input items for every worker count and for the topology run.
 //!
 //! Run with: `cargo run --release --example sharded_workers`
 
-use approxiot::mq::{Broker, GroupCoordinator};
 use approxiot::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::process::ExitCode;
 
-fn main() -> Result<(), approxiot::core::BudgetError> {
+const ITEMS: u64 = 200_000;
+
+fn main() -> Result<ExitCode, approxiot::core::BudgetError> {
     let mut rng = StdRng::seed_from_u64(35);
 
     // One very hot sub-stream: 200k items in an interval.
-    let items: Vec<StreamItem> = (0..200_000)
+    let items: Vec<StreamItem> = (0..ITEMS)
         .map(|k| StreamItem::with_meta(StratumId::new(0), 10.0 + rng.random::<f64>(), k, 0))
         .collect();
     let batch = Batch::from_items(items);
     let truth = batch.value_sum();
+    let exact = |c_hat: f64| (c_hat - ITEMS as f64).abs() < 1e-6;
+    let mut ok = true;
 
     println!(
         "one sub-stream, {} items, sampled at 2% by w truly parallel workers:\n",
@@ -30,11 +34,11 @@ fn main() -> Result<(), approxiot::core::BudgetError> {
     );
     println!(
         "{:>8} {:>12} {:>16} {:>12} {:>10} {:>12}",
-        "workers", "pairs in Θ", "estimate", "exact ĉ", "loss %", "wall µs"
+        "workers", "pairs in Θ", "estimate", "ĉ", "loss %", "wall µs"
     );
     for workers in [1usize, 2, 4, 8, 16] {
-        // Each node samples its window on `workers` scoped-thread shards
-        // with deterministic per-shard RNGs (ParallelShardedSampler).
+        // Each node samples its window on `workers` persistent pool shards
+        // with deterministic per-shard RNGs.
         let mut node = SamplingNode::with_workers(Strategy::whs(), 0.02, 35, workers)?;
         let start = std::time::Instant::now();
         let outs = node.process_batch_parallel(&batch);
@@ -47,6 +51,7 @@ fn main() -> Result<(), approxiot::core::BudgetError> {
             })
             .collect();
         let est = theta.sum_estimate();
+        ok &= exact(theta.count_estimate());
         println!(
             "{workers:>8} {:>12} {:>16.1} {:>12.1} {:>10.4} {:>12}",
             theta.len(),
@@ -57,7 +62,6 @@ fn main() -> Result<(), approxiot::core::BudgetError> {
         );
     }
     println!("\nexact SUM: {truth:.1}");
-    println!("count reconstruction (ĉ = 200000) is exact for every worker count —");
     println!("each shard's local counter feeds its local weight (paper §III-E).\n");
 
     // The same sharding, declared on the topology: every node of the
@@ -74,44 +78,20 @@ fn main() -> Result<(), approxiot::core::BudgetError> {
     let driver =
         Driver::new(topology, QuerySet::default(), EngineKind::Sim).expect("valid topology");
     let report = driver
-        .run(std::slice::from_ref(&vec![batch.clone()]))
+        .run(std::slice::from_ref(&vec![batch]))
         .expect("source count matches");
     let r = &report.results[0];
+    ok &= exact(r.count_hat);
     println!(
-        "same stream through a sharded 2-layer topology: SUM ≈ {:.1} (ĉ = {:.0}, {} pairs in Θ)\n",
+        "same stream through a sharded 2-layer topology: SUM ≈ {:.1} (ĉ = {:.0}, {} sampled items)",
         r.estimate.value, r.count_hat, r.sampled_items
     );
 
-    // The membership half: workers joining and leaving a consumer group
-    // over the hot topic's partitions.
-    let broker = Broker::new();
-    let topic = broker
-        .create_topic("hot-sub-stream", 8)
-        .expect("fresh broker");
-    let group = GroupCoordinator::new(topic);
-    let w1 = group.join();
-    let w2 = group.join();
-    let w3 = group.join();
-    println!("3 workers join an 8-partition topic:");
-    for w in [&w1, &w2, &w3] {
-        let m = group.assignment(w.member_id).expect("live member");
-        println!(
-            "  worker {} owns partitions {:?}",
-            m.member_id, m.partitions
-        );
+    if ok {
+        println!("count reconstruction (ĉ = {ITEMS}) is exact for every worker count");
+        Ok(ExitCode::SUCCESS)
+    } else {
+        eprintln!("FAILED: ĉ drifted from {ITEMS} on at least one run");
+        Ok(ExitCode::FAILURE)
     }
-    group.leave(w2.member_id).expect("member exists");
-    println!(
-        "worker {} leaves; rebalanced (generation {}):",
-        w2.member_id,
-        group.generation()
-    );
-    for w in [&w1, &w3] {
-        let m = group.assignment(w.member_id).expect("live member");
-        println!(
-            "  worker {} owns partitions {:?}",
-            m.member_id, m.partitions
-        );
-    }
-    Ok(())
 }

@@ -15,8 +15,8 @@
 //! |---|---|
 //! | [`core`] | the paper's algorithms: reservoirs, WHS, estimators, error bounds, quantiles, budgets |
 //! | [`mq`] | in-process partitioned pub/sub broker (Kafka substitute) |
-//! | [`net`] | WAN emulation: delay/capacity links, clocks, byte metering |
-//! | [`streams`] | processor API, topologies, windows, threaded tasks (Kafka Streams substitute) |
+//! | [`net`] | WAN emulation: capacity token buckets, seeded link impairments, clocks, bandwidth saving |
+//! | [`streams`] | event-time tumbling windows and per-window buffering |
 //! | [`workload`] | the paper's synthetic mixes + trace-shaped NYC-taxi / Brasov-pollution generators |
 //! | [`runtime`] | the assembled system: `Topology` → `QuerySet` → `Driver` over two engines |
 //!
@@ -99,7 +99,7 @@ pub mod prelude {
     };
     pub use approxiot_mq::{BatchProducer, Broker, Consumer, StartOffset};
     pub use approxiot_net::{
-        bandwidth_saving, Clock, Impairment, ImpairmentSpec, LinkConfig, SimClock, WallClock,
+        bandwidth_saving, Clock, Impairment, ImpairmentSpec, SimClock, WallClock,
     };
     pub use approxiot_runtime::{
         mean_window_error, results_bit_identical, run_pipeline, window_estimates, ChurnSchedule,
@@ -110,7 +110,7 @@ pub mod prelude {
         RunReport, RunSummary, SamplingNode, SimEngine, SimTree, Strategy, Topology, TreeConfig,
         WindowResult,
     };
-    pub use approxiot_streams::{Processor, TumblingWindow, WindowBuffer};
+    pub use approxiot_streams::{TumblingWindow, WindowBuffer};
     pub use approxiot_workload::{
         scenarios, PollutionTrace, RateSetting, StreamMix, SubStreamSpec, TaxiTrace, ValueDist,
     };
