@@ -70,7 +70,7 @@ use crate::error::MqError;
 use approxiot_core::summary::stratum_sketch_seed;
 use approxiot_core::{
     Batch, ColumnarBatch, HeavyEntry, KllSketch, Moments, SketchConfig, SpaceSaving, StratumId,
-    StratumSummaries, StratumSummary, StreamItem, WeightMap,
+    StratumSummaries, StratumSummary, StreamItem,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -188,7 +188,9 @@ pub fn decode_batch_into(frame: &[u8], batch: &mut Batch) -> Result<(), MqError>
     if version != VERSION {
         return Err(MqError::Codec(format!("unsupported version {version}")));
     }
-    if let Err(err) = decode_weights(&mut buf, &mut batch.weights) {
+    if let Err(err) = take_weights(&mut buf, |s, w| {
+        batch.weights.set(s, w);
+    }) {
         batch.weights.clear();
         return Err(err);
     }
@@ -222,9 +224,10 @@ pub fn decode_batch_into(frame: &[u8], batch: &mut Batch) -> Result<(), MqError>
     Ok(())
 }
 
-/// Decodes the shared weights section (count + entries), validating each
-/// weight like v1 always has.
-fn decode_weights(buf: &mut &[u8], weights: &mut WeightMap) -> Result<(), MqError> {
+/// Takes the shared weights section (count + entries) off the front of
+/// `buf`, validating each weight like v1 always has and handing every
+/// valid entry to `weight`.
+fn take_weights(buf: &mut &[u8], mut weight: impl FnMut(StratumId, f64)) -> Result<(), MqError> {
     if buf.remaining() < 4 {
         return Err(MqError::Codec("truncated weight count".into()));
     }
@@ -234,13 +237,11 @@ fn decode_weights(buf: &mut &[u8], weights: &mut WeightMap) -> Result<(), MqErro
     }
     for _ in 0..weight_count {
         let stratum = StratumId::new(buf.get_u32_le());
-        let weight = buf.get_f64_le();
-        if !weight.is_finite() || weight < 1.0 - 1e-9 {
-            return Err(MqError::Codec(format!(
-                "invalid weight {weight} for {stratum}"
-            )));
+        let w = buf.get_f64_le();
+        if !w.is_finite() || w < 1.0 - 1e-9 {
+            return Err(MqError::Codec(format!("invalid weight {w} for {stratum}")));
         }
-        weights.set(stratum, weight);
+        weight(stratum, w);
     }
     Ok(())
 }
@@ -512,6 +513,51 @@ pub fn decode_columns_into(frame: &[u8], batch: &mut ColumnarBatch) -> Result<()
 fn decode_columns_inner(frame: &[u8], batch: &mut ColumnarBatch) -> Result<(), MqError> {
     batch.clear();
     let mut buf = frame;
+    take_v2_header(&mut buf)?;
+    let runs = take_v2_body(&mut buf, |s, w| {
+        batch.weights.set(s, w);
+    })?;
+    fill_column(&mut batch.strata, runs.strata, runs.n);
+    fill_column(&mut batch.values, runs.values, runs.n);
+    fill_column(&mut batch.seqs, runs.seqs, runs.n);
+    fill_column(&mut batch.source_ts, runs.source_ts, runs.n);
+    Ok(())
+}
+
+/// Counts the items of a v2 frame without decoding it: every structural
+/// check [`decode_columns_into`] makes — magic, version, the weights
+/// section, four equal column counts, exact length — and no column copy.
+/// This is how a relay that forwards frames untouched still refuses a
+/// poisoned stream.
+///
+/// # Examples
+///
+/// ```
+/// use approxiot_core::{ColumnarBatch, StratumId, StreamItem};
+/// use approxiot_mq::codec::{encode_columns, frame_items};
+///
+/// let mut batch = ColumnarBatch::new();
+/// batch.push(StreamItem::new(StratumId::new(0), 1.5));
+/// batch.push(StreamItem::new(StratumId::new(1), 2.5));
+/// let frame = encode_columns(&batch);
+/// assert_eq!(frame_items(&frame)?, 2);
+/// assert!(frame_items(&frame[..frame.len() - 1]).is_err());
+/// # Ok::<(), approxiot_mq::MqError>(())
+/// ```
+///
+/// # Errors
+///
+/// Exactly when [`decode_columns_into`] fails on the same bytes, with the
+/// same [`MqError::Codec`] message; never panics, whatever the input.
+pub fn frame_items(frame: &[u8]) -> Result<usize, MqError> {
+    let mut buf = frame;
+    take_v2_header(&mut buf)?;
+    Ok(take_v2_body(&mut buf, |_, _| {})?.n)
+}
+
+/// Takes a v2 header off the front of `buf`: magic, then the version
+/// byte, with v1 and v3 frames rejected by name.
+fn take_v2_header(buf: &mut &[u8]) -> Result<(), MqError> {
     if buf.remaining() < HEADER {
         return Err(MqError::Codec("frame shorter than header".into()));
     }
@@ -519,25 +565,41 @@ fn decode_columns_inner(frame: &[u8], batch: &mut ColumnarBatch) -> Result<(), M
     if magic != MAGIC {
         return Err(MqError::Codec(format!("bad magic 0x{magic:04X}")));
     }
-    let version = buf.get_u8();
-    if version == VERSION {
-        return Err(MqError::Codec(
+    match buf.get_u8() {
+        VERSION_COLUMNAR => Ok(()),
+        VERSION => Err(MqError::Codec(
             "AoS v1 frame in the columnar decoder (use decode_batch or decode_batch_any)".into(),
-        ));
-    }
-    if version == VERSION_SUMMARY {
-        return Err(MqError::Codec(
+        )),
+        VERSION_SUMMARY => Err(MqError::Codec(
             "summary v3 frame in the columnar decoder (use decode_summaries)".into(),
-        ));
+        )),
+        version => Err(MqError::Codec(format!("unsupported version {version}"))),
     }
-    if version != VERSION_COLUMNAR {
-        return Err(MqError::Codec(format!("unsupported version {version}")));
-    }
-    decode_weights(&mut buf, &mut batch.weights)?;
-    let (strata, n) = take_column_bytes(&mut buf, u32::SIZE, "strata")?;
-    let (values, n_values) = take_column_bytes(&mut buf, f64::SIZE, "values")?;
-    let (seqs, n_seqs) = take_column_bytes(&mut buf, u64::SIZE, "seqs")?;
-    let (source_ts, n_ts) = take_column_bytes(&mut buf, u64::SIZE, "source_ts")?;
+}
+
+/// The four column runs of a structurally valid v2 body, borrowed from
+/// the frame.
+struct ColumnRuns<'a> {
+    strata: &'a [u8],
+    values: &'a [u8],
+    seqs: &'a [u8],
+    source_ts: &'a [u8],
+    /// Every run's element count: the frame's items.
+    n: usize,
+}
+
+/// Walks a v2 body: the weights section (each entry handed to `weight`),
+/// then the four column runs, checking that their counts agree and that
+/// nothing trails them. Copies no column.
+fn take_v2_body<'a>(
+    buf: &mut &'a [u8],
+    weight: impl FnMut(StratumId, f64),
+) -> Result<ColumnRuns<'a>, MqError> {
+    take_weights(buf, weight)?;
+    let (strata, n) = take_column_bytes(buf, u32::SIZE, "strata")?;
+    let (values, n_values) = take_column_bytes(buf, f64::SIZE, "values")?;
+    let (seqs, n_seqs) = take_column_bytes(buf, u64::SIZE, "seqs")?;
+    let (source_ts, n_ts) = take_column_bytes(buf, u64::SIZE, "source_ts")?;
     if n_values != n || n_seqs != n || n_ts != n {
         return Err(MqError::Codec(format!(
             "column length mismatch: strata {n}, values {n_values}, seqs {n_seqs}, source_ts {n_ts}"
@@ -549,11 +611,13 @@ fn decode_columns_inner(frame: &[u8], batch: &mut ColumnarBatch) -> Result<(), M
             buf.remaining()
         )));
     }
-    fill_column(&mut batch.strata, strata, n);
-    fill_column(&mut batch.values, values, n);
-    fill_column(&mut batch.seqs, seqs, n);
-    fill_column(&mut batch.source_ts, source_ts, n);
-    Ok(())
+    Ok(ColumnRuns {
+        strata,
+        values,
+        seqs,
+        source_ts,
+        n,
+    })
 }
 
 /// Reads the version byte of a frame after checking the magic number —
@@ -603,29 +667,16 @@ pub fn decode_batch_any_into(frame: &[u8], batch: &mut Batch) -> Result<(), MqEr
 fn decode_v2_into_batch(frame: &[u8], batch: &mut Batch) -> Result<(), MqError> {
     batch.clear();
     let mut buf = &frame[HEADER..]; // magic + version validated by the caller
-    decode_weights(&mut buf, &mut batch.weights)?;
-    let (strata, n) = take_column_bytes(&mut buf, u32::SIZE, "strata")?;
-    let (values, n_values) = take_column_bytes(&mut buf, f64::SIZE, "values")?;
-    let (seqs, n_seqs) = take_column_bytes(&mut buf, u64::SIZE, "seqs")?;
-    let (source_ts, n_ts) = take_column_bytes(&mut buf, u64::SIZE, "source_ts")?;
-    if n_values != n || n_seqs != n || n_ts != n {
-        return Err(MqError::Codec(format!(
-            "column length mismatch: strata {n}, values {n_values}, seqs {n_seqs}, source_ts {n_ts}"
-        )));
-    }
-    if buf.remaining() != 0 {
-        return Err(MqError::Codec(format!(
-            "{} trailing bytes",
-            buf.remaining()
-        )));
-    }
-    batch.items.reserve(n);
-    for i in 0..n {
+    let runs = take_v2_body(&mut buf, |s, w| {
+        batch.weights.set(s, w);
+    })?;
+    batch.items.reserve(runs.n);
+    for i in 0..runs.n {
         batch.items.push(StreamItem::with_meta(
-            StratumId::new(u32::read_le(&strata[i * u32::SIZE..])),
-            f64::read_le(&values[i * f64::SIZE..]),
-            u64::read_le(&seqs[i * u64::SIZE..]),
-            u64::read_le(&source_ts[i * u64::SIZE..]),
+            StratumId::new(u32::read_le(&runs.strata[i * u32::SIZE..])),
+            f64::read_le(&runs.values[i * f64::SIZE..]),
+            u64::read_le(&runs.seqs[i * u64::SIZE..]),
+            u64::read_le(&runs.source_ts[i * u64::SIZE..]),
         ));
     }
     Ok(())
@@ -920,6 +971,26 @@ fn decode_summaries_inner(
 mod tests {
     use super::*;
     use approxiot_core::WeightMap;
+
+    #[test]
+    fn frame_items_counts_without_decoding() {
+        let cols = ColumnarBatch::from_batch(&sample_batch());
+        let frame = encode_columns(&cols);
+        assert_eq!(frame_items(&frame).expect("v2 frame"), 3);
+        assert_eq!(frame_items(&encode_columns(&ColumnarBatch::new())), Ok(0));
+        // Same refusals, same messages, as the decoder.
+        for bad in [
+            &encode_batch(&sample_batch())[..],
+            &encode_summaries(SAMPLE_CONFIG, SAMPLE_SEED, &sample_summaries())[..],
+            &frame[..frame.len() - 8],
+            &[0xFF, 0xFF, 2][..],
+        ] {
+            assert_eq!(
+                frame_items(bad).unwrap_err(),
+                decode_columns(bad).unwrap_err()
+            );
+        }
+    }
 
     fn sample_batch() -> Batch {
         let mut weights = WeightMap::new();

@@ -60,25 +60,28 @@ impl BatchProducer {
         }
     }
 
-    /// The one send body: runs `encode` against the reused scratch, meters
-    /// the frame as `items` items, and appends the shared payload to
-    /// `partition` (`None` = the topic's partitioner chooses).
+    /// Runs `encode` against the reused scratch and copies the frame into
+    /// the shared payload the partition will hold.
+    fn encode(&self, encode: impl FnOnce(&mut BytesMut)) -> Bytes {
+        let mut scratch = self.scratch.lock();
+        encode(&mut scratch);
+        Bytes::copy_from_slice(&scratch)
+    }
+
+    /// The one send body: meters `value` as one frame of `items` items and
+    /// appends it to `partition` (`None` = the topic's partitioner
+    /// chooses).
     fn send_frame(
         &self,
         partition: Option<u32>,
         items: u64,
         timestamp: u64,
-        encode: impl FnOnce(&mut BytesMut),
+        value: Bytes,
     ) -> Result<(u32, u64), MqError> {
-        let value = {
-            let mut scratch = self.scratch.lock();
-            encode(&mut scratch);
-            self.bytes_sent
-                .fetch_add(scratch.len() as u64, Ordering::Relaxed);
-            self.batches_sent.fetch_add(1, Ordering::Relaxed);
-            self.items_sent.fetch_add(items, Ordering::Relaxed);
-            Bytes::copy_from_slice(&scratch)
-        };
+        self.bytes_sent
+            .fetch_add(value.len() as u64, Ordering::Relaxed);
+        self.batches_sent.fetch_add(1, Ordering::Relaxed);
+        self.items_sent.fetch_add(items, Ordering::Relaxed);
         let record = ProducerRecord {
             key: None,
             value,
@@ -110,9 +113,8 @@ impl BatchProducer {
     ///
     /// Returns [`MqError::Closed`] once the topic is closed.
     pub fn send_at(&self, batch: &Batch, timestamp: u64) -> Result<(u32, u64), MqError> {
-        self.send_frame(None, batch.len() as u64, timestamp, |buf| {
-            encode_batch_into(batch, buf)
-        })
+        let value = self.encode(|buf| encode_batch_into(batch, buf));
+        self.send_frame(None, batch.len() as u64, timestamp, value)
     }
 
     /// Publishes to a specific partition (used when each source owns a
@@ -127,9 +129,8 @@ impl BatchProducer {
         batch: &Batch,
         timestamp: u64,
     ) -> Result<(u32, u64), MqError> {
-        self.send_frame(Some(partition), batch.len() as u64, timestamp, |buf| {
-            encode_batch_into(batch, buf)
-        })
+        let value = self.encode(|buf| encode_batch_into(batch, buf));
+        self.send_frame(Some(partition), batch.len() as u64, timestamp, value)
     }
 
     /// Publishes a columnar batch to a specific partition as a **v2**
@@ -145,9 +146,27 @@ impl BatchProducer {
         batch: &ColumnarBatch,
         timestamp: u64,
     ) -> Result<(u32, u64), MqError> {
-        self.send_frame(Some(partition), batch.len() as u64, timestamp, |buf| {
-            encode_columns_into(batch, buf)
-        })
+        let value = self.encode(|buf| encode_columns_into(batch, buf));
+        self.send_frame(Some(partition), batch.len() as u64, timestamp, value)
+    }
+
+    /// Publishes an already-encoded frame to a specific partition as is:
+    /// the record shares `value`'s allocation (a refcount bump — no
+    /// encode, no copy) and is metered exactly as the encode-send that
+    /// produced those bytes would have been, as one frame of `items`
+    /// items. This is how a native node forwards what it received.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MqError::PartitionOutOfRange`] or [`MqError::Closed`].
+    pub fn relay_to(
+        &self,
+        partition: u32,
+        value: Bytes,
+        items: usize,
+        timestamp: u64,
+    ) -> Result<(u32, u64), MqError> {
+        self.send_frame(Some(partition), items as u64, timestamp, value)
     }
 
     /// Publishes an **AoS** batch to a specific partition as a **v2**
@@ -163,9 +182,8 @@ impl BatchProducer {
         batch: &Batch,
         timestamp: u64,
     ) -> Result<(u32, u64), MqError> {
-        self.send_frame(Some(partition), batch.len() as u64, timestamp, |buf| {
-            encode_batch_v2_into(batch, buf)
-        })
+        let value = self.encode(|buf| encode_batch_v2_into(batch, buf));
+        self.send_frame(Some(partition), batch.len() as u64, timestamp, value)
     }
 
     /// [`Self::send_v2_to`] with every item's `source_ts` written as
@@ -184,9 +202,8 @@ impl BatchProducer {
         source_ts: u64,
         timestamp: u64,
     ) -> Result<(u32, u64), MqError> {
-        self.send_frame(Some(partition), batch.len() as u64, timestamp, |buf| {
-            encode_batch_v2_stamped_into(batch, source_ts, buf)
-        })
+        let value = self.encode(|buf| encode_batch_v2_stamped_into(batch, source_ts, buf));
+        self.send_frame(Some(partition), batch.len() as u64, timestamp, value)
     }
 
     /// Publishes per-window stratum summaries to a specific partition as
@@ -207,9 +224,8 @@ impl BatchProducer {
         timestamp: u64,
     ) -> Result<(u32, u64), MqError> {
         let items = windows.iter().map(|(_, s)| s.count()).sum();
-        self.send_frame(Some(partition), items, timestamp, |buf| {
-            encode_summaries_into(config, seed, windows, buf)
-        })
+        let value = self.encode(|buf| encode_summaries_into(config, seed, windows, buf));
+        self.send_frame(Some(partition), items, timestamp, value)
     }
 
     /// Total encoded bytes published.
@@ -318,6 +334,45 @@ mod tests {
             .pop()
             .expect("one record");
         assert_eq!(decode_columns(&record.value).expect("v2 frame"), cols);
+    }
+
+    #[test]
+    fn relay_to_shares_the_payload_and_meters_like_an_encode_send() {
+        let broker = Broker::new();
+        let input = broker.create_topic("in", 1).expect("create");
+        let output = broker.create_topic("out", 2).expect("create");
+        let cols = ColumnarBatch::from_batch(&batch(5));
+        let encoder = BatchProducer::new(Arc::clone(&input));
+        encoder.send_columns_to(0, &cols, 3).expect("send");
+        let received = input.partitions()[0]
+            .read_from(0, 1, std::time::Duration::ZERO)
+            .expect("read")
+            .pop()
+            .expect("one record");
+        let relay = BatchProducer::new(Arc::clone(&output));
+        let (p, _) = relay
+            .relay_to(1, received.value.clone(), cols.len(), 8)
+            .expect("relay");
+        assert_eq!(p, 1);
+        let relayed = output.partitions()[1]
+            .read_from(0, 1, std::time::Duration::ZERO)
+            .expect("read")
+            .pop()
+            .expect("one record");
+        assert_eq!(
+            relayed.value.as_ptr(),
+            received.value.as_ptr(),
+            "same allocation, not a copy"
+        );
+        assert_eq!(relayed.timestamp, 8, "the record metadata is re-stamped");
+        assert_eq!(
+            (relay.bytes_sent(), relay.batches_sent(), relay.items_sent()),
+            (
+                encoder.bytes_sent(),
+                encoder.batches_sent(),
+                encoder.items_sent()
+            ),
+        );
     }
 
     #[test]

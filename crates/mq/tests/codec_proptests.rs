@@ -16,6 +16,12 @@
 //! The same invariants extend to the v3 summary frame: round-trip over
 //! arbitrary observation multisets, every-prefix rejection, garbage never
 //! panics, and three-way cross-version rejection by name.
+//!
+//! Two more hold up the native relay, which forwards a received v2 frame
+//! without decoding it: `frame_items` accepts and refuses exactly the
+//! bytes `decode_columns` does (counting the same items), and the v2
+//! encoding is canonical — decoding an encoder-produced frame and
+//! encoding the result gives back the same bytes.
 
 use approxiot_core::{
     Batch, ColumnarBatch, SketchConfig, StratumId, StratumSummaries, StreamItem, WeightMap,
@@ -24,8 +30,9 @@ use approxiot_mq::codec::{
     decode_batch, decode_batch_any_into, decode_batch_into, decode_columns, decode_columns_into,
     decode_summaries, decode_summaries_into, encode_batch, encode_batch_v2_into,
     encode_batch_v2_stamped_into, encode_columns, encode_columns_into, encode_summaries,
-    encoded_len_columns, encoded_len_summaries, encoded_len_v2,
+    encoded_len_columns, encoded_len_summaries, encoded_len_v2, frame_items,
 };
+use approxiot_mq::MqError;
 use bytes::BytesMut;
 use proptest::prelude::*;
 
@@ -47,6 +54,41 @@ fn arb_batch() -> impl Strategy<Value = Batch> {
                     .collect(),
             )
         })
+}
+
+/// A columnar batch whose values are arbitrary bit patterns (NaNs,
+/// infinities, negative zero) and whose other fields span their whole
+/// range — everything a frame can carry through the value columns.
+fn arb_wild_columns() -> impl Strategy<Value = ColumnarBatch> {
+    (
+        proptest::collection::vec(
+            (any::<u32>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            0..40,
+        ),
+        proptest::collection::vec((any::<u32>(), 1.0f64..1e300), 0..8),
+    )
+        .prop_map(|(items, weights)| {
+            let mut batch = ColumnarBatch::new();
+            for (s, w) in weights {
+                batch.weights.set(StratumId::new(s), w);
+            }
+            for (s, bits, seq, ts) in items {
+                batch.push(StreamItem::with_meta(
+                    StratumId::new(s),
+                    f64::from_bits(bits),
+                    seq,
+                    ts,
+                ));
+            }
+            batch
+        })
+}
+
+/// `frame_items` and `decode_columns` agree on `bytes`: the same item
+/// count or the same error.
+fn counts_agree(bytes: &[u8]) {
+    let decoded: Result<usize, MqError> = decode_columns(bytes).map(|c| c.len());
+    prop_assert_eq!(frame_items(bytes), decoded, "on {:?}", bytes);
 }
 
 /// Window summaries built from an arbitrary observation multiset under a
@@ -160,6 +202,61 @@ proptest! {
         let _ = decode_batch_any_into(&bytes, &mut batch);
         let mut windows = Vec::new();
         let _ = decode_summaries_into(&bytes, &mut windows);
+    }
+
+    /// On arbitrary bytes, and on arbitrary bytes behind a v2 header,
+    /// `frame_items` counts exactly when the decoder decodes.
+    #[test]
+    fn frame_items_agrees_with_decode_on_garbage(
+        bytes in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        counts_agree(&bytes);
+        let mut stamped = vec![0x07, 0xA1, 2];
+        stamped.extend_from_slice(&bytes);
+        counts_agree(&stamped);
+    }
+
+    /// On a valid v2 frame, on every prefix of it and on every
+    /// single-byte corruption of it, `frame_items` agrees with the
+    /// decoder.
+    #[test]
+    fn frame_items_agrees_with_decode_on_damaged_frames(
+        columns in arb_wild_columns(),
+        flip in 1u8..=255,
+    ) {
+        let frame = encode_columns(&columns);
+        prop_assert_eq!(frame_items(&frame), Ok(columns.len()));
+        for len in 0..frame.len() {
+            counts_agree(&frame[..len]);
+        }
+        let mut corrupt = frame.to_vec();
+        for at in 0..corrupt.len() {
+            corrupt[at] ^= flip;
+            counts_agree(&corrupt);
+            corrupt[at] ^= flip;
+        }
+    }
+
+    /// The v2 encoding is canonical: every encoder entry point's frame
+    /// decodes and re-encodes to the same bytes, whatever the values'
+    /// bit patterns — so relaying a received frame sends exactly what
+    /// decode → re-encode would have.
+    #[test]
+    fn v2_reencode_is_identity(
+        columns in arb_wild_columns(),
+        batch in arb_batch(),
+        source_ts in any::<u64>(),
+    ) {
+        let mut frames = vec![encode_columns(&columns).to_vec()];
+        let mut buf = BytesMut::new();
+        encode_batch_v2_into(&batch, &mut buf);
+        frames.push(buf.to_vec());
+        encode_batch_v2_stamped_into(&batch, source_ts, &mut buf);
+        frames.push(buf.to_vec());
+        for frame in frames {
+            let decoded = decode_columns(&frame).expect("encoder-produced frame");
+            prop_assert_eq!(&encode_columns(&decoded)[..], &frame[..]);
+        }
     }
 }
 

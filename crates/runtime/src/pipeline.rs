@@ -23,7 +23,7 @@
 //!   computation window of input before sampling and forwarding — this is
 //!   Algorithm 2's per-interval loop and the source of the window-size
 //!   latency dependence in Figure 9. SRS and native nodes forward
-//!   immediately (coin flips need no window).
+//!   immediately (coin flips need no window, and native takes none).
 //!
 //! ## Fault injection
 //!
@@ -55,25 +55,33 @@
 //! batches straight into v2 in one pass over their items — in wall-clock
 //! mode writing the send time as every item's `source_ts` on the way
 //! ([`BatchProducer::send_v2_stamped_to`]; replay keeps event time,
-//! [`BatchProducer::send_v2_to`]) — edge nodes
+//! [`BatchProducer::send_v2_to`]). Sampling (WHS and SRS) edge nodes
 //! decode frames into recycled column sets drawn from a per-node
 //! [`ColumnarPool`] ([`decode_columns_into`] — four bulk copies per
 //! frame), sample through the flat-slice kernels
 //! ([`SamplingNode::process_columns_parallel`] /
-//! [`SamplingNode::process_columns_mut`]) and forward with
+//! [`SamplingNode::process_columns`]) and forward with
 //! [`BatchProducer::send_columns_to`]; the root accepts either version
 //! through [`decode_batch_any_into`]. Sampling output is bit-identical to
 //! the array-of-structs path (pinned by kernel-, pool- and node-level
 //! parity tests), so fixed-seed estimates are unchanged — only the
 //! per-item traversal cost drops.
 //!
+//! **Native nodes never touch the items.** A native edge node forwards
+//! each received record's payload to its parent topic unchanged
+//! ([`BatchProducer::relay_to`] — a refcount bump: no decode, no encode,
+//! no copy), in wall-clock mode, in replay, and under impairment and
+//! churn alike. It still validates every frame ([`frame_items`], the
+//! decoder's structural checks without the column copies), so a poisoned
+//! stream stops it; and it sends the bytes decode → re-encode would
+//! have, because the v2 encoding is canonical.
+//!
 //! The wall-clock edge node loops are steady-state allocation-free. Every
 //! consumer polls through one reused record buffer
 //! ([`Consumer::poll_into`] appending via the partition logs'
 //! `read_into`), every producer encodes through its own reused scratch,
 //! and both the input columns and the forwarded output batches return to
-//! the pool once sent — native nodes even *move* the input columns to the
-//! output instead of cloning them. Sharded WHS nodes sample on a
+//! the pool once sent. Sharded WHS nodes sample on a
 //! persistent [`crate::WorkerPool`] rather than a per-batch thread scope,
 //! so thread lifecycle is off the per-batch path too. The root decodes
 //! into batches from its own [`BatchPool`] and condenses each into its
@@ -90,7 +98,7 @@
 
 use crate::churn::{ChurnDriver, ChurnSchedule, NodeChurnContext, NodeChurnState, NodeDisposition};
 use crate::engine::{fill_completeness, Engine, EngineError, RunReport};
-use crate::fault::{FaultInjector, FaultStats, HopFaults};
+use crate::fault::{FaultFrame, FaultInjector, FaultStats, HopFaults};
 use crate::node::{NodePayload, SamplingNode, Strategy};
 use crate::query::{Query, QuerySet};
 use crate::root::{RootConfig, RootNode, WindowResult};
@@ -98,8 +106,8 @@ use crate::topology::{FractionSplit, LayerSpec, Topology};
 use crate::tree::LayerBytes;
 use approxiot_core::{Batch, BatchPool, BudgetError, ColumnarBatch, ColumnarPool, SketchConfig};
 use approxiot_mq::codec::{
-    decode_batch_any_into, decode_columns_into, decode_summaries_into, encoded_len_columns,
-    encoded_len_summaries, encoded_len_v2,
+    decode_batch_any_into, decode_columns, decode_columns_into, decode_summaries,
+    encoded_len_columns, encoded_len_summaries, encoded_len_v2, frame_items,
 };
 use approxiot_mq::{BatchProducer, Broker, Consumer, MqError, Record, StartOffset};
 use approxiot_net::RateLimiter;
@@ -520,6 +528,7 @@ impl PipelineEngine {
                     state: NodeChurnState::new(),
                     scheme: TumblingWindow::new(topology.window()),
                 });
+                let native = matches!(strategy, Strategy::Native);
                 handles.push(
                     thread::Builder::new()
                         .name(format!("approxiot-edge-{l}-{j}"))
@@ -538,6 +547,19 @@ impl PipelineEngine {
                                     config,
                                     sketch_seed,
                                 );
+                            } else if native {
+                                let relay = NativeRelay {
+                                    producer: &producer,
+                                    limiter,
+                                    injector: &mut injector,
+                                    churn: edge_churn,
+                                    out_partition: params.out_partition,
+                                };
+                                if deterministic {
+                                    relay.replay(consumer);
+                                } else {
+                                    relay.run(consumer, params.hop_delay, epoch);
+                                }
                             } else if deterministic {
                                 edge_node_replay(
                                     consumer,
@@ -892,7 +914,7 @@ struct EdgeParams {
     window: Duration,
     out_partition: u32,
     /// WHS nodes buffer one window of input before sampling (Algorithm 2's
-    /// interval loop); SRS/native forward immediately.
+    /// interval loop); SRS nodes sample each frame as it arrives.
     buffered: bool,
     /// Sample each batch on the node's §III-E parallel shard pool,
     /// forwarding one batch per shard.
@@ -923,10 +945,139 @@ impl EdgeChurn {
     }
 }
 
-/// The per-edge-node wall-clock loop, running entirely on the columnar
-/// hot path: v2 frames decode into pooled [`ColumnarBatch`]es, the node
-/// samples through the flat-slice kernels, and outputs go back out as v2
-/// frames.
+/// A native edge node: it forwards each frame it receives to its parent
+/// topic as is ([`BatchProducer::relay_to`] — one refcount bump on the
+/// record's payload; no decode, no encode, no copy, no pool). The bytes
+/// it sends are the ones decode → re-encode would have produced, because
+/// a native node passes every column and the weights through unchanged
+/// and the v2 encoding is canonical (a proptest in the `mq` crate holds
+/// the codec to that).
+///
+/// Per received frame the step is: the node's churn disposition (a down
+/// or crashed node loses the frame), then the outgoing hop's fault
+/// injector, then the link limiter (charged the frame's length), then the
+/// relay. [`frame_items`] makes every structural check a decode would, so
+/// a poisoned stream still stops the node, and supplies the item count
+/// the injector and the producer meter.
+struct NativeRelay<'a> {
+    producer: &'a BatchProducer,
+    limiter: Option<RateLimiter>,
+    injector: &'a mut Option<FaultInjector>,
+    churn: Option<EdgeChurn>,
+    out_partition: u32,
+}
+
+/// A received frame as the relay hands it to the fault injector.
+struct RelayFrame<'a> {
+    record: &'a Record,
+    /// The frame's item count ([`frame_items`]).
+    items: usize,
+}
+
+impl FaultFrame for RelayFrame<'_> {
+    fn item_count(&self) -> usize {
+        self.items
+    }
+}
+
+impl NativeRelay<'_> {
+    /// The wall-clock relay: holds each frame for the hop delay, then
+    /// forwards it stamped with its send time (plus any jitter). Churn is
+    /// evaluated at the wall window of the forwarding moment, as in the
+    /// sampling loop.
+    fn run(mut self, mut consumer: Consumer, hop_delay: Duration, epoch: Instant) {
+        let mut records: Vec<Record> = Vec::new();
+        while consumer
+            .poll_into(&mut records, POLL_MAX, Duration::from_millis(5))
+            .is_ok()
+        {
+            for record in &records {
+                let Ok(items) = frame_items(&record.value) else {
+                    return;
+                };
+                wait_until(epoch, record.timestamp, hop_delay);
+                let interval = self.churn.as_ref().map_or(0, |churn| {
+                    churn.scheme.index_of(epoch.elapsed().as_nanos() as u64)
+                });
+                let stamp = |extra: Duration| {
+                    (epoch.elapsed().as_nanos() as u64).saturating_add(extra.as_nanos() as u64)
+                };
+                if !self.forward(RelayFrame { record, items }, interval, stamp) {
+                    return;
+                }
+            }
+        }
+    }
+
+    /// The replay relay: collects to close, then forwards in the canonical
+    /// order, each frame keeping its interval key (jitter draws happen but
+    /// never touch the key). A poisoned frame anywhere stops the node
+    /// before it forwards anything, as a failed decode of the backlog
+    /// always has.
+    fn replay(mut self, mut consumer: Consumer) {
+        let Some(held) = collect_until_closed(&mut consumer) else {
+            return;
+        };
+        let Ok(items) = held
+            .iter()
+            .map(|record| frame_items(&record.value))
+            .collect::<Result<Vec<_>, _>>()
+        else {
+            return;
+        };
+        for (record, items) in held.iter().zip(items) {
+            let key = record.timestamp;
+            if !self.forward(RelayFrame { record, items }, key, |_| key) {
+                return;
+            }
+        }
+    }
+
+    /// Forwards one frame, with the node's churn state taken at
+    /// `interval`; `stamp(extra)` is the timestamp of a copy the injector
+    /// delays by `extra`. Returns `false` once the transport is closed.
+    fn forward(
+        &mut self,
+        frame: RelayFrame<'_>,
+        interval: u64,
+        stamp: impl Fn(Duration) -> u64,
+    ) -> bool {
+        // An empty frame forwards nothing and draws no fault decision.
+        if frame.items == 0 {
+            return true;
+        }
+        if let Some(churn) = &self.churn {
+            // Down: lost at the doorstep (the sender already billed the
+            // wire). Crashed: processed, then the buffered output is lost.
+            if !matches!(churn.disposition(interval), NodeDisposition::Active { .. }) {
+                return true;
+            }
+        }
+        let (producer, limiter, partition) = (self.producer, &self.limiter, self.out_partition);
+        let mut send = |frame: &RelayFrame<'_>, extra: Duration| {
+            if let Some(l) = limiter {
+                l.acquire(frame.record.value.len() as u64);
+            }
+            producer
+                .relay_to(
+                    partition,
+                    frame.record.value.clone(),
+                    frame.items,
+                    stamp(extra),
+                )
+                .is_ok()
+        };
+        match self.injector {
+            Some(injector) => injector.transmit(std::slice::from_ref(&frame), &mut send),
+            None => send(&frame, Duration::ZERO),
+        }
+    }
+}
+
+/// The wall-clock loop of a sampling (WHS or SRS) edge node, running
+/// entirely on the columnar hot path: v2 frames decode into pooled
+/// [`ColumnarBatch`]es, the node samples through the flat-slice kernels,
+/// and outputs go back out as v2 frames.
 ///
 /// Steady-state allocation-free (see the module docs) **when the outgoing
 /// hop is unimpaired**: records poll into a reused buffer, frames decode
@@ -971,7 +1122,7 @@ fn edge_node_loop(
                    pool: &mut ColumnarPool,
                    injector: &mut Option<FaultInjector>,
                    churn: &mut Option<EdgeChurn>,
-                   mut batch: ColumnarBatch| {
+                   batch: ColumnarBatch| {
         if let Some(churn) = churn {
             // Wall mode evaluates the schedule at the wall window of "now"
             // — the processing moment — mirroring a real fleet where an
@@ -988,12 +1139,7 @@ fn edge_node_loop(
                     // Mid-window crash: process (the sampler RNG advances
                     // as if healthy), then lose the buffered output.
                     churn.sync(node, interval);
-                    let outs = if params.sharded {
-                        node.process_columns_parallel(&batch)
-                    } else {
-                        vec![node.process_columns_mut(&mut batch)]
-                    };
-                    for out in outs {
+                    for out in node.process_columns_parallel(&batch) {
                         pool.put(out);
                     }
                     pool.put(batch);
@@ -1005,11 +1151,7 @@ fn edge_node_loop(
         if let Some(injector) = injector {
             // Fault-injected path: the outputs of this one input frame are
             // one transmission burst.
-            let mut outs = if params.sharded {
-                node.process_columns_parallel(&batch)
-            } else {
-                vec![node.process_columns_mut(&mut batch)]
-            };
+            let mut outs = node.process_columns_parallel(&batch);
             outs.retain(|out| !out.is_empty());
             let ok = injector.transmit(&outs, &mut |out, extra| send(out, extra));
             for out in outs {
@@ -1027,21 +1169,12 @@ fn edge_node_loop(
             pool.put(batch);
             ok
         } else {
-            // Native nodes move the input columns into the output here, so
-            // even the unsampled baseline forwards without copying items.
-            let out = node.process_columns_mut(&mut batch);
+            let out = node.process_columns(&batch);
             let ok = send(&out, Duration::ZERO);
-            // The pool pops LIFO, so put the larger storage last: native
-            // moved the input's allocation into `out` (leaving `batch` a
-            // husk), while WHS/SRS leave the big decoded input in `batch`
-            // — either way the next decode gets the warmest buffer.
-            if out.values.capacity() > batch.values.capacity() {
-                pool.put(batch);
-                pool.put(out);
-            } else {
-                pool.put(out);
-                pool.put(batch);
-            }
+            // The pool pops LIFO, so put the big decoded input last: the
+            // next decode gets the warmest buffer.
+            pool.put(out);
+            pool.put(batch);
             ok
         }
     };
@@ -1085,10 +1218,9 @@ fn edge_node_loop(
     }
 }
 
-/// The per-edge-node deterministic replay: buffer everything until the
-/// input closes, then process in canonical `(interval, child, arrival)`
-/// order — `(timestamp, partition, offset)` on the wire, since records are
-/// keyed by interval and each partition has a single producer. Outputs
+/// The deterministic replay of a sampling (WHS or SRS) edge node: buffer
+/// everything until the input closes, then process in canonical
+/// `(interval, child, arrival)` order ([`collect_until_closed`]). Outputs
 /// inherit their input's interval key so the next layer can do the same.
 ///
 /// Fault injection composes with replay: the injector sees the same
@@ -1104,50 +1236,41 @@ fn edge_node_replay(
     injector: &mut Option<FaultInjector>,
     churn: &mut Option<EdgeChurn>,
 ) {
-    let Some(mut held) = collect_columns_until_closed(&mut consumer) else {
+    let Some(held) =
+        collect_until_closed(&mut consumer).and_then(|h| decode_all(h, decode_columns))
+    else {
         return;
     };
-    held.sort_by_key(|(key, _)| *key);
-    for (key, mut batch) in held {
+    for (key, batch) in held {
         // Replay evaluates the schedule at the record's interval key —
         // the same timeline index (and the same lazy application moments)
         // as the sim engine's churned path.
         let mut crashed = false;
         if let Some(churn) = churn.as_mut() {
-            match churn.disposition(key.0) {
+            match churn.disposition(key) {
                 NodeDisposition::Down => continue, // lost at the doorstep
                 disposition => {
-                    churn.sync(&mut node, key.0);
+                    churn.sync(&mut node, key);
                     crashed = matches!(disposition, NodeDisposition::Crashed { .. });
                 }
             }
         }
-        let mut outs = if params.sharded {
-            node.process_columns_parallel(&batch)
-        } else {
-            vec![node.process_columns_mut(&mut batch)]
-        };
+        let mut outs = node.process_columns_parallel(&batch);
         outs.retain(|out| !out.is_empty());
         if crashed {
             continue; // processed, then the buffered output is lost
         }
+        let mut send = |out: &ColumnarBatch, _: Duration| {
+            if let Some(l) = &limiter {
+                l.acquire(encoded_len_columns(out) as u64);
+            }
+            producer
+                .send_columns_to(params.out_partition, out, key)
+                .is_ok()
+        };
         let sent = match injector {
-            Some(injector) => injector.transmit(&outs, &mut |out, _| {
-                if let Some(l) = &limiter {
-                    l.acquire(encoded_len_columns(out) as u64);
-                }
-                producer
-                    .send_columns_to(params.out_partition, out, key.0)
-                    .is_ok()
-            }),
-            None => outs.iter().all(|out| {
-                if let Some(l) = &limiter {
-                    l.acquire(encoded_len_columns(out) as u64);
-                }
-                producer
-                    .send_columns_to(params.out_partition, out, key.0)
-                    .is_ok()
-            }),
+            Some(injector) => injector.transmit(&outs, &mut send),
+            None => outs.iter().all(|out| send(out, Duration::ZERO)),
         };
         if !sent {
             return;
@@ -1155,89 +1278,44 @@ fn edge_node_replay(
     }
 }
 
-/// Drains a consumer to close, decoding every record into an AoS batch
-/// (either frame version); `None` on a decode error (poisoned stream).
-#[allow(clippy::type_complexity)]
-fn collect_until_closed(consumer: &mut Consumer) -> Option<Vec<((u64, u32, u64), Batch)>> {
+/// Drains a consumer to close and returns every record in the canonical
+/// replay order, `(timestamp, partition, offset)` — that is `(interval,
+/// child, arrival)`, since replay keys records by interval and each
+/// partition has a single producer. `None` on a transport error. Every
+/// replaying node and root collects through here and decodes from the
+/// records.
+fn collect_until_closed(consumer: &mut Consumer) -> Option<Vec<Record>> {
     let mut held = Vec::new();
     let mut records: Vec<Record> = Vec::new();
     loop {
         match consumer.poll_into(&mut records, POLL_MAX, Duration::from_millis(5)) {
-            Ok(_) => {
-                for record in records.drain(..) {
-                    let mut batch = Batch::new();
-                    if decode_batch_any_into(&record.value, &mut batch).is_err() {
-                        return None;
-                    }
-                    held.push(((record.timestamp, record.partition, record.offset), batch));
-                }
-            }
-            Err(MqError::Closed) => return Some(held),
+            Ok(_) => held.append(&mut records),
+            Err(MqError::Closed) => break,
             Err(_) => return None,
         }
     }
+    held.sort_by_key(|record| (record.timestamp, record.partition, record.offset));
+    Some(held)
 }
 
-/// Columnar twin of [`collect_until_closed`]: drains to close decoding
-/// every v2 frame into its own [`ColumnarBatch`] (replay holds the full
-/// backlog anyway, so there is nothing to pool).
-#[allow(clippy::type_complexity)]
-fn collect_columns_until_closed(
-    consumer: &mut Consumer,
-) -> Option<Vec<((u64, u32, u64), ColumnarBatch)>> {
-    let mut held = Vec::new();
-    let mut records: Vec<Record> = Vec::new();
-    loop {
-        match consumer.poll_into(&mut records, POLL_MAX, Duration::from_millis(5)) {
-            Ok(_) => {
-                for record in records.drain(..) {
-                    let mut batch = ColumnarBatch::new();
-                    if decode_columns_into(&record.value, &mut batch).is_err() {
-                        return None;
-                    }
-                    held.push(((record.timestamp, record.partition, record.offset), batch));
-                }
-            }
-            Err(MqError::Closed) => return Some(held),
-            Err(_) => return None,
-        }
-    }
+/// Decodes collected records in order, pairing each with its interval
+/// key; `None` if any frame is poisoned — a replaying node that meets one
+/// processes nothing.
+fn decode_all<T>(
+    records: Vec<Record>,
+    decode: impl Fn(&[u8]) -> Result<T, MqError>,
+) -> Option<Vec<(u64, T)>> {
+    records
+        .into_iter()
+        .map(|record| decode(&record.value).ok().map(|v| (record.timestamp, v)))
+        .collect()
 }
 
-/// Payload twin of [`collect_until_closed`] for sketch strata: leaves
-/// (`items = true`) decode the driver's item frames, inner nodes decode v3
-/// summary frames; `None` on a decode error (poisoned stream).
-#[allow(clippy::type_complexity)]
-fn collect_payloads_until_closed(
-    consumer: &mut Consumer,
-    items: bool,
-) -> Option<Vec<((u64, u32, u64), NodePayload)>> {
-    let mut held = Vec::new();
-    let mut records: Vec<Record> = Vec::new();
-    loop {
-        match consumer.poll_into(&mut records, POLL_MAX, Duration::from_millis(5)) {
-            Ok(_) => {
-                for record in records.drain(..) {
-                    let payload = if items {
-                        let mut batch = Batch::new();
-                        if decode_batch_any_into(&record.value, &mut batch).is_err() {
-                            return None;
-                        }
-                        NodePayload::Items(batch)
-                    } else {
-                        let mut windows = Vec::new();
-                        if decode_summaries_into(&record.value, &mut windows).is_err() {
-                            return None;
-                        }
-                        NodePayload::Summaries(windows)
-                    };
-                    held.push(((record.timestamp, record.partition, record.offset), payload));
-                }
-            }
-            Err(MqError::Closed) => return Some(held),
-            Err(_) => return None,
-        }
-    }
+/// Decodes a frame of either item version into an AoS batch.
+fn decode_items(frame: &[u8]) -> Result<Batch, MqError> {
+    let mut batch = Batch::new();
+    decode_batch_any_into(frame, &mut batch)?;
+    Ok(batch)
 }
 
 /// The per-edge-node sketch replay: collect until closed, absorb in the
@@ -1259,14 +1337,25 @@ fn edge_node_sketch_replay(
     seed: u64,
 ) {
     let scheme = TumblingWindow::new(params.window);
-    let Some(mut held) = collect_payloads_until_closed(&mut consumer, leaf) else {
+    let Some(held) = collect_until_closed(&mut consumer) else {
         return;
     };
-    held.sort_by_key(|(key, _)| *key);
+    // Leaves summarize the driver's item frames; inner nodes merge their
+    // children's v3 summary frames.
+    let held = if leaf {
+        decode_all(held, |frame| decode_items(frame).map(NodePayload::Items))
+    } else {
+        decode_all(held, |frame| {
+            decode_summaries(frame).map(NodePayload::Summaries)
+        })
+    };
+    let Some(held) = held else {
+        return;
+    };
     let mut i = 0;
     while i < held.len() {
-        let interval = held[i].0 .0;
-        while i < held.len() && held[i].0 .0 == interval {
+        let interval = held[i].0;
+        while i < held.len() && held[i].0 == interval {
             node.absorb_payload(&held[i].1, scheme);
             i += 1;
         }
@@ -1351,10 +1440,10 @@ fn root_loop(
 /// The deterministic root: collect to close, replay in canonical order,
 /// answer every window at flush.
 fn root_replay(mut consumer: Consumer, mut root: RootNode, result_tx: &mpsc::Sender<WindowResult>) {
-    let Some(mut held) = collect_until_closed(&mut consumer) else {
+    let Some(held) = collect_until_closed(&mut consumer).and_then(|h| decode_all(h, decode_items))
+    else {
         return;
     };
-    held.sort_by_key(|(key, _)| *key);
     for (_, mut batch) in held {
         root.ingest_mut(&mut batch);
     }
@@ -1373,14 +1462,13 @@ fn root_sketch_replay(
     mut root: RootNode,
     result_tx: &mpsc::Sender<WindowResult>,
 ) {
-    let Some(mut held) = collect_payloads_until_closed(&mut consumer, false) else {
+    let Some(held) =
+        collect_until_closed(&mut consumer).and_then(|h| decode_all(h, decode_summaries))
+    else {
         return;
     };
-    held.sort_by_key(|(key, _)| *key);
-    for (_, payload) in held {
-        if let NodePayload::Summaries(windows) = payload {
-            root.ingest_summaries(windows);
-        }
+    for (_, windows) in held {
+        root.ingest_summaries(windows);
     }
     let mut results = root.flush();
     results.sort_by_key(|r| r.window);

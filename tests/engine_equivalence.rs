@@ -8,6 +8,7 @@
 //! codec frames, per-node threads) is the one the deterministic simulation
 //! makes.
 
+use approxiot::mq;
 use approxiot::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -507,6 +508,146 @@ fn churn_and_impairment_compose_engine_identically() {
     assert_identical(&sim, &pipeline);
     assert_eq!(sim.faults, pipeline.faults);
     assert_eq!(sim.churn, pipeline.churn);
+}
+
+/// An all-native tree, 5 sources → 3 → 2 → root, with `chaos` on every
+/// hop and `churn` on the edge layers.
+fn native_topology(chaos: ImpairmentSpec, churn: ChurnSchedule) -> Topology {
+    Topology::builder()
+        .sources(5)
+        .layer(LayerSpec::new(3).impairment(chaos))
+        .layer(LayerSpec::new(2).impairment(chaos))
+        .root_impairment(chaos)
+        .strategy(Strategy::Native)
+        .window(Duration::from_secs(1))
+        .seed(0xE0_0E)
+        .churn(churn)
+        .build()
+        .expect("valid")
+}
+
+/// Asserts both engines put the same frames on every hop of a native tree
+/// whose every frame carries `items` items and no weights. The engines
+/// bill a frame in different versions — Sim as the v1 frame it models,
+/// the pipeline as the v2 frame it sends (12 bytes longer) — so per hop
+/// the byte counts must be the same whole number of frames of each
+/// version.
+fn assert_same_native_frames(sim: &RunReport, pipeline: &RunReport, items: usize) {
+    let frame = Batch::from_items(vec![StreamItem::new(StratumId::new(0), 0.0); items]);
+    let (v1, v2) = (
+        mq::codec::encoded_len(&frame) as u64,
+        mq::codec::encoded_len_v2(&frame) as u64,
+    );
+    for (hop, (s, p)) in sim
+        .bytes
+        .hops()
+        .iter()
+        .zip(pipeline.bytes.hops())
+        .enumerate()
+    {
+        assert_eq!(s % v1, 0, "hop {hop}: Sim bytes are whole frames");
+        assert_eq!(
+            s / v1 * v2,
+            *p,
+            "hop {hop}: the same frames on both engines"
+        );
+    }
+}
+
+#[test]
+fn impaired_native_tree_stays_engine_identical() {
+    // Native nodes relay received frames without decoding them; the relay
+    // must meet the same fault stream, frame for frame, as the sim
+    // engine's decoded batches.
+    let chaos = ImpairmentSpec::none()
+        .loss(0.10)
+        .jitter(Duration::from_millis(30))
+        .duplicate(0.10)
+        .reorder(0.20);
+    let build = || native_topology(chaos, ChurnSchedule::new());
+    let data = noisy_intervals(4, 5, 300);
+    let sim = Driver::new(build(), multi_queries(), EngineKind::Sim)
+        .expect("valid")
+        .run(&data)
+        .expect("sim run");
+    let pipeline = Driver::new(
+        build(),
+        multi_queries(),
+        EngineKind::pipeline_deterministic(),
+    )
+    .expect("valid")
+    .run(&data)
+    .expect("pipeline run");
+    assert_identical(&sim, &pipeline);
+    assert!(sim.faults.dropped_items() > 0 && sim.faults.duplicated_items() > 0);
+    assert_eq!(sim.faults, pipeline.faults, "per-hop fault accounting");
+    assert_same_native_frames(&sim, &pipeline, 300);
+    for (a, b) in sim.results.iter().zip(&pipeline.results) {
+        assert_eq!(a.completeness.to_bits(), b.completeness.to_bits());
+    }
+}
+
+#[test]
+fn churned_native_tree_stays_engine_identical() {
+    // A down node and a crashed node each lose what reaches them; the
+    // relay must lose exactly the frames the sim engine loses.
+    let schedule = ChurnSchedule::new()
+        .down(0, 2, 1, 3)
+        .crash(0, 1, 2)
+        .crash(1, 0, 3)
+        .replace(1, 0, 4);
+    let build = || native_topology(ImpairmentSpec::none().loss(0.05), schedule.clone());
+    let data = noisy_intervals(5, 5, 300);
+    let sim = Driver::new(build(), multi_queries(), EngineKind::Sim)
+        .expect("valid")
+        .run(&data)
+        .expect("sim run");
+    let pipeline = Driver::new(
+        build(),
+        multi_queries(),
+        EngineKind::pipeline_deterministic(),
+    )
+    .expect("valid")
+    .run(&data)
+    .expect("pipeline run");
+    assert_identical(&sim, &pipeline);
+    assert!(sim.churn.node_downtime > 0 && sim.churn.crashes > 0);
+    assert_eq!(sim.churn, pipeline.churn, "churn accounting");
+    assert_eq!(sim.faults, pipeline.faults, "per-hop fault accounting");
+    assert_same_native_frames(&sim, &pipeline, 300);
+    let hops = sim.bytes.hops();
+    assert!(
+        hops[1] < hops[0] && hops[2] < hops[1],
+        "churn lost frames: {hops:?}"
+    );
+}
+
+#[test]
+fn wall_clock_native_hops_relay_every_byte() {
+    // With nothing lost, a native node sends on exactly the bytes it
+    // received: every hop carries hop 0's bytes, and the root counts
+    // every item.
+    let topology = Topology::builder()
+        .sources(5)
+        .layer(LayerSpec::new(3))
+        .layer(LayerSpec::new(2))
+        .strategy(Strategy::Native)
+        .window(Duration::from_secs(1))
+        // Generous, so a host stall cannot turn into late drops.
+        .allowed_lateness(Duration::from_secs(60))
+        .seed(0xBEEF)
+        .build()
+        .expect("valid");
+    let data = noisy_intervals(3, 5, 200);
+    let report = Driver::new(topology, QuerySet::default(), EngineKind::pipeline())
+        .expect("valid")
+        .run(&data)
+        .expect("wall run");
+    let hops = report.bytes.hops();
+    assert!(hops[0] > 0);
+    assert_eq!(hops, &[hops[0]; 3][..], "every hop relays hop 0's bytes");
+    let count: f64 = report.results.iter().map(|r| r.count_hat).sum();
+    assert_eq!(count, 3000.0);
 }
 
 #[test]
