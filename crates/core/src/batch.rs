@@ -63,8 +63,8 @@ impl Batch {
     }
 
     /// Empties the batch (items and weights), keeping both allocations so
-    /// the storage can be refilled — the recycling primitive behind
-    /// [`crate::BatchPool`] and the wire codec's `decode_batch_into`.
+    /// the storage can be refilled — the recycling primitive behind the
+    /// wire codec's `decode_batch_into`.
     pub fn clear(&mut self) {
         self.items.clear();
         self.weights.clear();

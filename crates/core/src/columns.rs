@@ -293,8 +293,9 @@ pub fn distinct_strata_u32_into(strata: &[u32], out: &mut Vec<StratumId>) {
     out.dedup();
 }
 
-/// A bounded free-list of cleared [`ColumnarBatch`]es — the columnar twin
-/// of [`crate::BatchPool`], used by the threaded pipeline's decode loops.
+/// A bounded free-list of cleared [`ColumnarBatch`]es, used by the
+/// threaded pipeline's sampling edge nodes to decode without allocating
+/// per frame.
 #[derive(Debug, Default)]
 pub struct ColumnarPool {
     free: Vec<ColumnarBatch>,

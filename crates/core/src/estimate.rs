@@ -12,8 +12,9 @@
 //!
 //! Those estimators read each pair only through its per-stratum weight,
 //! `Σv`, `n` and `Σv²`, so `Θ` keeps exactly that: one [`ThetaRow`] per
-//! `(pair, stratum)`, condensed as the pair arrives, instead of the sampled
-//! items. Rows sit in pair order, stratum-ascending within a pair, and each
+//! `(pair, stratum)`, condensed as the pair arrives (from items or
+//! columns, through one loop), instead of the sampled items. Rows sit in
+//! pair order, stratum-ascending within a pair, and each
 //! row's moments accumulate in item order — the order a per-item grouping
 //! at window close would use — so every estimate is bit-identical to
 //! grouping the buffered items. Raw values, which only the quantile
@@ -132,10 +133,40 @@ impl ThetaStore {
     /// present, condensing the items into one row per stratum. `weight_of`
     /// is called once per row.
     pub fn push_items(&mut self, items: &[StreamItem], weight_of: impl Fn(StratumId) -> f64) {
+        let items = items.iter().map(|item| (item.stratum, item.value));
+        self.condense(items, weight_of);
+    }
+
+    /// [`ThetaStore::push_items`] for a pair held as columns: item `k` has
+    /// stratum `strata[k]` and value `values[k]`. The rows, kept values
+    /// and `weight_of` calls are exactly those of `push_items` on the same
+    /// items.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the two columns have the same length.
+    pub fn push_columns(
+        &mut self,
+        strata: &[u32],
+        values: &[f64],
+        weight_of: impl Fn(StratumId) -> f64,
+    ) {
+        assert_eq!(strata.len(), values.len(), "columns of one pair");
+        let items = strata.iter().zip(values);
+        self.condense(items.map(|(&s, &v)| (StratumId::new(s), v)), weight_of);
+    }
+
+    /// The condense loop behind both entry points: one pair's
+    /// `(stratum, value)` items, in item order.
+    fn condense(
+        &mut self,
+        items: impl Iterator<Item = (StratumId, f64)> + Clone,
+        weight_of: impl Fn(StratumId) -> f64,
+    ) {
         self.pairs += 1;
         let first_row = self.rows.len();
         let first_value = self.values.len();
-        let Some(first) = items.first() else {
+        let Some((first, _)) = items.clone().next() else {
             return;
         };
         // The current row's moments stay in registers while consecutive
@@ -143,24 +174,24 @@ impl ThetaStore {
         // row is tried first (rows are created in first-seen order, so a
         // round-robin frame always hits it), then the pair's few rows are
         // scanned.
-        let mut hit = self.row_for(first_row, first_row, first.stratum, &weight_of);
+        let mut hit = self.row_for(first_row, first_row, first, &weight_of);
         let mut row = self.rows[hit];
-        for item in items {
-            if item.stratum != row.stratum {
+        for (stratum, value) in items {
+            if stratum != row.stratum {
                 self.rows[hit] = row;
                 let next = if hit + 1 < self.rows.len() {
                     hit + 1
                 } else {
                     first_row
                 };
-                hit = self.row_for(first_row, next, item.stratum, &weight_of);
+                hit = self.row_for(first_row, next, stratum, &weight_of);
                 row = self.rows[hit];
             }
-            row.value_sum += item.value;
+            row.value_sum += value;
             row.n += 1;
-            row.value_sq_sum += item.value * item.value;
+            row.value_sq_sum += value * value;
             if self.keep_values {
-                self.values.push((item.value, hit));
+                self.values.push((value, hit));
             }
         }
         self.rows[hit] = row;

@@ -122,7 +122,6 @@ pub mod columns;
 pub mod error;
 pub mod estimate;
 pub mod item;
-pub mod pool;
 pub mod quantile;
 pub mod sampling;
 pub mod summary;
@@ -134,7 +133,6 @@ pub use columns::{distinct_strata_u32_into, ColumnarBatch, ColumnarPool, Columns
 pub use error::{accuracy_loss, Confidence, Estimate};
 pub use estimate::{StratumEstimate, ThetaRow, ThetaStore};
 pub use item::{Measure, StratumId, StreamItem};
-pub use pool::BatchPool;
 pub use sampling::allocation::{Allocation, SizingScratch};
 pub use sampling::reservoir::{Reservoir, SkipReservoir};
 pub use sampling::sharded::{

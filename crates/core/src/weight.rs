@@ -97,7 +97,7 @@ impl WeightMap {
     }
 
     /// Removes every explicit weight (all strata weigh `1.0` again). Used
-    /// when recycling a [`crate::Batch`] through a [`crate::BatchPool`].
+    /// when a batch's storage is refilled, e.g. by the wire decoders.
     pub fn clear(&mut self) {
         self.entries.clear();
     }

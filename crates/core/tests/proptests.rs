@@ -685,3 +685,74 @@ proptest! {
         prop_assert_eq!(rows, expected);
     }
 }
+
+/// A pair's items in another order over the same multiset: as generated
+/// (random and repeated strata), grouped by stratum, or round-robin across
+/// strata.
+fn reorder(items: &[StreamItem], order: u8) -> Vec<StreamItem> {
+    let groups = group_by_stratum(items);
+    match order {
+        0 => items.to_vec(),
+        1 => groups.into_values().flatten().collect(),
+        _ => {
+            let longest = groups.values().map(Vec::len).max().unwrap_or(0);
+            (0..longest)
+                .flat_map(|k| groups.values().filter_map(move |g| g.get(k).copied()))
+                .collect()
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The columnar entry point condenses exactly like the AoS one: the
+    /// same rows bit for bit, the same kept values pointing at the same
+    /// rows, and the same weight lookups in the same order.
+    #[test]
+    fn push_columns_matches_push_items(
+        pairs in arb_pairs(),
+        order in 0u8..3,
+        keep_values in proptest::bool::ANY,
+    ) {
+        let mut by_items = ThetaStore::with_values(keep_values);
+        let mut by_columns = ThetaStore::with_values(keep_values);
+        let asked_items = std::cell::RefCell::new(Vec::new());
+        let asked_columns = std::cell::RefCell::new(Vec::new());
+        for pair in &pairs {
+            let items = reorder(&pair.sample, order);
+            let strata: Vec<u32> = items.iter().map(|i| i.stratum.index()).collect();
+            let values: Vec<f64> = items.iter().map(|i| i.value).collect();
+            by_items.push_items(&items, |s| {
+                asked_items.borrow_mut().push(s);
+                pair.weights.get(s)
+            });
+            by_columns.push_columns(&strata, &values, |s| {
+                asked_columns.borrow_mut().push(s);
+                pair.weights.get(s)
+            });
+        }
+        let bits = |theta: &ThetaStore| -> Vec<(u32, u64, u64, u64, u64)> {
+            theta
+                .rows()
+                .iter()
+                .map(|r| {
+                    let (w, v, q) = (r.weight.to_bits(), r.value_sum.to_bits(), r.value_sq_sum.to_bits());
+                    (r.stratum.index(), w, v, r.n, q)
+                })
+                .collect()
+        };
+        prop_assert_eq!(bits(&by_columns), bits(&by_items));
+        prop_assert_eq!(asked_columns.into_inner(), asked_items.into_inner());
+        prop_assert_eq!(by_columns.len(), by_items.len());
+        // Debug prints every float in its shortest round-trip form, so equal
+        // text means equal kept values and row indices.
+        prop_assert_eq!(format!("{by_columns:?}"), format!("{by_items:?}"));
+        for q in [0.0, 0.25, 0.5, 0.75, 1.0].into_iter().filter(|_| keep_values) {
+            prop_assert_eq!(
+                format!("{:?}", quantile::quantile_with_bounds(&by_columns, q, Confidence::P95)),
+                format!("{:?}", quantile::quantile_with_bounds(&by_items, q, Confidence::P95))
+            );
+        }
+    }
+}

@@ -153,9 +153,8 @@ pub fn decode_batch(frame: &[u8]) -> Result<Batch, MqError> {
 /// replacing its contents.
 ///
 /// The batch is cleared first, keeping its item storage, so a loop that
-/// decodes frames into batches drawn from an
-/// [`approxiot_core::BatchPool`] allocates nothing per frame once the
-/// pooled capacities have warmed up. On error the batch is left cleared —
+/// decodes every frame into one reused batch allocates nothing per frame
+/// once its capacity has warmed up. On error the batch is left cleared —
 /// never partially decoded.
 ///
 /// # Errors

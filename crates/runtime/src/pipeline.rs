@@ -61,11 +61,13 @@
 //! frame), sample through the flat-slice kernels
 //! ([`SamplingNode::process_columns_parallel`] /
 //! [`SamplingNode::process_columns`]) and forward with
-//! [`BatchProducer::send_columns_to`]; the root accepts either version
-//! through [`decode_batch_any_into`]. Sampling output is bit-identical to
-//! the array-of-structs path (pinned by kernel-, pool- and node-level
-//! parity tests), so fixed-seed estimates are unchanged — only the
-//! per-item traversal cost drops.
+//! [`BatchProducer::send_columns_to`]; the root decodes into one reused
+//! column set and condenses the columns into its `Θ` rows
+//! ([`RootNode::ingest_columns`]). Nothing sends v1 item frames. Sampling
+//! output and the root's rows are bit-identical to the array-of-structs
+//! path (pinned by kernel-, pool-, node- and root-level parity tests), so
+//! fixed-seed estimates are unchanged — only the per-item traversal cost
+//! drops.
 //!
 //! **Native nodes never touch the items.** A native edge node forwards
 //! each received record's payload to its parent topic unchanged
@@ -83,12 +85,9 @@
 //! and both the input columns and the forwarded output batches return to
 //! the pool once sent. Sharded WHS nodes sample on a
 //! persistent [`crate::WorkerPool`] rather than a per-batch thread scope,
-//! so thread lifecycle is off the per-batch path too. The root decodes
-//! into batches from its own [`BatchPool`] and condenses each into its
-//! window's `Θ` rows without taking it apart ([`RootNode::ingest_mut`]),
-//! so every decoded batch goes back to the pool whole; what the root
+//! so thread lifecycle is off the per-batch path too. What the root
 //! still allocates is each window's rows and, under WHS or SRS, its own
-//! sampler's output batch per frame.
+//! sampler's output columns per frame.
 //!
 //! Memory follows what is in flight, not the length of the run: every
 //! node subscribes before the first push, and a partition log drops a
@@ -104,10 +103,10 @@ use crate::query::{Query, QuerySet};
 use crate::root::{RootConfig, RootNode, WindowResult};
 use crate::topology::{FractionSplit, LayerSpec, Topology};
 use crate::tree::LayerBytes;
-use approxiot_core::{Batch, BatchPool, BudgetError, ColumnarBatch, ColumnarPool, SketchConfig};
+use approxiot_core::{Batch, BudgetError, ColumnarBatch, ColumnarPool, SketchConfig};
 use approxiot_mq::codec::{
-    decode_batch_any_into, decode_columns, decode_columns_into, decode_summaries,
-    encoded_len_columns, encoded_len_summaries, encoded_len_v2, frame_items,
+    decode_columns, decode_columns_into, decode_summaries, encoded_len_columns,
+    encoded_len_summaries, encoded_len_v2, frame_items,
 };
 use approxiot_mq::{BatchProducer, Broker, Consumer, MqError, Record, StartOffset};
 use approxiot_net::RateLimiter;
@@ -373,6 +372,14 @@ const POLL_MAX: usize = 64;
 /// Item latencies the root keeps per run: the first this many it ingests.
 const LATENCY_SAMPLES: usize = 500_000;
 
+/// Thread names fit the 15 bytes Linux keeps (edge names up to layer 9,
+/// node 999), so `top -H` and debuggers can tell the threads apart.
+const ROOT_THREAD_NAME: &str = "aiot-root";
+
+fn edge_thread_name(layer: usize, node: usize) -> String {
+    format!("aiot-edge-{layer}-{node}")
+}
+
 /// The threaded execution engine behind [`crate::EngineKind::Pipeline`]:
 /// one thread per edge node plus the root, connected through per-layer
 /// broker topics, driven incrementally through the [`Engine`] trait.
@@ -531,7 +538,7 @@ impl PipelineEngine {
                 let native = matches!(strategy, Strategy::Native);
                 handles.push(
                     thread::Builder::new()
-                        .name(format!("approxiot-edge-{l}-{j}"))
+                        .name(edge_thread_name(l, j))
                         .spawn(move || {
                             if let Some(config) = sketch {
                                 // Sketch strata are replay-only (the driver
@@ -632,7 +639,7 @@ impl PipelineEngine {
         let deterministic = options.deterministic;
         handles.push(
             thread::Builder::new()
-                .name("approxiot-root".into())
+                .name(ROOT_THREAD_NAME.into())
                 .spawn(move || {
                     if root_is_sketch {
                         root_sketch_replay(root_consumer, root, &result_tx);
@@ -1311,13 +1318,6 @@ fn decode_all<T>(
         .collect()
 }
 
-/// Decodes a frame of either item version into an AoS batch.
-fn decode_items(frame: &[u8]) -> Result<Batch, MqError> {
-    let mut batch = Batch::new();
-    decode_batch_any_into(frame, &mut batch)?;
-    Ok(batch)
-}
-
 /// The per-edge-node sketch replay: collect until closed, absorb in the
 /// canonical `(interval, child, arrival)` order, and forward **one v3
 /// summary frame per interval** — the same drain granularity (and the same
@@ -1343,7 +1343,9 @@ fn edge_node_sketch_replay(
     // Leaves summarize the driver's item frames; inner nodes merge their
     // children's v3 summary frames.
     let held = if leaf {
-        decode_all(held, |frame| decode_items(frame).map(NodePayload::Items))
+        decode_all(held, |frame| {
+            decode_columns(frame).map(|items| NodePayload::Items(items.to_batch()))
+        })
     } else {
         decode_all(held, |frame| {
             decode_summaries(frame).map(NodePayload::Summaries)
@@ -1387,7 +1389,7 @@ fn root_loop(
     root_delay: Duration,
     total_delay: Duration,
 ) {
-    let mut pool = BatchPool::new(POLL_MAX + 2);
+    let mut batch = ColumnarBatch::new();
     let mut records: Vec<Record> = Vec::new();
     // Sampled on this thread and handed over once, at exit: nothing reads
     // `latencies` before the engine has joined the root.
@@ -1396,8 +1398,7 @@ fn root_loop(
         match consumer.poll_into(&mut records, POLL_MAX, Duration::from_millis(5)) {
             Ok(_) => {
                 for record in records.drain(..) {
-                    let mut batch = pool.get();
-                    if decode_batch_any_into(&record.value, &mut batch).is_err() {
+                    if decode_columns_into(&record.value, &mut batch).is_err() {
                         break 'run;
                     }
                     wait_until(epoch, record.timestamp, root_delay);
@@ -1406,14 +1407,13 @@ fn root_loop(
                         let now = epoch.elapsed().as_nanos() as u64;
                         samples.extend(
                             batch
-                                .items
+                                .source_ts
                                 .iter()
                                 .take(room)
-                                .map(|i| now.saturating_sub(i.source_ts)),
+                                .map(|&ts| now.saturating_sub(ts)),
                         );
                     }
-                    root.ingest_mut(&mut batch);
-                    pool.put(batch);
+                    root.ingest_columns(&batch);
                 }
                 // Advance the watermark conservatively: no item older than
                 // now − 2×total network delay can still be in flight.
@@ -1440,12 +1440,13 @@ fn root_loop(
 /// The deterministic root: collect to close, replay in canonical order,
 /// answer every window at flush.
 fn root_replay(mut consumer: Consumer, mut root: RootNode, result_tx: &mpsc::Sender<WindowResult>) {
-    let Some(held) = collect_until_closed(&mut consumer).and_then(|h| decode_all(h, decode_items))
+    let Some(held) =
+        collect_until_closed(&mut consumer).and_then(|h| decode_all(h, decode_columns))
     else {
         return;
     };
-    for (_, mut batch) in held {
-        root.ingest_mut(&mut batch);
+    for (_, batch) in held {
+        root.ingest_columns(&batch);
     }
     let mut results = root.flush();
     results.sort_by_key(|r| r.window);
@@ -1537,6 +1538,18 @@ mod tests {
         assert_eq!(total, truth);
         assert_eq!(report.source_items, 600);
         assert!(report.throughput_items_per_sec > 0.0);
+    }
+
+    #[test]
+    fn thread_names_fit_what_linux_keeps() {
+        let mut names = vec![ROOT_THREAD_NAME.to_string()];
+        names.extend((0..10).flat_map(|l| (0..1000).map(move |j| edge_thread_name(l, j))));
+        names.extend((0..100_000).map(crate::pool::worker_thread_name));
+        for name in &names {
+            assert!(name.len() <= 15, "{name} is {} bytes", name.len());
+        }
+        let distinct: std::collections::BTreeSet<&String> = names.iter().collect();
+        assert_eq!(distinct.len(), names.len(), "no two threads share a name");
     }
 
     #[test]

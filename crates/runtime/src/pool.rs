@@ -171,6 +171,11 @@ impl ShardState {
     }
 }
 
+/// Fits the 15 bytes Linux keeps of a thread name up to worker 99999.
+pub(crate) fn worker_thread_name(idx: u64) -> String {
+    format!("aiot-pool-{idx}")
+}
+
 /// One long-lived worker: its job channel, result channel and thread.
 struct Worker {
     jobs: Sender<Job>,
@@ -188,7 +193,7 @@ impl Worker {
         let (result_tx, result_rx) = bounded::<ShardOutput>(1);
         let mut state = ShardState::new(seed, idx);
         let thread = std::thread::Builder::new()
-            .name(format!("approxiot-edge-worker-{idx}"))
+            .name(worker_thread_name(idx))
             .spawn(move || {
                 while let Ok(job) = job_rx.recv() {
                     let out = state.run(&job);

@@ -6,7 +6,7 @@ use crate::node::{SamplingNode, Strategy};
 use crate::query::{Query, QueryResults, QuerySet, QuerySpec, QueryValue};
 use approxiot_core::estimate::count_of;
 use approxiot_core::{
-    Batch, Confidence, Estimate, StratumId, StratumSummaries, StreamItem, ThetaStore, WeightMap,
+    Batch, ColumnarBatch, Confidence, Estimate, StratumId, StratumSummaries, ThetaStore, WeightMap,
 };
 use approxiot_streams::{TumblingWindow, WindowBuffer, WindowId};
 use std::collections::BTreeMap;
@@ -235,21 +235,31 @@ impl RootNode {
     /// with items split across windows by their event time. A native root
     /// condenses the batch itself, without copying it.
     pub fn ingest(&mut self, batch: &Batch) {
-        self.items_in += batch.len() as u64;
-        if matches!(self.strategy, Strategy::Native) {
-            self.file(batch);
-        } else {
-            let sampled = self.sampler.process_batch(batch);
-            self.file(&sampled);
-        }
+        self.ingest_frame(batch);
     }
 
-    /// [`RootNode::ingest`] for callers holding the batch mutably (the
-    /// pipeline's root loop, which recycles it through a
-    /// [`approxiot_core::BatchPool`]). The batch is left untouched, so the
-    /// pool gets its storage back whole.
+    /// [`RootNode::ingest`] for callers holding the batch mutably. The
+    /// batch is left untouched.
     pub fn ingest_mut(&mut self, batch: &mut Batch) {
         self.ingest(batch);
+    }
+
+    /// [`RootNode::ingest`] for a batch held as columns, as the threaded
+    /// engine decodes it: condensed (under WHS or SRS, sampled first)
+    /// without building items, bit-identically to `ingest`.
+    pub fn ingest_columns(&mut self, batch: &ColumnarBatch) {
+        self.ingest_frame(batch);
+    }
+
+    /// The one ingest body behind both layouts.
+    fn ingest_frame<F: Frame>(&mut self, frame: &F) {
+        self.items_in += frame.source_ts().len() as u64;
+        if matches!(self.strategy, Strategy::Native) {
+            self.file(frame);
+        } else {
+            let sampled = frame.sample(&mut self.sampler);
+            self.file(&sampled);
+        }
     }
 
     /// Ingests windowed summary payloads from a sketch-strategy edge
@@ -273,60 +283,69 @@ impl RootNode {
         }
     }
 
-    /// Files the root's own sampled output into `Θ`. A batch whose items
+    /// Files the root's own sampled output into `Θ`. A frame whose items
     /// all fall in one window (the overwhelmingly common case — edge nodes
     /// forward at window granularity) becomes one pair in that window; only
-    /// batches genuinely straddling a window boundary are split, one pair
+    /// frames genuinely straddling a window boundary are split, one pair
     /// per window. Items targeting a window that already closed (past the
     /// allowed lateness) are dropped and counted.
-    fn file(&mut self, sampled: &Batch) {
-        let Some(first) = sampled.items.first() else {
+    fn file<F: Frame>(&mut self, sampled: &F) {
+        let Some(first) = sampled.source_ts().next() else {
             return;
         };
         let scheme = self.buffer.scheme();
-        let window = scheme.index_of(first.source_ts);
+        let window = scheme.index_of(first);
         let span = scheme.start_of(window)..scheme.end_of(window);
-        if sampled.items.iter().all(|i| span.contains(&i.source_ts)) {
-            self.file_pair(span.start, &sampled.weights, &sampled.items);
+        let weight_of = self.row_weight(sampled.weights());
+        if sampled.source_ts().all(|ts| span.contains(&ts)) {
+            if let Some(theta) = self.theta_for(span.start, sampled.source_ts().len()) {
+                sampled.condense_into(theta, weight_of);
+            }
             return;
         }
         // Replicating the weight map across splits is safe: Θ's estimators
         // sum |I|·W per pair, which is invariant under splitting.
-        let mut per_window: BTreeMap<WindowId, Vec<StreamItem>> = BTreeMap::new();
-        for item in &sampled.items {
-            per_window
-                .entry(scheme.index_of(item.source_ts))
-                .or_default()
-                .push(*item);
+        let mut per_window: BTreeMap<WindowId, (Vec<u32>, Vec<f64>)> = BTreeMap::new();
+        for (ts, (stratum, value)) in sampled.source_ts().zip(sampled.items()) {
+            let (strata, values) = per_window.entry(scheme.index_of(ts)).or_default();
+            strata.push(stratum);
+            values.push(value);
         }
-        for (window, items) in per_window {
-            self.file_pair(scheme.start_of(window), &sampled.weights, &items);
+        for (window, (strata, values)) in per_window {
+            if let Some(theta) = self.theta_for(scheme.start_of(window), strata.len()) {
+                theta.push_columns(&strata, &values, &weight_of);
+            }
         }
     }
 
-    /// Condenses one pair into the `Θ` store of the window starting at
-    /// `start`, with the weight `Θ` should record per stratum: WHS keeps
-    /// the sampled weight; SRS substitutes the Horvitz–Thompson scale;
-    /// native forces weight 1 (exact). On an impaired topology every
-    /// weight is additionally divided by the delivery factor so randomly
-    /// lost contributions are extrapolated back in (Horvitz–Thompson under
-    /// uniform loss); the SRS scale already includes it.
-    fn file_pair(&mut self, start: u64, weights: &WeightMap, items: &[StreamItem]) {
-        let (strategy, srs_scale, loss_scale) = (self.strategy, self.srs_scale, self.loss_scale);
+    /// The open `Θ` store of the window starting at `start`; `None` — the
+    /// pair's `items` counted as late — when that window already closed.
+    fn theta_for(&mut self, start: u64, items: usize) -> Option<&mut ThetaStore> {
         let keep_values = self.keep_values;
         let Some(stores) = self.buffer.window_mut(start) else {
-            self.dropped_late += items.len() as u64;
-            return;
+            self.dropped_late += items as u64;
+            return None;
         };
         if stores.is_empty() {
             stores.push(ThetaStore::with_values(keep_values));
         }
-        stores[0].push_items(items, |stratum| match strategy {
+        stores.first_mut()
+    }
+
+    /// The weight `Θ` records per stratum for a pair carrying `weights`:
+    /// WHS keeps the sampled weight; SRS substitutes the Horvitz–Thompson
+    /// scale; native forces weight 1 (exact). On an impaired topology every
+    /// weight is additionally divided by the delivery factor so randomly
+    /// lost contributions are extrapolated back in (Horvitz–Thompson under
+    /// uniform loss); the SRS scale already includes it.
+    fn row_weight<'a>(&self, weights: &'a WeightMap) -> impl Fn(StratumId) -> f64 + 'a {
+        let (strategy, srs_scale, loss_scale) = (self.strategy, self.srs_scale, self.loss_scale);
+        move |stratum| match strategy {
             Strategy::Whs { .. } => weights.get(stratum) * loss_scale,
             Strategy::Srs => srs_scale,
             Strategy::Native => loss_scale,
             Strategy::Sketch(_) => unreachable!("sketch roots answer from summaries, not items"),
-        });
+        }
     }
 
     /// The node-level Horvitz–Thompson rescale (fleet churn only): divides
@@ -509,6 +528,68 @@ impl RootNode {
     }
 }
 
+/// A frame the root ingests, in either in-flight layout: the [`Batch`]
+/// the sim engine hands it or the [`ColumnarBatch`] the threaded engine
+/// decodes from the wire. Each layout condenses through its own `Θ` entry
+/// point; the two are bit-identical.
+trait Frame {
+    fn weights(&self) -> &WeightMap;
+    /// Item event times, in item order.
+    fn source_ts(&self) -> impl ExactSizeIterator<Item = u64> + '_;
+    /// `(stratum, value)` per item, in item order.
+    fn items(&self) -> impl Iterator<Item = (u32, f64)> + '_;
+    /// Condenses the whole frame into `theta` as one pair.
+    fn condense_into(&self, theta: &mut ThetaStore, weight_of: impl Fn(StratumId) -> f64);
+    /// The root sampler's output for this frame, in the same layout.
+    fn sample(&self, sampler: &mut SamplingNode) -> Self;
+}
+
+impl Frame for Batch {
+    fn weights(&self) -> &WeightMap {
+        &self.weights
+    }
+
+    fn source_ts(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.items.iter().map(|item| item.source_ts)
+    }
+
+    fn items(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
+        self.items
+            .iter()
+            .map(|item| (item.stratum.index(), item.value))
+    }
+
+    fn condense_into(&self, theta: &mut ThetaStore, weight_of: impl Fn(StratumId) -> f64) {
+        theta.push_items(&self.items, weight_of);
+    }
+
+    fn sample(&self, sampler: &mut SamplingNode) -> Self {
+        sampler.process_batch(self)
+    }
+}
+
+impl Frame for ColumnarBatch {
+    fn weights(&self) -> &WeightMap {
+        &self.weights
+    }
+
+    fn source_ts(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.source_ts.iter().copied()
+    }
+
+    fn items(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
+        self.strata.iter().copied().zip(self.values.iter().copied())
+    }
+
+    fn condense_into(&self, theta: &mut ThetaStore, weight_of: impl Fn(StratumId) -> f64) {
+        theta.push_columns(&self.strata, &self.values, weight_of);
+    }
+
+    fn sample(&self, sampler: &mut SamplingNode) -> Self {
+        sampler.process_columns(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,7 +649,7 @@ mod tests {
         let mut batch = items(0, 10, 2.0, 100);
         let sent = batch.clone();
         root.ingest_mut(&mut batch);
-        assert_eq!(batch, sent, "the batch goes back to its pool whole");
+        assert_eq!(batch, sent, "the batch is left untouched");
         let results = root.advance_watermark(SEC);
         assert_eq!(results[0].estimate.value, 20.0);
         assert_eq!(results[0].estimate.variance, 0.0);
@@ -618,6 +699,70 @@ mod tests {
         let b = by_mut.advance_watermark(SEC);
         assert_eq!(a[0].estimate.value, b[0].estimate.value);
         assert_eq!(a[0].count_hat, b[0].count_hat);
+    }
+
+    #[test]
+    fn ingest_columns_matches_ingest_bit_for_bit() {
+        // Interleaved strata with one explicit weight per frame.
+        let frame = |strata: u32, n: usize, ts: &dyn Fn(usize) -> u64, weight: f64| {
+            let mut batch = Batch::from_items(
+                (0..n)
+                    .map(|k| {
+                        let stratum = StratumId::new(k as u32 % strata);
+                        let value = (k * 7 % 13) as f64 + 0.25;
+                        StreamItem::with_meta(stratum, value, k as u64, ts(k))
+                    })
+                    .collect(),
+            );
+            batch.weights.set(StratumId::new(1), weight);
+            batch
+        };
+        let open = [
+            frame(3, 300, &|_| 100, 4.0),
+            // Straddles the boundary between windows 0 and 1.
+            frame(
+                4,
+                200,
+                &|k| if k % 2 == 0 { SEC - 50 } else { SEC + 50 },
+                2.5,
+            ),
+        ];
+        // For window 0, after it closed.
+        let late = frame(2, 40, &|_| 300, 1.5);
+        let tail = frame(3, 120, &|k| SEC + 1000 + k as u64, 3.0);
+        for strategy in [Strategy::Native, Strategy::whs(), Strategy::Srs] {
+            let fraction = if matches!(strategy, Strategy::Native) {
+                1.0
+            } else {
+                0.5
+            };
+            let mut config = cfg(strategy, fraction, fraction);
+            config.queries = QuerySet::new()
+                .with(QuerySpec::Sum)
+                .with(QuerySpec::Mean)
+                .with(QuerySpec::Quantile(0.5));
+            let run = |columns: bool| {
+                let mut root = RootNode::new(config.clone()).expect("valid");
+                let ingest = |root: &mut RootNode, batch: &Batch| {
+                    if columns {
+                        root.ingest_columns(&ColumnarBatch::from_batch(batch));
+                    } else {
+                        root.ingest(batch);
+                    }
+                };
+                for batch in &open {
+                    ingest(&mut root, batch);
+                }
+                let mut results = root.advance_watermark(SEC);
+                ingest(&mut root, &late);
+                ingest(&mut root, &tail);
+                results.extend(root.flush());
+                assert_eq!(results.len(), 2);
+                assert!(root.dropped_late() > 0, "the late frame is dropped");
+                (format!("{results:?}"), root.items_in(), root.dropped_late())
+            };
+            assert_eq!(run(false), run(true), "{}", strategy.label());
+        }
     }
 
     #[test]

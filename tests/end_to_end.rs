@@ -241,6 +241,44 @@ fn threaded_pipeline_matches_sim_tree_counts() {
 }
 
 #[test]
+fn wall_clock_whs_root_samples_columns_and_reconstructs_counts() {
+    // The threaded engine's root decodes columns and samples them itself
+    // (a WHS root keeps a share of what reaches it); its weights must still
+    // reconstruct every pushed item.
+    let mut rng = StdRng::seed_from_u64(12);
+    let mut mix = scenarios::gaussian_mix(5_000.0, WINDOW);
+    let topology = Topology::builder()
+        .sources(4)
+        .layer(LayerSpec::new(2))
+        .layer(LayerSpec::new(2))
+        .overall_fraction(0.2)
+        .window(WINDOW)
+        // Generous, so a host stall cannot turn into late drops.
+        .allowed_lateness(Duration::from_secs(60))
+        .seed(12)
+        .build()
+        .expect("valid");
+    let mut driver =
+        Driver::new(topology, QuerySet::default(), EngineKind::pipeline()).expect("valid");
+    let mut pushed = 0;
+    for _ in 0..5 {
+        let mut sources = mix.next_interval(&mut rng).split_by_stratum();
+        sources.resize_with(4, Batch::new);
+        pushed += sources.iter().map(Batch::len).sum::<usize>();
+        driver
+            .push_interval(&sources)
+            .expect("source count matches");
+    }
+    let report = driver.finish();
+    let count: f64 = report.results.iter().map(|r| r.count_hat).sum();
+    assert!(
+        (count - pushed as f64).abs() < 1e-6,
+        "ĉ {count} vs {pushed} pushed"
+    );
+    assert!(report.results.iter().all(|r| r.dropped_late == 0));
+}
+
+#[test]
 fn multi_query_driver_answers_quantiles_on_real_workloads() {
     // The taxi workload through the topology-first driver: the SUM the
     // case study asks, plus the §VIII complex queries, all from one pass
