@@ -11,10 +11,25 @@
 
 use approxiot_bench::{accuracy_interval, figure_header, pct, print_row, split_by_stratum};
 use approxiot_core::Allocation;
-use approxiot_runtime::{FractionSplit, Query, SimTree, Strategy, TreeConfig};
+use approxiot_runtime::{LayerSpec, QuerySet, SimEngine, Strategy, Topology};
 use approxiot_workload::scenarios;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The paper's 8 → 4 → 2 → root tree on the virtual-time engine.
+fn paper_tree(strategy: Strategy, fraction: f64, seed: u64) -> SimEngine {
+    let topology = Topology::builder()
+        .sources(8)
+        .layer(LayerSpec::new(4))
+        .layer(LayerSpec::new(2))
+        .strategy(strategy)
+        .overall_fraction(fraction)
+        .window(accuracy_interval())
+        .seed(seed)
+        .build()
+        .expect("valid fraction");
+    SimEngine::new(topology, QuerySet::default()).expect("valid topology")
+}
 
 /// Accuracy with all four strata flowing through a *single* source (so a
 /// node's batch mixes strata and the allocation policy actually arbitrates
@@ -22,17 +37,7 @@ use rand::SeedableRng;
 fn mixed_source_accuracy(allocation: Allocation, fraction: f64, seeds: &[u64]) -> f64 {
     let mut total = 0.0;
     for &seed in seeds {
-        let config = TreeConfig {
-            leaves: 4,
-            mids: 2,
-            strategy: Strategy::Whs { allocation },
-            overall_fraction: fraction,
-            split: FractionSplit::Even,
-            window: accuracy_interval(),
-            query: Query::Sum,
-            seed,
-        };
-        let mut tree = SimTree::new(config).expect("valid fraction");
+        let mut tree = paper_tree(Strategy::Whs { allocation }, fraction, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
         let mut mix = scenarios::skewed_mix(40_000.0, accuracy_interval());
         let mut truth = 0.0;
@@ -103,32 +108,12 @@ fn main() {
 /// layers native and concentrates the whole fraction at the root
 /// (StreamApprox-style).
 fn run_tree(fraction: f64, root_only: bool) -> (u64, f64) {
-    let config = if root_only {
-        // Edges forward everything; the root samples at the full fraction.
-        // Modelled by a 1-stage tree config where the per-stage fraction is
-        // the overall fraction: leaves/mids native is not directly
-        // expressible in TreeConfig, so we build a custom tree below.
-        TreeConfig {
-            leaves: 4,
-            mids: 2,
-            strategy: Strategy::Native,
-            overall_fraction: 1.0,
-            split: FractionSplit::Even,
-            window: accuracy_interval(),
-            query: Query::Sum,
-            seed: 0xAB1,
-        }
+    // Root-only: the edges forward everything and a centralised sampler
+    // takes the whole fraction over the raw stream below.
+    let mut tree = if root_only {
+        paper_tree(Strategy::Native, 1.0, 0xAB1)
     } else {
-        TreeConfig {
-            leaves: 4,
-            mids: 2,
-            strategy: Strategy::whs(),
-            overall_fraction: fraction,
-            split: FractionSplit::Even,
-            window: accuracy_interval(),
-            query: Query::Sum,
-            seed: 0xAB1,
-        }
+        paper_tree(Strategy::whs(), fraction, 0xAB1)
     };
     let mut rng = StdRng::seed_from_u64(0xAB17);
     let mut mix = scenarios::gaussian_mix(40_000.0, accuracy_interval());
@@ -141,7 +126,6 @@ fn run_tree(fraction: f64, root_only: bool) -> (u64, f64) {
         use approxiot_core::{
             whs_sample, Allocation, CostFunction, SamplingBudget, ThetaStore, WeightMap,
         };
-        let mut tree = SimTree::new(config).expect("valid");
         let budget = SamplingBudget::new(fraction).expect("valid");
         let mut theta = ThetaStore::new();
         for _ in 0..20 {
@@ -166,7 +150,6 @@ fn run_tree(fraction: f64, root_only: bool) -> (u64, f64) {
             approxiot_core::accuracy_loss(estimate, truth),
         )
     } else {
-        let mut tree = SimTree::new(config).expect("valid");
         for _ in 0..20 {
             let batch = mix.next_interval(&mut rng);
             truth += batch.value_sum();

@@ -14,7 +14,9 @@ use approxiot_bench::{
     PAPER_FRACTIONS_WITH_FULL_PCT,
 };
 use approxiot_core::Batch;
-use approxiot_runtime::{run_pipeline, FractionSplit, PipelineConfig, Query, Strategy};
+use approxiot_runtime::{
+    Driver, EngineKind, FractionSplit, LayerSpec, LinkSpec, QuerySet, Strategy, Topology,
+};
 use approxiot_workload::{PollutionTrace, TaxiTrace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,25 +70,30 @@ fn trace_intervals(
 }
 
 fn throughput(data: &[Vec<Batch>], strategy: Strategy, fraction: f64) -> f64 {
-    let config = PipelineConfig {
-        leaves: 4,
-        mids: 2,
-        strategy,
-        overall_fraction: fraction,
-        split: FractionSplit::LeafHeavy,
-        window: WINDOW,
-        query: Query::Sum,
-        hop_delays: [Duration::from_millis(1); 3],
-        capacity_bytes_per_sec: Some(3_000_000),
+    let delay = Duration::from_millis(1);
+    let wan = 3_000_000;
+    let topology = Topology::builder()
+        .sources(8)
         // Sources can feed at most 10x the WAN capacity, bounding the
         // attainable speedup near the paper's ~10x at a 10% fraction.
-        source_capacity_bytes_per_sec: Some(7_500_000),
-        source_interval: None,
-        edge_workers: 1,
-        seed: 11,
-    };
-    run_pipeline(&config, data.to_vec())
-        .expect("valid config")
+        .layer(LayerSpec::new(4).delay(delay).capacity(7_500_000))
+        .layer(LayerSpec::new(2).delay(delay).capacity(wan))
+        .root_link(LinkSpec {
+            delay,
+            capacity_bytes_per_sec: Some(wan),
+            ..LinkSpec::default()
+        })
+        .strategy(strategy)
+        .overall_fraction(fraction)
+        .split(FractionSplit::LeafHeavy)
+        .window(WINDOW)
+        .seed(11)
+        .build()
+        .expect("valid fraction");
+    Driver::new(topology, QuerySet::default(), EngineKind::pipeline())
+        .expect("valid topology")
+        .run(data)
+        .expect("engine open")
         .throughput_items_per_sec
 }
 

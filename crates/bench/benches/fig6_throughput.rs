@@ -7,7 +7,9 @@
 
 use approxiot_bench::{figure_header, print_row, PAPER_FRACTIONS_WITH_FULL_PCT};
 use approxiot_core::{Batch, StratumId, StreamItem};
-use approxiot_runtime::{run_pipeline, FractionSplit, PipelineConfig, Query, Strategy};
+use approxiot_runtime::{
+    Driver, EngineKind, FractionSplit, LayerSpec, LinkSpec, QuerySet, Strategy, Topology,
+};
 use std::time::Duration;
 
 /// Pre-generated source data: `intervals × sources` batches of `n` items.
@@ -34,27 +36,36 @@ fn source_data(intervals: usize, sources: usize, n: usize) -> Vec<Vec<Batch>> {
         .collect()
 }
 
-fn config(strategy: Strategy, fraction: f64) -> PipelineConfig {
-    PipelineConfig {
-        leaves: 4,
-        mids: 2,
-        strategy,
-        overall_fraction: fraction,
-        split: FractionSplit::LeafHeavy,
-        window: Duration::from_millis(100),
-        query: Query::Sum,
-        // Tiny delays: this figure is about bandwidth saturation, not RTT.
-        hop_delays: [Duration::from_millis(1); 3],
-        // The WAN links between edge layers are the bottleneck (the paper's
-        // 1 Gbps scaled to laptop size).
-        capacity_bytes_per_sec: Some(3_000_000),
+/// Source items per wall second through the paper's tree.
+fn throughput(strategy: Strategy, fraction: f64, data: &[Vec<Batch>]) -> f64 {
+    // Tiny delays: this figure is about bandwidth saturation, not RTT.
+    let delay = Duration::from_millis(1);
+    // The WAN links between edge layers are the bottleneck (the paper's
+    // 1 Gbps scaled to laptop size).
+    let wan = 3_000_000;
+    let topology = Topology::builder()
+        .sources(8)
         // Sources can feed at most 10x the WAN capacity, bounding the
         // attainable speedup near the paper's ~10x at a 10% fraction.
-        source_capacity_bytes_per_sec: Some(7_500_000),
-        source_interval: None,
-        edge_workers: 1,
-        seed: 6,
-    }
+        .layer(LayerSpec::new(4).delay(delay).capacity(7_500_000))
+        .layer(LayerSpec::new(2).delay(delay).capacity(wan))
+        .root_link(LinkSpec {
+            delay,
+            capacity_bytes_per_sec: Some(wan),
+            ..LinkSpec::default()
+        })
+        .strategy(strategy)
+        .overall_fraction(fraction)
+        .split(FractionSplit::LeafHeavy)
+        .window(Duration::from_millis(100))
+        .seed(6)
+        .build()
+        .expect("valid fraction");
+    Driver::new(topology, QuerySet::default(), EngineKind::pipeline())
+        .expect("valid topology")
+        .run(data)
+        .expect("engine open")
+        .throughput_items_per_sec
 }
 
 fn main() {
@@ -69,17 +80,11 @@ fn main() {
         "SRS".into(),
         "Native".into(),
     ]);
-    let native = run_pipeline(&config(Strategy::Native, 1.0), data.clone())
-        .expect("valid config")
-        .throughput_items_per_sec;
+    let native = throughput(Strategy::Native, 1.0, &data);
     for f_pct in PAPER_FRACTIONS_WITH_FULL_PCT {
         let fraction = f_pct as f64 / 100.0;
-        let whs = run_pipeline(&config(Strategy::whs(), fraction), data.clone())
-            .expect("valid config")
-            .throughput_items_per_sec;
-        let srs = run_pipeline(&config(Strategy::Srs, fraction), data.clone())
-            .expect("valid config")
-            .throughput_items_per_sec;
+        let whs = throughput(Strategy::whs(), fraction, &data);
+        let srs = throughput(Strategy::Srs, fraction, &data);
         print_row(&[
             format!("{f_pct}"),
             format!("{whs:.0}"),

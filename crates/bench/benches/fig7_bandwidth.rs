@@ -6,7 +6,7 @@
 
 use approxiot_bench::{figure_header, print_row, split_by_stratum, PAPER_FRACTIONS_WITH_FULL_PCT};
 use approxiot_net::bandwidth_saving;
-use approxiot_runtime::{FractionSplit, Query, SimTree, Strategy, TreeConfig};
+use approxiot_runtime::{FractionSplit, LayerSpec, QuerySet, SimEngine, Strategy, Topology};
 use approxiot_workload::scenarios;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,17 +15,18 @@ use std::time::Duration;
 /// Runs the tree over a fixed workload and returns the bytes crossing the
 /// sampled WAN segments (leaf→mid + mid→root).
 fn wire_bytes(strategy: Strategy, fraction: f64, split: FractionSplit) -> u64 {
-    let config = TreeConfig {
-        leaves: 4,
-        mids: 2,
-        strategy,
-        overall_fraction: fraction,
-        split,
-        window: Duration::from_millis(100),
-        query: Query::Sum,
-        seed: 7,
-    };
-    let mut tree = SimTree::new(config).expect("valid fraction");
+    let topology = Topology::builder()
+        .sources(8)
+        .layer(LayerSpec::new(4))
+        .layer(LayerSpec::new(2))
+        .strategy(strategy)
+        .overall_fraction(fraction)
+        .split(split)
+        .window(Duration::from_millis(100))
+        .seed(7)
+        .build()
+        .expect("valid fraction");
+    let mut tree = SimEngine::new(topology, QuerySet::default()).expect("valid topology");
     let mut rng = StdRng::seed_from_u64(0x77);
     let mut mix = scenarios::gaussian_mix(40_000.0, Duration::from_millis(100));
     for _ in 0..20 {

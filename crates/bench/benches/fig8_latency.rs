@@ -8,7 +8,10 @@
 
 use approxiot_bench::{figure_header, print_row, PAPER_FRACTIONS_WITH_FULL_PCT};
 use approxiot_core::{Batch, StratumId, StreamItem};
-use approxiot_runtime::{run_pipeline, FractionSplit, PipelineConfig, Query, Strategy};
+use approxiot_runtime::{
+    Driver, EngineKind, FractionSplit, LatencyStats, LayerSpec, LinkSpec, PipelineOptions,
+    QuerySet, Strategy, Topology,
+};
 use std::time::Duration;
 
 fn source_data(intervals: usize, sources: usize, n: usize) -> Vec<Vec<Batch>> {
@@ -29,31 +32,43 @@ fn source_data(intervals: usize, sources: usize, n: usize) -> Vec<Vec<Batch>> {
         .collect()
 }
 
-fn config(strategy: Strategy, fraction: f64) -> PipelineConfig {
-    PipelineConfig {
-        leaves: 4,
-        mids: 2,
-        strategy,
-        overall_fraction: fraction,
-        split: FractionSplit::LeafHeavy,
+/// End-to-end item latency through the paper's tree.
+fn latency(strategy: Strategy, fraction: f64, data: &[Vec<Batch>]) -> LatencyStats {
+    // Oversubscribed WAN: the offered load exceeds the link capacity at
+    // high fractions, so queues build exactly as in the paper's saturated
+    // testbed.
+    let wan = 900_000;
+    // The paper's 10/20/40 ms one-way delays, unscaled.
+    let topology = Topology::builder()
+        .sources(8)
+        .layer(LayerSpec::new(4).delay(Duration::from_millis(10)))
+        .layer(
+            LayerSpec::new(2)
+                .delay(Duration::from_millis(20))
+                .capacity(wan),
+        )
+        .root_link(LinkSpec {
+            delay: Duration::from_millis(40),
+            capacity_bytes_per_sec: Some(wan),
+            ..LinkSpec::default()
+        })
+        .strategy(strategy)
+        .overall_fraction(fraction)
+        .split(FractionSplit::LeafHeavy)
         // The paper's 1 s window scaled ×0.1.
-        window: Duration::from_millis(100),
-        query: Query::Sum,
-        // The paper's 10/20/40 ms one-way delays, unscaled.
-        hop_delays: [
-            Duration::from_millis(10),
-            Duration::from_millis(20),
-            Duration::from_millis(40),
-        ],
-        // Oversubscribed WAN: the offered load exceeds the link capacity at
-        // high fractions, so queues build exactly as in the paper's
-        // saturated testbed.
-        capacity_bytes_per_sec: Some(900_000),
-        source_capacity_bytes_per_sec: None,
+        .window(Duration::from_millis(100))
+        .seed(8)
+        .build()
+        .expect("valid fraction");
+    let engine = EngineKind::Pipeline(PipelineOptions {
+        deterministic: false,
         source_interval: Some(Duration::from_millis(25)),
-        edge_workers: 1,
-        seed: 8,
-    }
+    });
+    Driver::new(topology, QuerySet::default(), engine)
+        .expect("valid topology")
+        .run(data)
+        .expect("engine open")
+        .latency
 }
 
 fn main() {
@@ -68,17 +83,11 @@ fn main() {
         "SRS ms".into(),
         "Native ms".into(),
     ]);
-    let native = run_pipeline(&config(Strategy::Native, 1.0), data.clone())
-        .expect("valid config")
-        .latency;
+    let native = latency(Strategy::Native, 1.0, &data);
     for f_pct in PAPER_FRACTIONS_WITH_FULL_PCT {
         let fraction = f_pct as f64 / 100.0;
-        let whs = run_pipeline(&config(Strategy::whs(), fraction), data.clone())
-            .expect("valid")
-            .latency;
-        let srs = run_pipeline(&config(Strategy::Srs, fraction), data.clone())
-            .expect("valid")
-            .latency;
+        let whs = latency(Strategy::whs(), fraction, &data);
+        let srs = latency(Strategy::Srs, fraction, &data);
         print_row(&[
             format!("{f_pct}"),
             format!("{:.1}", whs.p50.as_secs_f64() * 1000.0),

@@ -7,7 +7,9 @@
 
 use approxiot_bench::{figure_header, print_row};
 use approxiot_core::{Batch, StratumId, StreamItem};
-use approxiot_runtime::{run_pipeline, FractionSplit, PipelineConfig, Query, Strategy};
+use approxiot_runtime::{
+    Driver, EngineKind, LatencyStats, LayerSpec, PipelineOptions, QuerySet, Strategy, Topology,
+};
 use std::time::Duration;
 
 fn source_data(intervals: usize, sources: usize, n: usize) -> Vec<Vec<Batch>> {
@@ -28,26 +30,29 @@ fn source_data(intervals: usize, sources: usize, n: usize) -> Vec<Vec<Batch>> {
         .collect()
 }
 
-fn config(strategy: Strategy, window: Duration) -> PipelineConfig {
-    PipelineConfig {
-        leaves: 4,
-        mids: 2,
-        strategy,
-        overall_fraction: 0.10,
-        split: FractionSplit::Even,
-        window,
-        query: Query::Sum,
-        hop_delays: [
-            Duration::from_millis(10),
-            Duration::from_millis(20),
-            Duration::from_millis(40),
-        ],
-        capacity_bytes_per_sec: None, // uncongested: isolate the window effect
-        source_capacity_bytes_per_sec: None,
+/// End-to-end item latency through the paper's tree at a 10% fraction.
+fn latency(strategy: Strategy, window: Duration, data: &[Vec<Batch>]) -> LatencyStats {
+    // Uncongested links (no capacity cap): isolate the window effect.
+    let topology = Topology::builder()
+        .sources(8)
+        .layer(LayerSpec::new(4).delay(Duration::from_millis(10)))
+        .layer(LayerSpec::new(2).delay(Duration::from_millis(20)))
+        .root_delay(Duration::from_millis(40))
+        .strategy(strategy)
+        .overall_fraction(0.10)
+        .window(window)
+        .seed(9)
+        .build()
+        .expect("valid fraction");
+    let engine = EngineKind::Pipeline(PipelineOptions {
+        deterministic: false,
         source_interval: Some(Duration::from_millis(20)),
-        edge_workers: 1,
-        seed: 9,
-    }
+    });
+    Driver::new(topology, QuerySet::default(), engine)
+        .expect("valid topology")
+        .run(data)
+        .expect("engine open")
+        .latency
 }
 
 fn main() {
@@ -63,12 +68,8 @@ fn main() {
         // Stream long enough to cover several windows.
         let intervals = ((w * 6) / 20).max(20) as usize;
         let data = source_data(intervals, 8, 100);
-        let whs = run_pipeline(&config(Strategy::whs(), window), data.clone())
-            .expect("valid")
-            .latency;
-        let srs = run_pipeline(&config(Strategy::Srs, window), data)
-            .expect("valid")
-            .latency;
+        let whs = latency(Strategy::whs(), window, &data);
+        let srs = latency(Strategy::Srs, window, &data);
         print_row(&[
             format!("{w}"),
             format!("{:.1}", whs.p50.as_secs_f64() * 1000.0),

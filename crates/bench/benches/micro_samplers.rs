@@ -3,8 +3,8 @@
 //! per-batch costs of the samplers and estimators.
 
 use approxiot_core::{
-    sharded_whs_sample, whs_sample, Allocation, Batch, ParallelShardedSampler, Reservoir,
-    SkipReservoir, SrsSampler, StratumId, StreamItem, ThetaStore, WeightMap, WhsSampler,
+    whs_sample, Allocation, Batch, ParallelShardedSampler, Reservoir, SkipReservoir, SrsSampler,
+    StratumId, StreamItem, ThetaStore, WeightMap, WhsSampler,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -93,29 +93,15 @@ fn bench_whs_vs_srs(c: &mut Criterion) {
     group.finish();
 }
 
-/// §III-E sharded execution: the sequential reference (`sharded_whs_sample`,
-/// round-robin dealing on one thread) against the scoped-thread
-/// `ParallelShardedSampler` across worker counts. Same 8-strata 64k-item
-/// window and 10% budget as the hot-path group.
+/// §III-E sharded execution: the scoped-thread `ParallelShardedSampler`
+/// across worker counts. Same 8-strata 64k-item window and 10% budget as
+/// the hot-path group.
 fn bench_sharded_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("sharded_sampler");
     const TOTAL_ITEMS: usize = 65_536;
     const BUDGET: usize = TOTAL_ITEMS / 10;
     let input = batch(8, TOTAL_ITEMS / 8);
     group.throughput(Throughput::Elements(input.len() as u64));
-    group.bench_with_input(BenchmarkId::new("sequential", 8), &input, |b, input| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(3);
-            black_box(sharded_whs_sample(
-                black_box(input),
-                BUDGET,
-                &WeightMap::new(),
-                Allocation::Uniform,
-                8,
-                &mut rng,
-            ))
-        })
-    });
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("parallel", workers), &input, |b, input| {
             let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, workers, 3);

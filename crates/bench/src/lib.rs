@@ -5,9 +5,9 @@
 //! evaluation as a printed table; see `EXPERIMENTS.md` at the repository
 //! root for the paper-vs-measured record.
 //!
-//! The accuracy figures run on [`approxiot_runtime::SimTree`] (virtual
-//! time, seeded); the throughput/latency/bandwidth figures run on the
-//! threaded [`approxiot_runtime::run_pipeline`].
+//! The accuracy figures run on [`approxiot_runtime::SimEngine`] (virtual
+//! time, seeded); the throughput/latency figures run on the threaded
+//! [`approxiot_runtime::PipelineEngine`] behind [`approxiot_runtime::Driver`].
 //!
 //! The crate also ships the `harness` **binary** — the scenario-matrix
 //! benchmark harness with baseline regression gates (see [`harness`] and
@@ -19,7 +19,7 @@ pub mod harness;
 pub mod json;
 
 use approxiot_core::{accuracy_loss, Batch, StratumId};
-use approxiot_runtime::{FractionSplit, Query, SimTree, Strategy, TreeConfig};
+use approxiot_runtime::{LayerSpec, QuerySet, SimEngine, Strategy, Topology};
 use approxiot_workload::StreamMix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,17 +51,19 @@ pub fn accuracy_run_trace<G>(
 where
     G: FnMut(&mut StdRng) -> Batch,
 {
-    let config = TreeConfig {
-        leaves: 4,
-        mids: 2,
-        strategy,
-        overall_fraction: fraction,
-        split: FractionSplit::Even,
-        window,
-        query: Query::Sum,
-        seed,
-    };
-    let mut tree = SimTree::new(config).expect("fraction validated by caller");
+    // The sim engine routes any per-interval source count; the declared
+    // eight are the testbed's.
+    let topology = Topology::builder()
+        .sources(8)
+        .layer(LayerSpec::new(4))
+        .layer(LayerSpec::new(2))
+        .strategy(strategy)
+        .overall_fraction(fraction)
+        .window(window)
+        .seed(seed)
+        .build()
+        .expect("fraction validated by caller");
+    let mut tree = SimEngine::new(topology, QuerySet::default()).expect("valid topology");
     // analysis: allow(D3, reason = "bench-only synthetic workload stream; not part of an engine run")
     #[allow(clippy::disallowed_methods)]
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);

@@ -135,9 +135,7 @@ pub use estimate::{StratumEstimate, ThetaRow, ThetaStore};
 pub use item::{Measure, StratumId, StreamItem};
 pub use sampling::allocation::{Allocation, SizingScratch};
 pub use sampling::reservoir::{Reservoir, SkipReservoir};
-pub use sampling::sharded::{
-    shard_bounds, shard_budget, shard_slice, sharded_whs_sample, ParallelShardedSampler,
-};
+pub use sampling::sharded::{shard_bounds, shard_budget, shard_slice, ParallelShardedSampler};
 pub use sampling::srs::{InvalidFractionError, SrsSampler};
 pub use sampling::whs::{whs_sample, WhsOutput, WhsSampler, WhsScratch};
 pub use summary::{

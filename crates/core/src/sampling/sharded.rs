@@ -12,71 +12,10 @@ use crate::batch::Batch;
 use crate::columns::{ColumnarBatch, ColumnsView};
 use crate::item::StreamItem;
 use crate::sampling::allocation::Allocation;
-use crate::sampling::whs::{whs_sample, WhsOutput, WhsScratch};
+use crate::sampling::whs::{WhsOutput, WhsScratch};
 use crate::weight::{WeightMap, WeightStore};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Samples one batch using `workers` independent shards per the paper's
-/// distributed-execution extension — the sequential reference
-/// implementation (see [`ParallelShardedSampler`] for the one that
-/// actually uses cores).
-///
-/// Items are dealt to shards round-robin (any source-side partitioning
-/// works; the analysis only needs each shard to see a random-ish portion and
-/// count its own arrivals). Each shard runs ordinary [`whs_sample`] with a
-/// budget of `sample_size / workers` — plus one extra slot on the first
-/// `sample_size % workers` shards, so integer truncation never silently
-/// drops reservoir capacity the caller paid for — producing one
-/// [`WhsOutput`] per shard.
-///
-/// The union of the outputs feeds the root exactly like outputs from
-/// distinct nodes would.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-///
-/// # Examples
-///
-/// ```
-/// use approxiot_core::{sharded_whs_sample, Allocation, Batch, StratumId, StreamItem, WeightMap};
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-/// let items: Vec<_> = (0..100).map(|i| StreamItem::new(StratumId::new(0), i as f64)).collect();
-/// let outs = sharded_whs_sample(&Batch::from_items(items), 20, &WeightMap::new(),
-///                               Allocation::Uniform, 4, &mut rng);
-/// assert_eq!(outs.len(), 4);
-/// let total: usize = outs.iter().map(|o| o.sample.len()).sum();
-/// assert_eq!(total, 20); // 4 shards x 5 slots
-/// ```
-pub fn sharded_whs_sample<R: Rng + ?Sized>(
-    batch: &Batch,
-    sample_size: usize,
-    w_in: &WeightMap,
-    allocation: Allocation,
-    workers: usize,
-    rng: &mut R,
-) -> Vec<WhsOutput> {
-    assert!(workers > 0, "workers must be positive");
-    // Deal items to shards round-robin.
-    let mut shards: Vec<Vec<StreamItem>> = vec![Vec::new(); workers];
-    for (idx, item) in batch.items.iter().enumerate() {
-        shards[idx % workers].push(*item);
-    }
-    shards
-        .into_iter()
-        .enumerate()
-        .map(|(idx, items)| {
-            // `whs_sample` reads input weights from `w_in`, not from the
-            // batch, so the shard batch carries no weight metadata.
-            let shard_batch = Batch::from_items(items);
-            let budget = shard_budget(sample_size, workers, idx);
-            whs_sample(&shard_batch, budget, w_in, allocation, rng)
-        })
-        .collect()
-}
+use rand::SeedableRng;
 
 /// Shard `idx`'s reservoir budget: `total / workers`, with the remainder
 /// distributed one slot each to the lowest-indexed shards so the budgets
@@ -117,13 +56,10 @@ pub fn shard_bounds(n: usize, workers: usize, idx: usize) -> (usize, usize) {
 /// Truly parallel §III-E sharding: the node's sub-stream is split over `w`
 /// worker shards that sample **concurrently** on a scoped-thread pool.
 ///
-/// Design deltas versus [`sharded_whs_sample`], which executes its shards
-/// one after another on the calling thread:
-///
 /// * **Slice partitioning** — each shard samples a contiguous slice of the
-///   input (no round-robin `Vec` pushes, no per-shard copies of the
-///   batch). The paper's analysis only needs each shard to count its own
-///   arrivals, so any partition is admissible.
+///   input (no per-shard copies of the batch). The paper's analysis only
+///   needs each shard to count its own arrivals, so any partition is
+///   admissible.
 /// * **Per-shard deterministic RNG** — shard `i` owns a `StdRng` seeded
 ///   `seed ^ i` at construction and advanced only by that shard, so a
 ///   fixed `(seed, workers)` pair reproduces identical samples regardless
@@ -395,8 +331,6 @@ mod tests {
     use super::*;
     use crate::estimate::ThetaStore;
     use crate::item::StratumId;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn s(i: u32) -> StratumId {
         StratumId::new(i)
@@ -413,48 +347,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "workers must be positive")]
-    fn rejects_zero_workers() {
-        let mut rng = StdRng::seed_from_u64(0);
-        sharded_whs_sample(
-            &Batch::new(),
-            10,
-            &WeightMap::new(),
-            Allocation::Uniform,
-            0,
-            &mut rng,
-        );
-    }
-
-    #[test]
-    fn one_worker_equals_plain_whs_sample_sizes() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let batch = batch_of(&[(0, 100)]);
-        let outs = sharded_whs_sample(
-            &batch,
-            10,
-            &WeightMap::new(),
-            Allocation::Uniform,
-            1,
-            &mut rng,
-        );
-        assert_eq!(outs.len(), 1);
-        assert_eq!(outs[0].sample.len(), 10);
-        assert_eq!(outs[0].weights.get(s(0)), 10.0);
-    }
-
-    #[test]
     fn shard_budgets_are_local_fractions() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let batch = batch_of(&[(0, 400)]);
-        let outs = sharded_whs_sample(
-            &batch,
-            40,
-            &WeightMap::new(),
-            Allocation::Uniform,
-            4,
-            &mut rng,
-        );
+        let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, 4, 2);
+        let outs = sampler.sample_batch(&batch_of(&[(0, 400)]), 40);
+        assert_eq!(outs.len(), 4);
         for out in &outs {
             assert_eq!(out.sample.len(), 10, "each shard keeps N/w items");
             assert_eq!(out.weights.get(s(0)), 10.0, "100 local items / 10 slots");
@@ -465,23 +361,13 @@ mod tests {
     fn count_reconstruction_holds_across_shards() {
         // The union of shard outputs must still reconstruct the ground-truth
         // count (Equation 8) because each shard's local counter feeds its
-        // local weight.
-        let mut rng = StdRng::seed_from_u64(3);
+        // local weight — also for the small stratum the slices split
+        // unevenly.
         let batch = batch_of(&[(0, 1_000), (1, 37)]);
-        let outs = sharded_whs_sample(
-            &batch,
-            120,
-            &WeightMap::new(),
-            Allocation::Uniform,
-            3,
-            &mut rng,
-        );
-        let mut theta = ThetaStore::new();
-        for out in outs {
-            theta.push(out);
-        }
+        let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, 3, 3);
+        let theta: ThetaStore = sampler.sample_batch(&batch, 120).into_iter().collect();
+        let est = theta.stratum_estimates();
         for (stratum, expected) in [(s(0), 1_000.0), (s(1), 37.0)] {
-            let est = theta.stratum_estimates();
             let got = est[&stratum].count_hat;
             assert!(
                 (got - expected).abs() < 1e-9,
@@ -492,11 +378,11 @@ mod tests {
 
     #[test]
     fn shards_preserve_input_weights() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let batch = batch_of(&[(0, 90)]);
-        let mut w_in = WeightMap::new();
-        w_in.set(s(0), 2.0);
-        let outs = sharded_whs_sample(&batch, 30, &w_in, Allocation::Uniform, 3, &mut rng);
+        let mut batch = batch_of(&[(0, 90)]);
+        batch.weights.set(s(0), 2.0);
+        let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, 3, 4);
+        let outs = sampler.sample_batch(&batch, 30);
+        assert_eq!(outs.len(), 3);
         for out in &outs {
             // 30 local items into 10 slots: w = 2 * 3 = 6.
             assert!((out.weights.get(s(0)) - 6.0).abs() < 1e-12);
@@ -505,18 +391,10 @@ mod tests {
 
     #[test]
     fn budget_remainder_is_not_lost() {
-        // 10 budget over 3 workers: the old integer-truncated split gave
-        // 3+3+3 = 9 slots; the fixed split gives 4+3+3 = 10.
-        let mut rng = StdRng::seed_from_u64(6);
-        let batch = batch_of(&[(0, 300)]);
-        let outs = sharded_whs_sample(
-            &batch,
-            10,
-            &WeightMap::new(),
-            Allocation::Uniform,
-            3,
-            &mut rng,
-        );
+        // 10 budget over 3 workers: an integer-truncated split would give
+        // 3+3+3 = 9 slots; the remainder split gives 4+3+3 = 10.
+        let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, 3, 6);
+        let outs = sampler.sample_batch(&batch_of(&[(0, 300)]), 10);
         let total: usize = outs.iter().map(|o| o.sample.len()).sum();
         assert_eq!(total, 10, "remainder slots distributed across shards");
         assert_eq!(outs[0].sample.len(), 4);
@@ -662,16 +540,8 @@ mod tests {
 
     #[test]
     fn uneven_item_count_distributes_remainder() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let batch = batch_of(&[(0, 10)]);
-        let outs = sharded_whs_sample(
-            &batch,
-            100,
-            &WeightMap::new(),
-            Allocation::Uniform,
-            3,
-            &mut rng,
-        );
+        let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, 3, 5);
+        let outs = sampler.sample_batch(&batch_of(&[(0, 10)]), 100);
         let total: usize = outs.iter().map(|o| o.sample.len()).sum();
         assert_eq!(total, 10, "budget exceeds items: everything survives");
     }

@@ -473,7 +473,7 @@ impl WhsSampler {
     /// Resolves the input weights for `batch` via the carry-forward rule
     /// without sampling: explicit weights update the store, missing strata
     /// fall back to the last value seen. Used by callers that drive
-    /// [`whs_sample`] or [`crate::sharded_whs_sample`] themselves.
+    /// [`whs_sample`] themselves.
     pub fn resolve_weights(&mut self, batch: &Batch) -> WeightMap {
         crate::batch::distinct_strata_into(&batch.items, &mut self.strata_scratch);
         let strata = std::mem::take(&mut self.strata_scratch);

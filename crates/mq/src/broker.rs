@@ -31,8 +31,8 @@ pub const DEFAULT_RETENTION: usize = 1 << 20;
 /// ```
 #[derive(Debug, Default)]
 pub struct Broker {
-    // BTreeMap, not HashMap: `close()` and `topic_names()` iterate the
-    // registry, and iteration order must not depend on hash state.
+    // BTreeMap, not HashMap: `close()` iterates the registry, and
+    // iteration order must not depend on hash state.
     topics: RwLock<BTreeMap<String, Arc<Topic>>>,
 }
 
@@ -85,44 +85,6 @@ impl Broker {
             .ok_or_else(|| MqError::UnknownTopic(name.to_string()))
     }
 
-    /// Returns the topic, creating it (with `partitions`) when missing.
-    pub fn topic_or_create(&self, name: &str, partitions: u32) -> Arc<Topic> {
-        if let Ok(t) = self.topic(name) {
-            return t;
-        }
-        // Take the write lock once and decide under it; this cannot race
-        // with a concurrent creator the way lookup-then-create would.
-        let mut topics = self.topics.write();
-        match topics.get(name) {
-            Some(t) => Arc::clone(t),
-            None => {
-                let topic = Arc::new(Topic::new(name, partitions, DEFAULT_RETENTION));
-                topics.insert(name.to_string(), Arc::clone(&topic));
-                topic
-            }
-        }
-    }
-
-    /// Deletes a topic, closing its partitions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MqError::UnknownTopic`] when absent.
-    pub fn delete_topic(&self, name: &str) -> Result<(), MqError> {
-        let topic = self
-            .topics
-            .write()
-            .remove(name)
-            .ok_or_else(|| MqError::UnknownTopic(name.to_string()))?;
-        topic.close();
-        Ok(())
-    }
-
-    /// Names of all topics, sorted.
-    pub fn topic_names(&self) -> Vec<String> {
-        self.topics.read().keys().cloned().collect()
-    }
-
     /// Closes every topic (in-flight readers drain then observe `Closed`).
     pub fn close(&self) {
         for topic in self.topics.read().values() {
@@ -135,7 +97,6 @@ impl Broker {
 mod tests {
     use super::*;
     use crate::record::ProducerRecord;
-    use std::thread;
 
     #[test]
     fn create_and_lookup() {
@@ -153,54 +114,6 @@ mod tests {
             broker.create_topic("a", 1),
             Err(MqError::TopicExists(_))
         ));
-    }
-
-    #[test]
-    fn topic_or_create_is_idempotent() {
-        let broker = Broker::new();
-        let t1 = broker.topic_or_create("x", 3);
-        let t2 = broker.topic_or_create("x", 99);
-        assert!(Arc::ptr_eq(&t1, &t2));
-        assert_eq!(t2.partition_count(), 3, "second call does not resize");
-    }
-
-    #[test]
-    fn delete_closes_topic() {
-        let broker = Broker::new();
-        let t = broker.create_topic("a", 1).expect("create");
-        broker.delete_topic("a").expect("delete");
-        assert!(matches!(broker.topic("a"), Err(MqError::UnknownTopic(_))));
-        assert!(matches!(
-            t.append(ProducerRecord::new(&b"x"[..])),
-            Err(MqError::Closed)
-        ));
-        assert!(broker.delete_topic("a").is_err());
-    }
-
-    #[test]
-    fn topic_names_sorted() {
-        let broker = Broker::new();
-        broker.create_topic("zeta", 1).expect("create");
-        broker.create_topic("alpha", 1).expect("create");
-        assert_eq!(broker.topic_names(), vec!["alpha", "zeta"]);
-    }
-
-    #[test]
-    fn concurrent_topic_or_create_yields_one_topic() {
-        let broker = Arc::new(Broker::new());
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let broker = Arc::clone(&broker);
-                thread::spawn(move || broker.topic_or_create("shared", 2))
-            })
-            .collect();
-        let topics: Vec<_> = handles
-            .into_iter()
-            .map(|h| h.join().expect("join"))
-            .collect();
-        for t in &topics[1..] {
-            assert!(Arc::ptr_eq(&topics[0], t));
-        }
     }
 
     #[test]

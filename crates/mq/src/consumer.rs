@@ -238,13 +238,6 @@ impl Consumer {
             .collect()
     }
 
-    /// Seeks a partition to an absolute offset.
-    pub fn seek(&mut self, partition: u32, offset: u64) {
-        if self.offsets.contains_key(&partition) {
-            self.offsets.insert(partition, offset);
-        }
-    }
-
     /// Total records between current positions and each log end (consumer
     /// lag).
     pub fn lag(&self) -> u64 {
@@ -514,31 +507,6 @@ mod tests {
         assert!(topic.is_empty(), "the log has dropped the record");
         let decoded = decode_batch(&kept[0].value).expect("payload still readable");
         assert_eq!(decoded.items[0].value, 42.0);
-    }
-
-    #[test]
-    fn seek_below_released_data_resets_to_earliest() {
-        let (_b, topic, producer) = setup(1);
-        let mut consumer = Consumer::subscribe_all(topic, StartOffset::Earliest);
-        for i in 0..4 {
-            producer.send(&batch(i as f64)).expect("send");
-        }
-        assert_eq!(consumer.poll(3, Duration::ZERO).expect("poll").len(), 3);
-        assert_eq!(consumer.poll(1, Duration::ZERO).expect("poll").len(), 1);
-        consumer.seek(0, 0);
-        let got = consumer.poll(10, Duration::ZERO).expect("poll");
-        assert_eq!(got[0].offset, 3, "offsets 0..3 were released");
-    }
-
-    #[test]
-    fn seek_rewinds() {
-        let (_b, topic, producer) = setup(1);
-        producer.send(&batch(1.0)).expect("send");
-        let mut consumer = Consumer::subscribe_all(topic, StartOffset::Earliest);
-        consumer.poll(10, Duration::ZERO).expect("poll");
-        consumer.seek(0, 0);
-        let again = consumer.poll(10, Duration::ZERO).expect("poll");
-        assert_eq!(again.len(), 1);
     }
 
     #[test]

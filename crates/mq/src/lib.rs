@@ -62,4 +62,4 @@ pub use error::MqError;
 pub use log::PartitionLog;
 pub use producer::BatchProducer;
 pub use record::{ProducerRecord, Record};
-pub use topic::{Partitioner, Topic};
+pub use topic::Topic;

@@ -69,8 +69,8 @@ impl BatchProducer {
     }
 
     /// The one send body: meters `value` as one frame of `items` items and
-    /// appends it to `partition` (`None` = the topic's partitioner
-    /// chooses).
+    /// appends it to `partition` (`None` = the topic's next round-robin
+    /// partition).
     fn send_frame(
         &self,
         partition: Option<u32>,

@@ -1,4 +1,4 @@
-//! Topics: named groups of partitions with a partitioning policy.
+//! Topics: named groups of partitions; keyless records rotate through them.
 
 use crate::error::MqError;
 use crate::log::PartitionLog;
@@ -6,23 +6,11 @@ use crate::record::{ProducerRecord, Record};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// How a topic assigns keyless records to partitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Partitioner {
-    /// Rotate through partitions (default — matches the reproduction's
-    /// source layout where each source feeds its own partition stream).
-    #[default]
-    RoundRobin,
-    /// Always partition 0 (useful for strictly ordered tests).
-    Sticky,
-}
-
 /// A named, partitioned log.
 #[derive(Debug)]
 pub struct Topic {
     name: String,
     partitions: Vec<Arc<PartitionLog>>,
-    partitioner: Partitioner,
     round_robin: AtomicU64,
 }
 
@@ -40,15 +28,8 @@ impl Topic {
             partitions: (0..partitions)
                 .map(|i| Arc::new(PartitionLog::new(i, retention)))
                 .collect(),
-            partitioner: Partitioner::RoundRobin,
             round_robin: AtomicU64::new(0),
         }
-    }
-
-    /// Sets the partitioner for keyless records.
-    pub fn with_partitioner(mut self, partitioner: Partitioner) -> Self {
-        self.partitioner = partitioner;
-        self
     }
 
     /// Topic name.
@@ -88,17 +69,12 @@ impl Topic {
     }
 
     /// Chooses the partition for a record: keyed records hash their key,
-    /// keyless records follow the topic's [`Partitioner`].
+    /// keyless records rotate through the partitions.
     pub fn partition_for(&self, record: &ProducerRecord) -> u32 {
         let n = self.partitions.len() as u64;
         match &record.key {
             Some(key) => (fnv1a(key) % n) as u32,
-            None => match self.partitioner {
-                Partitioner::RoundRobin => {
-                    (self.round_robin.fetch_add(1, Ordering::Relaxed) % n) as u32
-                }
-                Partitioner::Sticky => 0,
-            },
+            None => (self.round_robin.fetch_add(1, Ordering::Relaxed) % n) as u32,
         }
     }
 
@@ -180,17 +156,6 @@ mod tests {
             hit[p as usize] += 1;
         }
         assert_eq!(hit, [3, 3, 3]);
-    }
-
-    #[test]
-    fn sticky_partitioner_stays_on_zero() {
-        let topic = Topic::new("t", 3, usize::MAX).with_partitioner(Partitioner::Sticky);
-        for _ in 0..5 {
-            let (p, _) = topic
-                .append(ProducerRecord::new(&b"x"[..]))
-                .expect("append");
-            assert_eq!(p, 0);
-        }
     }
 
     #[test]

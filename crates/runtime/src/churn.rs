@@ -214,50 +214,6 @@ impl ChurnSchedule {
         self
     }
 
-    /// A seeded random event stream: for each node of `layers` (node
-    /// counts per edge layer), splitmix64-driven draws decide a short
-    /// outage, a crash + replacement, or a low-power stretch somewhere in
-    /// `0..intervals`. `intensity` in `[0, 1]` is the per-node event
-    /// probability. Deterministic in `seed`; the same seed builds the
-    /// same schedule on every engine.
-    pub fn seeded(seed: u64, layers: &[usize], intervals: u64, intensity: f64) -> Self {
-        let mut schedule = ChurnSchedule::new();
-        if intervals == 0 {
-            return schedule;
-        }
-        let mut state = splitmix64(seed ^ 0xD6E8_FEB8_6659_FD93);
-        let mut draw = || {
-            state = splitmix64(state);
-            state
-        };
-        for (layer, &nodes) in layers.iter().enumerate() {
-            for index in 0..nodes {
-                let roll = draw() as f64 / u64::MAX as f64;
-                if roll >= intensity {
-                    continue;
-                }
-                let at = draw() % intervals;
-                let span = 1 + draw() % 3;
-                match draw() % 3 {
-                    0 => schedule = schedule.down(layer, index, at, at.saturating_add(span)),
-                    1 => {
-                        schedule = schedule.crash(layer, index, at).replace(
-                            layer,
-                            index,
-                            at.saturating_add(1),
-                        );
-                    }
-                    _ => {
-                        let scale = 0.25 + 0.5 * (draw() % 3) as f64 / 2.0;
-                        schedule =
-                            schedule.low_power(layer, index, at, at.saturating_add(span), scale);
-                    }
-                }
-            }
-        }
-        schedule
-    }
-
     /// `true` when the schedule carries no events at all — the strict
     /// no-op contract both engines gate every piece of churn machinery on.
     pub fn is_noop(&self) -> bool {
@@ -764,22 +720,6 @@ mod tests {
         let b1 = replacement_seed(2, 1);
         assert_ne!(a1, a2);
         assert_ne!(a1, b1);
-    }
-
-    #[test]
-    fn seeded_schedule_is_deterministic_and_bounded() {
-        let layers = [4, 2];
-        let a = ChurnSchedule::seeded(0xFEED, &layers, 8, 0.8);
-        let b = ChurnSchedule::seeded(0xFEED, &layers, 8, 0.8);
-        assert_eq!(a, b, "same seed, same schedule");
-        let c = ChurnSchedule::seeded(0xBEEF, &layers, 8, 0.8);
-        assert_ne!(a, c, "different seed, different schedule");
-        a.validate(&layers); // every event addresses a real node
-        assert!(!a.is_noop(), "intensity 0.8 over 6 nodes fires something");
-        assert!(
-            ChurnSchedule::seeded(0xFEED, &layers, 8, 0.0).is_noop(),
-            "zero intensity schedules nothing"
-        );
     }
 
     #[test]

@@ -987,6 +987,53 @@ mod tests {
         }
     }
 
+    /// The paper's testbed shape: 8 sources → 4 → 2 → root.
+    fn paper_tree(strategy: Strategy) -> Topology {
+        Topology::builder()
+            .sources(8)
+            .layer(LayerSpec::new(4))
+            .layer(LayerSpec::new(2))
+            .strategy(strategy)
+            .seed(0x10D5)
+            .build()
+            .expect("valid")
+    }
+
+    #[test]
+    fn native_tree_is_exact() {
+        let mut engine =
+            SimEngine::new(paper_tree(Strategy::Native), QuerySet::default()).expect("valid");
+        let batches: Vec<Batch> = (0..8)
+            .map(|s| {
+                Batch::from_items(
+                    (0..100)
+                        .map(|k| StreamItem::with_meta(StratumId::new(s), k as f64, k, 10))
+                        .collect(),
+                )
+            })
+            .collect();
+        let truth: f64 = batches.iter().map(Batch::value_sum).sum();
+        engine.push_interval(&batches);
+        let results = engine.flush();
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].estimate.value, truth);
+        assert_eq!(engine.source_items(), 800);
+    }
+
+    #[test]
+    fn watermark_splits_windows_across_intervals() {
+        let mut engine =
+            SimEngine::new(paper_tree(Strategy::whs()), QuerySet::default()).expect("valid");
+        engine.push_interval(&interval(1, 10, 1.0, 10));
+        engine.push_interval(&interval(1, 10, 1.0, SEC + 10));
+        let first = engine.advance_watermark(SEC);
+        assert_eq!(first.len(), 1);
+        assert_eq!(first[0].window, 0);
+        let rest = engine.flush();
+        assert_eq!(rest.len(), 1);
+        assert_eq!(rest[0].window, 1);
+    }
+
     #[test]
     fn driver_rejects_wrong_source_count() {
         let mut driver = Driver::sim(deep_topology(0.5), QuerySet::default()).expect("valid");

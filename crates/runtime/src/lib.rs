@@ -56,9 +56,6 @@
 //! loss. An empty schedule is a strict no-op. See [`churn`] for the event
 //! semantics and `examples/churn.rs` for a rolling-reboot sweep.
 //!
-//! The paper's fixed `leaves/mids/root` shape survives as thin wrappers:
-//! [`TreeConfig`]/[`SimTree`] and [`PipelineConfig`]/[`run_pipeline`].
-//!
 //! ## Example
 //!
 //! ```
@@ -109,7 +106,6 @@ pub mod pool;
 pub mod query;
 pub mod root;
 pub mod topology;
-pub mod tree;
 
 pub use churn::{ChurnSchedule, ChurnStats, DegradedMode, NodeDisposition};
 pub use engine::{Driver, Engine, EngineError, EngineKind, RunReport, SimEngine};
@@ -117,11 +113,8 @@ pub use fault::{FaultFrame, FaultInjector, FaultStats, HopFaults};
 pub use feedback::FeedbackLoop;
 pub use metrics::{mean_window_error, results_bit_identical, window_estimates, RunSummary};
 pub use node::{merge_windowed_summaries, NodePayload, SamplingNode, Strategy};
-pub use pipeline::{
-    run_pipeline, LatencyStats, PipelineConfig, PipelineEngine, PipelineOptions, PipelineReport,
-};
+pub use pipeline::{LatencyStats, PipelineEngine, PipelineOptions};
 pub use pool::WorkerPool;
 pub use query::{Query, QueryResults, QuerySet, QuerySpec, QueryValue};
 pub use root::{RootConfig, RootNode, WindowResult};
 pub use topology::{FractionSplit, HopBytes, LayerSpec, LinkSpec, Topology, TopologyBuilder};
-pub use tree::{LayerBytes, SimTree, TreeConfig};

@@ -99,10 +99,9 @@ use crate::churn::{ChurnDriver, ChurnSchedule, NodeChurnContext, NodeChurnState,
 use crate::engine::{fill_completeness, Engine, EngineError, RunReport};
 use crate::fault::{FaultFrame, FaultInjector, FaultStats, HopFaults};
 use crate::node::{NodePayload, SamplingNode, Strategy};
-use crate::query::{Query, QuerySet};
+use crate::query::QuerySet;
 use crate::root::{RootConfig, RootNode, WindowResult};
-use crate::topology::{FractionSplit, LayerSpec, Topology};
-use crate::tree::LayerBytes;
+use crate::topology::Topology;
 use approxiot_core::{Batch, BudgetError, ColumnarBatch, ColumnarPool, SketchConfig};
 use approxiot_mq::codec::{
     decode_columns, decode_columns_into, decode_summaries, encoded_len_columns,
@@ -116,115 +115,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// Configuration of a legacy three-stage pipeline run — the paper's
-/// fixed `leaves → mids → root` shape, kept as a thin wrapper over
-/// [`Topology`] ([`PipelineConfig::to_topology`]).
-#[derive(Debug, Clone)]
-pub struct PipelineConfig {
-    /// First-layer edge nodes.
-    pub leaves: usize,
-    /// Second-layer edge nodes.
-    pub mids: usize,
-    /// Sampling strategy at every node.
-    pub strategy: Strategy,
-    /// End-to-end sampling fraction, divided across stages per `split`.
-    pub overall_fraction: f64,
-    /// How the fraction is divided across the three sampling stages.
-    pub split: FractionSplit,
-    /// Computation window (and WHS edge-buffering interval).
-    pub window: Duration,
-    /// Query at the root.
-    pub query: Query,
-    /// One-way delays per hop: sources→leaves, leaves→mids, mids→root.
-    /// The paper's testbed: 10 ms, 20 ms, 40 ms (half of 20/40/80 ms RTT).
-    pub hop_delays: [Duration; 3],
-    /// Per-edge-node uplink capacity in bytes/second (`None` = unlimited).
-    /// These are the WAN links sampling saves bytes on.
-    pub capacity_bytes_per_sec: Option<u64>,
-    /// Source-uplink capacity (`None` = unlimited). The paper's throughput
-    /// experiments saturate the system downstream of the sources, so
-    /// throughput benches leave this unlimited.
-    pub source_capacity_bytes_per_sec: Option<u64>,
-    /// Pace sources at one batch per `source_interval` of wall time;
-    /// `None` drives sources as fast as the links accept (throughput
-    /// mode).
-    pub source_interval: Option<Duration>,
-    /// Worker shards per WHS edge node (the paper's §III-E parallel
-    /// execution): each node samples on a persistent [`crate::WorkerPool`]
-    /// of this many long-lived shard threads, each emitting its own
-    /// `(W_out, sample)` batch per input batch.
-    /// `1` (the paper's base design) samples on the node thread itself.
-    /// SRS/native nodes ignore this.
-    pub edge_workers: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl PipelineConfig {
-    /// The paper's topology with WAN delays scaled by `delay_scale`
-    /// (1.0 = the paper's 10/20/40 ms one-way).
-    pub fn paper_topology(overall_fraction: f64, delay_scale: f64) -> Self {
-        let ms = |m: f64| Duration::from_secs_f64(m * delay_scale / 1000.0);
-        PipelineConfig {
-            leaves: 4,
-            mids: 2,
-            strategy: Strategy::whs(),
-            overall_fraction,
-            split: FractionSplit::Even,
-            window: Duration::from_secs(1),
-            query: Query::Sum,
-            hop_delays: [ms(10.0), ms(20.0), ms(40.0)],
-            capacity_bytes_per_sec: None,
-            source_capacity_bytes_per_sec: None,
-            source_interval: None,
-            edge_workers: 1,
-            seed: 0x717E,
-        }
-    }
-
-    /// The equivalent [`Topology`] for `sources` first-hop producers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BudgetError`] for a fraction outside `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaves`, `mids`, `sources` or `edge_workers` is zero.
-    pub fn to_topology(&self, sources: usize) -> Result<Topology, BudgetError> {
-        let mut leaf = LayerSpec::new(self.leaves)
-            .workers(self.edge_workers)
-            .delay(self.hop_delays[0]);
-        if let Some(c) = self.source_capacity_bytes_per_sec {
-            leaf = leaf.capacity(c);
-        }
-        let mut mid = LayerSpec::new(self.mids)
-            .workers(self.edge_workers)
-            .delay(self.hop_delays[1]);
-        if let Some(c) = self.capacity_bytes_per_sec {
-            mid = mid.capacity(c);
-        }
-        let mut builder = Topology::builder()
-            .sources(sources)
-            .layer(leaf)
-            .layer(mid)
-            .root_delay(self.hop_delays[2])
-            .strategy(self.strategy)
-            .overall_fraction(self.overall_fraction)
-            .split(self.split)
-            .window(self.window)
-            .seed(self.seed);
-        if let Some(c) = self.capacity_bytes_per_sec {
-            builder = builder.root_link(crate::topology::LinkSpec {
-                delay: self.hop_delays[2],
-                capacity_bytes_per_sec: Some(c),
-                ..crate::topology::LinkSpec::default()
-            });
-        }
-        builder.build()
-    }
-}
 
 /// Latency summary over per-item end-to-end samples.
 #[derive(Debug, Clone, Copy, Default)]
@@ -264,25 +154,6 @@ impl LatencyStats {
     }
 }
 
-/// The outcome of a legacy [`run_pipeline`] call (the three-hop view of a
-/// [`RunReport`]).
-#[derive(Debug, Clone)]
-pub struct PipelineReport {
-    /// Every window's approximate answer, in window order.
-    pub results: Vec<WindowResult>,
-    /// Wall time from first send to root completion.
-    pub elapsed: Duration,
-    /// Items generated by the sources.
-    pub source_items: u64,
-    /// Source items drained per wall second.
-    pub throughput_items_per_sec: f64,
-    /// End-to-end per-item latency summary (items that reached the root,
-    /// measured when their window's result is available).
-    pub latency: LatencyStats,
-    /// Wire bytes per layer.
-    pub bytes: LayerBytes,
-}
-
 /// Options of the threaded engine that are about *driving* the run rather
 /// than describing the tree (which is the [`Topology`]'s job).
 #[derive(Debug, Clone, Default)]
@@ -305,65 +176,6 @@ impl PipelineOptions {
             source_interval: None,
         }
     }
-}
-
-/// Runs the full threaded pipeline over pre-generated source data — the
-/// legacy three-stage entry point, now a wrapper over
-/// [`PipelineEngine`] via [`PipelineConfig::to_topology`].
-///
-/// `source_intervals[t][s]` is source `s`'s batch for interval `t`. Each
-/// edge node and the root run on their own threads, connected through
-/// per-layer broker topics.
-///
-/// Item `source_ts` fields are re-stamped with wall-clock send time so the
-/// report's latency statistics are true end-to-end measurements.
-///
-/// # Errors
-///
-/// Returns [`approxiot_core::BudgetError`] for an invalid sampling
-/// fraction.
-///
-/// # Panics
-///
-/// Panics if `leaves`, `mids` or the source count is zero, if the interval
-/// matrix is ragged, or if a worker thread panics.
-pub fn run_pipeline(
-    config: &PipelineConfig,
-    source_intervals: Vec<Vec<Batch>>,
-) -> Result<PipelineReport, BudgetError> {
-    assert!(
-        config.leaves > 0 && config.mids > 0,
-        "topology layers must be non-empty"
-    );
-    assert!(config.edge_workers > 0, "edge_workers must be positive");
-    let sources = source_intervals.first().map_or(0, Vec::len);
-    assert!(
-        sources > 0,
-        "need at least one source interval with at least one source"
-    );
-    let topology = config.to_topology(sources)?;
-    let options = PipelineOptions {
-        deterministic: false,
-        source_interval: config.source_interval,
-    };
-    let mut engine = PipelineEngine::new(topology, QuerySet::single(config.query), options)?;
-    for interval in &source_intervals {
-        assert_eq!(interval.len(), sources, "ragged source interval matrix");
-        // A closed transport mid-stream (e.g. a decode error downstream)
-        // drains gracefully, mirroring the historical source behaviour.
-        if Engine::push_interval(&mut engine, interval).is_err() {
-            break;
-        }
-    }
-    let report = Box::new(engine).finish();
-    Ok(PipelineReport {
-        bytes: LayerBytes::from_hops(&report.bytes),
-        results: report.results,
-        elapsed: report.elapsed,
-        source_items: report.source_items,
-        throughput_items_per_sec: report.throughput_items_per_sec,
-        latency: report.latency,
-    })
 }
 
 /// Records drained per poll by the node loops.
@@ -1481,6 +1293,7 @@ fn root_sketch_replay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::{LayerSpec, LinkSpec, TopologyBuilder};
     use approxiot_core::{accuracy_loss, StratumId, StreamItem};
 
     fn intervals(
@@ -1511,29 +1324,55 @@ mod tests {
             .collect()
     }
 
-    fn fast_config(strategy: Strategy, fraction: f64) -> PipelineConfig {
-        PipelineConfig {
-            leaves: 2,
-            mids: 2,
-            strategy,
-            overall_fraction: fraction,
-            split: FractionSplit::Even,
-            window: Duration::from_millis(50),
-            query: Query::Sum,
-            hop_delays: [Duration::from_millis(1); 3],
-            capacity_bytes_per_sec: None,
-            source_capacity_bytes_per_sec: None,
-            source_interval: None,
-            edge_workers: 1,
-            seed: 42,
+    fn fast_edge() -> LayerSpec {
+        LayerSpec::new(2).delay(Duration::from_millis(1))
+    }
+
+    /// The tree most tests here share: `sources` → `edge` → `edge` → root,
+    /// the root hop delayed like the edge hops, 50 ms windows, seed 42.
+    fn fast_tree(
+        strategy: Strategy,
+        fraction: f64,
+        sources: usize,
+        edge: LayerSpec,
+    ) -> TopologyBuilder {
+        Topology::builder()
+            .sources(sources)
+            .layer(edge)
+            .layer(edge)
+            .root_delay(edge.link.delay)
+            .strategy(strategy)
+            .overall_fraction(fraction)
+            .window(Duration::from_millis(50))
+            .seed(42)
+    }
+
+    /// Pushes every interval through the wall-clock engine (paced at
+    /// `source_interval` when given) and reports the run.
+    fn run_wall_clock(
+        topology: TopologyBuilder,
+        source_interval: Option<Duration>,
+        data: &[Vec<Batch>],
+    ) -> RunReport {
+        let options = PipelineOptions {
+            deterministic: false,
+            source_interval,
+        };
+        let topology = topology.build().expect("valid");
+        let mut engine =
+            PipelineEngine::new(topology, QuerySet::default(), options).expect("valid");
+        for interval in data {
+            Engine::push_interval(&mut engine, interval).expect("open");
         }
+        Box::new(engine).finish()
     }
 
     #[test]
     fn native_pipeline_is_exact() {
         let data = intervals(3, 4, 50, 2.0);
         let truth: f64 = data.iter().flatten().map(Batch::value_sum).sum();
-        let report = run_pipeline(&fast_config(Strategy::Native, 1.0), data).expect("runs");
+        let tree = fast_tree(Strategy::Native, 1.0, 4, fast_edge());
+        let report = run_wall_clock(tree, None, &data);
         let total: f64 = report.results.iter().map(|r| r.estimate.value).sum();
         assert_eq!(total, truth);
         assert_eq!(report.source_items, 600);
@@ -1555,15 +1394,16 @@ mod tests {
     #[test]
     fn whs_pipeline_reconstructs_counts() {
         let data = intervals(4, 4, 200, 1.0);
-        let report = run_pipeline(&fast_config(Strategy::whs(), 0.2), data).expect("runs");
+        let tree = fast_tree(Strategy::whs(), 0.2, 4, fast_edge());
+        let report = run_wall_clock(tree, None, &data);
         let count: f64 = report.results.iter().map(|r| r.count_hat).sum();
         assert!(
             (count - 3200.0).abs() < 1e-6,
             "count reconstruction through threaded pipeline: {count}"
         );
         // Fewer bytes cross each deeper layer.
-        assert!(report.bytes.leaf_to_mid < report.bytes.source_to_leaf);
-        assert!(report.bytes.mid_to_root < report.bytes.leaf_to_mid);
+        let hops = report.bytes.hops();
+        assert!(hops[1] < hops[0] && hops[2] < hops[1], "{hops:?}");
     }
 
     #[test]
@@ -1571,10 +1411,8 @@ mod tests {
         // §III-E end to end: every edge node samples on 4 parallel shards,
         // emitting one (W_out, sample) batch per shard; the root must still
         // reconstruct the exact count from the union of pairs.
-        let mut config = fast_config(Strategy::whs(), 0.2);
-        config.edge_workers = 4;
-        let data = intervals(4, 4, 200, 1.0);
-        let report = run_pipeline(&config, data).expect("runs");
+        let tree = fast_tree(Strategy::whs(), 0.2, 4, fast_edge().workers(4));
+        let report = run_wall_clock(tree, None, &intervals(4, 4, 200, 1.0));
         let count: f64 = report.results.iter().map(|r| r.count_hat).sum();
         assert!(
             (count - 3200.0).abs() < 1e-6,
@@ -1586,7 +1424,8 @@ mod tests {
     fn srs_pipeline_estimates_approximately() {
         let data = intervals(4, 4, 500, 3.0);
         let truth: f64 = data.iter().flatten().map(Batch::value_sum).sum();
-        let report = run_pipeline(&fast_config(Strategy::Srs, 0.5), data).expect("runs");
+        let tree = fast_tree(Strategy::Srs, 0.5, 4, fast_edge());
+        let report = run_wall_clock(tree, None, &data);
         let total: f64 = report.results.iter().map(|r| r.estimate.value).sum();
         assert!(
             accuracy_loss(total, truth) < 0.15,
@@ -1596,9 +1435,9 @@ mod tests {
 
     #[test]
     fn latency_reflects_hop_delays() {
-        let mut config = fast_config(Strategy::Native, 1.0);
-        config.hop_delays = [Duration::from_millis(10); 3];
-        let report = run_pipeline(&config, intervals(2, 2, 20, 1.0)).expect("runs");
+        let edge = LayerSpec::new(2).delay(Duration::from_millis(10));
+        let tree = fast_tree(Strategy::Native, 1.0, 2, edge);
+        let report = run_wall_clock(tree, None, &intervals(2, 2, 20, 1.0));
         assert!(report.latency.count > 0);
         assert!(
             report.latency.p50 >= Duration::from_millis(25),
@@ -1613,15 +1452,12 @@ mod tests {
         // should not. Sources must be paced so the stream outlives a window
         // (otherwise edges just flush at close).
         let window = Duration::from_millis(100);
-        let pace = Duration::from_millis(20);
-        let mut whs_cfg = fast_config(Strategy::whs(), 0.9);
-        whs_cfg.window = window;
-        whs_cfg.source_interval = Some(pace);
-        let mut native_cfg = fast_config(Strategy::Native, 1.0);
-        native_cfg.window = window;
-        native_cfg.source_interval = Some(pace);
-        let whs = run_pipeline(&whs_cfg, intervals(8, 2, 50, 1.0)).expect("runs");
-        let native = run_pipeline(&native_cfg, intervals(8, 2, 50, 1.0)).expect("runs");
+        let pace = Some(Duration::from_millis(20));
+        let data = intervals(8, 2, 50, 1.0);
+        let whs_tree = fast_tree(Strategy::whs(), 0.9, 2, fast_edge()).window(window);
+        let native_tree = fast_tree(Strategy::Native, 1.0, 2, fast_edge()).window(window);
+        let whs = run_wall_clock(whs_tree, pace, &data);
+        let native = run_wall_clock(native_tree, pace, &data);
         assert!(
             whs.latency.p50 > native.latency.p50 + Duration::from_millis(20),
             "whs {:?} vs native {:?}",
@@ -1632,12 +1468,26 @@ mod tests {
 
     #[test]
     fn capacity_throttles_throughput() {
-        let mut slow = fast_config(Strategy::Native, 1.0);
-        slow.capacity_bytes_per_sec = Some(200_000); // 200 KB/s
         let data = intervals(10, 2, 200, 1.0);
-        let fast_report =
-            run_pipeline(&fast_config(Strategy::Native, 1.0), data.clone()).expect("runs");
-        let slow_report = run_pipeline(&slow, data).expect("runs");
+        let fast_report = run_wall_clock(
+            fast_tree(Strategy::Native, 1.0, 2, fast_edge()),
+            None,
+            &data,
+        );
+        // 200 KB/s on every link past the sources.
+        let slow = Topology::builder()
+            .sources(2)
+            .layer(fast_edge())
+            .layer(fast_edge().capacity(200_000))
+            .root_link(LinkSpec {
+                delay: Duration::from_millis(1),
+                capacity_bytes_per_sec: Some(200_000),
+                ..LinkSpec::default()
+            })
+            .strategy(Strategy::Native)
+            .window(Duration::from_millis(50))
+            .seed(42);
+        let slow_report = run_wall_clock(slow, None, &data);
         assert!(
             slow_report.throughput_items_per_sec < fast_report.throughput_items_per_sec,
             "limited link must reduce throughput: {} vs {}",
@@ -1658,32 +1508,8 @@ mod tests {
     }
 
     #[test]
-    fn to_topology_mirrors_the_config() {
-        let mut config = PipelineConfig::paper_topology(0.2, 1.0);
-        config.capacity_bytes_per_sec = Some(1_000_000);
-        config.source_capacity_bytes_per_sec = Some(9_999);
-        let topology = config.to_topology(8).expect("valid");
-        assert_eq!(topology.sources(), 8);
-        assert_eq!(topology.layers()[0].nodes, 4);
-        assert_eq!(topology.layers()[1].nodes, 2);
-        assert_eq!(topology.layer_link(0).delay, Duration::from_millis(10));
-        assert_eq!(
-            topology.layer_link(0).capacity_bytes_per_sec,
-            Some(9_999),
-            "source capacity rides on the first hop"
-        );
-        assert_eq!(
-            topology.layer_link(1).capacity_bytes_per_sec,
-            Some(1_000_000)
-        );
-        assert_eq!(topology.root_link().capacity_bytes_per_sec, Some(1_000_000));
-        assert_eq!(topology.root_link().delay, Duration::from_millis(40));
-    }
-
-    #[test]
     fn sketch_pipeline_replay_reconstructs_exact_moments() {
         use crate::query::QuerySpec;
-        use crate::topology::Topology;
         let topology = Topology::builder()
             .sources(4)
             .layer(LayerSpec::new(2))
@@ -1770,8 +1596,8 @@ mod tests {
 
     #[test]
     fn dropped_engine_shuts_down_cleanly() {
-        let topology = fast_config(Strategy::whs(), 0.5)
-            .to_topology(2)
+        let topology = fast_tree(Strategy::whs(), 0.5, 2, fast_edge())
+            .build()
             .expect("valid");
         let mut engine =
             PipelineEngine::new(topology, QuerySet::default(), PipelineOptions::default())

@@ -5,8 +5,8 @@
 //! per window", "total pollution value per window") — and its future-work
 //! section gestures at richer ones. This module covers both:
 //!
-//! * [`Query`] — the original single linear query (kept for the
-//!   `paper_topology` compatibility surface).
+//! * [`Query`] — a single linear query: the first scalar query of a set,
+//!   which drives each window result's primary `estimate`.
 //! * [`QuerySet`] — any number of concurrent window queries, each a
 //!   [`QuerySpec`]: the linear three, their per-stratum variants, and
 //!   [`QuerySpec::Quantile`] / [`QuerySpec::TopK`] backed by

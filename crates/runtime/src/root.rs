@@ -157,7 +157,6 @@ pub struct RootNode {
     dropped_late: u64,
     /// `dropped_late` already attributed to an emitted result.
     dropped_late_reported: u64,
-    emitted: u64,
     /// Per-window, per-stratum inclusion tallies shared with the engine's
     /// churn driver (`None` on an unchurned topology). When present, the
     /// run-global `loss_scale` generalizes at answer time to
@@ -201,7 +200,6 @@ impl RootNode {
             loss_scale: 1.0 / config.delivery_factor,
             dropped_late: 0,
             dropped_late_reported: 0,
-            emitted: 0,
             inclusion: None,
         })
     }
@@ -454,7 +452,6 @@ impl RootNode {
             .map(|s| s.sketch.len())
             .sum::<usize>()
             + merged.heavy().entries().len();
-        self.emitted += 1;
         let scheme = self.summaries.scheme();
         let dropped_late = self.dropped_late - self.dropped_late_reported;
         self.dropped_late_reported = self.dropped_late;
@@ -476,7 +473,7 @@ impl RootNode {
     /// estimates once for every registered query and the result's own
     /// fields.
     fn answer(&mut self, window: WindowId, stores: Vec<ThetaStore>) -> WindowResult {
-        // `file_pair` keeps exactly one store per window.
+        // `theta_for` keeps exactly one store per window.
         let mut theta = stores.into_iter().next().unwrap_or_default();
         self.rescale_for_inclusion(window, &mut theta);
         let per = theta.stratum_estimates();
@@ -492,7 +489,6 @@ impl RootNode {
             .per_stratum(self.per_stratum_spec())
             .cloned()
             .unwrap_or_else(|| self.primary.answer_per_stratum(&per));
-        self.emitted += 1;
         let scheme = self.buffer.scheme();
         // Late drops are attributed to the result emitted after they
         // happened (their own window is already gone by definition).
@@ -510,11 +506,6 @@ impl RootNode {
             completeness: 1.0,
             dropped_late,
         }
-    }
-
-    /// Number of window results emitted so far.
-    pub fn windows_emitted(&self) -> u64 {
-        self.emitted
     }
 
     /// Total items dropped for arriving past the allowed-lateness horizon.
@@ -627,7 +618,6 @@ mod tests {
         assert_eq!(results[0].estimate.value, 20.0);
         assert_eq!(results[0].estimate.variance, 0.0);
         assert_eq!(results[0].count_hat, 10.0);
-        assert_eq!(root.windows_emitted(), 1);
     }
 
     #[test]
@@ -999,7 +989,6 @@ mod tests {
         let rest = root.flush();
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].estimate.value, 7.0);
-        assert_eq!(root.windows_emitted(), 2);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The topology-first description of an ApproxIoT deployment: one builder
 //! for an arbitrary-depth, heterogeneous edge tree that both execution
-//! engines (the virtual-time [`crate::SimTree`] simulation and the
+//! engines (the virtual-time [`crate::SimEngine`] simulation and the
 //! threaded [`crate::pipeline`]) consume unchanged.
 //!
 //! The paper evaluates one fixed shape — 8 sources → 4 edge → 2 edge →
@@ -84,7 +84,7 @@ impl FractionSplit {
     }
 
     /// The per-stage fractions `[leaf, mid, root]` for the paper's
-    /// three-stage tree (the historical fixed-depth API).
+    /// three-stage tree.
     pub fn stage_fractions(self, overall: f64) -> [f64; 3] {
         let f = self.fractions(overall, 3);
         [f[0], f[1], f[2]]
@@ -986,6 +986,15 @@ mod tests {
     #[should_panic(expected = "at least one edge layer")]
     fn empty_topology_rejected() {
         let _ = Topology::builder().build();
+    }
+
+    #[test]
+    #[should_panic(expected = "edge layer 0 must have at least one node")]
+    fn zero_node_layer_rejected() {
+        let _ = Topology::builder()
+            .layer(LayerSpec::new(0))
+            .layer(LayerSpec::new(2))
+            .build();
     }
 
     #[test]

@@ -92,9 +92,9 @@ impl TumblingWindow {
 /// buf.insert(1_100_000_000, "b");      // window 1
 /// let closed = buf.drain_closed(1_000_000_000); // watermark at 1 s closes window 0
 /// assert_eq!(closed, vec![(0, vec!["a"])]);
-/// assert_eq!(buf.pending_windows(), 1);
 /// assert!(!buf.insert(500_000_000, "late")); // window 0 already emitted
 /// assert_eq!(buf.late_rejections(), 1);
+/// assert_eq!(buf.drain_all(), vec![(1, vec!["b"])]); // window 1 still open
 /// ```
 #[derive(Debug, Clone)]
 pub struct WindowBuffer<T> {
@@ -207,11 +207,6 @@ impl<T> WindowBuffer<T> {
         std::mem::take(&mut self.windows).into_iter().collect()
     }
 
-    /// Number of windows currently buffered.
-    pub fn pending_windows(&self) -> usize {
-        self.windows.len()
-    }
-
     /// Total buffered values across windows.
     pub fn len(&self) -> usize {
         self.windows.values().map(Vec::len).sum()
@@ -259,8 +254,8 @@ mod tests {
         buf.insert(0, 1);
         buf.insert(SEC / 2, 2);
         buf.insert(SEC + 1, 3);
-        assert_eq!(buf.pending_windows(), 2);
         assert_eq!(buf.len(), 3);
+        assert_eq!(buf.drain_all().len(), 2);
     }
 
     #[test]

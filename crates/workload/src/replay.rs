@@ -5,7 +5,8 @@
 //! are not redistributable. Users who have the original CSVs can replay
 //! them through this module instead: [`CsvTraceReader`] parses delimited
 //! records into [`StreamItem`]s and groups them into interval batches,
-//! ready for `SimTree::push_interval` or the threaded pipeline.
+//! ready for `Driver::push_interval` (after splitting by stratum) or
+//! `SimEngine::push_interval`.
 //!
 //! The parser handles plain delimited text (no quoted-field escapes — the
 //! DEBS taxi dump uses none) and is configured by column indices, so it
@@ -205,8 +206,8 @@ impl CsvTraceReader {
     }
 
     /// Parses `input` and groups the items into batches of
-    /// `interval_nanos` by timestamp — the shape `SimTree::push_interval`
-    /// and the pipeline expect.
+    /// `interval_nanos` by timestamp — the shape `SimEngine::push_interval`
+    /// and, split by stratum, `Driver::push_interval` expect.
     ///
     /// # Errors
     ///

@@ -21,12 +21,16 @@ fn main() -> Result<(), EngineError> {
     let mut trace = TaxiTrace::new(30_000.0, window);
     let names = TaxiTrace::stratum_names();
 
-    // The paper's tree via the legacy wrapper — TreeConfig call sites
-    // keep working and bridge straight into the topology API.
-    let topology = TreeConfig::paper_topology(fraction)
-        .with_window(window)
-        .to_topology(names.len())
-        .map_err(EngineError::Budget)?;
+    // The paper's two edge layers (4 → 2) and testbed seed (as in
+    // `Topology::paper`), one source per borough.
+    let topology = Topology::builder()
+        .sources(names.len())
+        .layer(LayerSpec::new(4))
+        .layer(LayerSpec::new(2))
+        .overall_fraction(fraction)
+        .window(window)
+        .seed(0x10D5)
+        .build()?;
     let queries = QuerySet::new()
         .with(QuerySpec::Sum)
         .with(QuerySpec::SumPerStratum)

@@ -6,11 +6,6 @@
 //! Simple random sampling misses or wildly over-scales D; weighted
 //! hierarchical sampling guarantees every sub-stream a reservoir.
 //!
-//! This example deliberately runs through the legacy
-//! [`TreeConfig::paper_topology`] wrapper: existing call sites keep
-//! working unchanged on top of the topology-first engine underneath
-//! (`TreeConfig::to_topology` is the bridge).
-//!
 //! Run with: `cargo run --release --example skewed_streams`
 
 use approxiot::prelude::*;
@@ -23,12 +18,19 @@ fn run(strategy: Strategy, fraction: f64, seed: u64) -> (f64, f64) {
     let window = Duration::from_millis(100);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut mix = scenarios::skewed_mix(40_000.0, window);
-    let mut tree = SimTree::new(
-        TreeConfig::paper_topology(fraction)
-            .with_strategy(strategy)
-            .with_seed(seed),
-    )
-    .expect("valid fraction");
+    // The paper's 8 → 4 → 2 → root tree with its default 1 s window. The
+    // virtual-time engine routes however many per-stratum sources an
+    // interval splits into.
+    let topology = Topology::builder()
+        .sources(8)
+        .layer(LayerSpec::new(4))
+        .layer(LayerSpec::new(2))
+        .strategy(strategy)
+        .overall_fraction(fraction)
+        .seed(seed)
+        .build()
+        .expect("valid fraction");
+    let mut tree = SimEngine::new(topology, QuerySet::default()).expect("valid topology");
     let mut truth = 0.0;
     for _ in 0..10 {
         let batch = mix.next_interval(&mut rng);

@@ -73,9 +73,8 @@
 //! # Ok::<(), approxiot::runtime::EngineError>(())
 //! ```
 //!
-//! The paper's fixed `leaves/mids/root` shape survives as thin wrappers —
-//! [`runtime::TreeConfig::paper_topology`] /
-//! [`runtime::PipelineConfig::paper_topology`] — over the same builder.
+//! The paper's own testbed shape (8 sources → 4 → 2 → root) is
+//! [`runtime::Topology::paper`].
 
 #![forbid(unsafe_code)]
 
@@ -92,23 +91,21 @@ pub mod prelude {
         quantile_with_bounds, top_k_strata, weighted_quantile, QuantileEstimate,
     };
     pub use approxiot_core::{
-        accuracy_loss, sharded_whs_sample, whs_sample, AdaptiveController, Allocation, Batch,
-        Confidence, Estimate, ParallelShardedSampler, Reservoir, SamplingBudget, SkipReservoir,
-        SrsSampler, StrataIndex, StratumId, StreamItem, ThetaStore, WeightMap, WhsOutput,
-        WhsSampler, WhsScratch,
+        accuracy_loss, whs_sample, AdaptiveController, Allocation, Batch, Confidence, Estimate,
+        ParallelShardedSampler, Reservoir, SamplingBudget, SkipReservoir, SrsSampler, StrataIndex,
+        StratumId, StreamItem, ThetaStore, WeightMap, WhsOutput, WhsSampler, WhsScratch,
     };
     pub use approxiot_mq::{BatchProducer, Broker, Consumer, StartOffset};
     pub use approxiot_net::{
         bandwidth_saving, Clock, Impairment, ImpairmentSpec, SimClock, WallClock,
     };
     pub use approxiot_runtime::{
-        mean_window_error, results_bit_identical, run_pipeline, window_estimates, ChurnSchedule,
-        ChurnStats, DegradedMode, Driver, Engine, EngineError, EngineKind, FaultInjector,
-        FaultStats, FeedbackLoop, FractionSplit, HopBytes, HopFaults, LatencyStats, LayerBytes,
-        LayerSpec, LinkSpec, NodeDisposition, PipelineConfig, PipelineEngine, PipelineOptions,
-        PipelineReport, Query, QueryResults, QuerySet, QuerySpec, QueryValue, RootConfig, RootNode,
-        RunReport, RunSummary, SamplingNode, SimEngine, SimTree, Strategy, Topology, TreeConfig,
-        WindowResult,
+        mean_window_error, results_bit_identical, window_estimates, ChurnSchedule, ChurnStats,
+        DegradedMode, Driver, Engine, EngineError, EngineKind, FaultInjector, FaultStats,
+        FeedbackLoop, FractionSplit, HopBytes, HopFaults, LatencyStats, LayerSpec, LinkSpec,
+        NodeDisposition, PipelineEngine, PipelineOptions, Query, QueryResults, QuerySet, QuerySpec,
+        QueryValue, RootConfig, RootNode, RunReport, RunSummary, SamplingNode, SimEngine, Strategy,
+        Topology, WindowResult,
     };
     pub use approxiot_streams::{TumblingWindow, WindowBuffer};
     pub use approxiot_workload::{

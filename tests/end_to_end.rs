@@ -1,5 +1,5 @@
-//! End-to-end integration tests: the full system (workload → tree/pipeline
-//! → estimates) across crates.
+//! End-to-end integration tests: the full system (workload → sim engine or
+//! threaded pipeline → estimates) across crates.
 
 use approxiot::prelude::*;
 use rand::rngs::StdRng;
@@ -8,6 +8,22 @@ use std::time::Duration;
 
 const WINDOW: Duration = Duration::from_millis(100);
 
+/// The paper's 8 → 4 → 2 → root tree on the virtual-time engine, which
+/// routes however many per-stratum sources an interval splits into.
+fn paper_tree(strategy: Strategy, fraction: f64, window: Duration, seed: u64) -> SimEngine {
+    let topology = Topology::builder()
+        .sources(8)
+        .layer(LayerSpec::new(4))
+        .layer(LayerSpec::new(2))
+        .strategy(strategy)
+        .overall_fraction(fraction)
+        .window(window)
+        .seed(seed)
+        .build()
+        .expect("valid fraction");
+    SimEngine::new(topology, QuerySet::default()).expect("valid topology")
+}
+
 fn run_tree_on_mix(
     mix: &mut StreamMix,
     strategy: Strategy,
@@ -15,13 +31,7 @@ fn run_tree_on_mix(
     intervals: usize,
     seed: u64,
 ) -> (f64, f64, Vec<WindowResult>) {
-    let mut tree = SimTree::new(
-        TreeConfig::paper_topology(fraction)
-            .with_strategy(strategy)
-            .with_window(mix.interval())
-            .with_seed(seed),
-    )
-    .expect("valid fraction");
+    let mut tree = paper_tree(strategy, fraction, mix.interval(), seed);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut truth = 0.0;
     for _ in 0..intervals {
@@ -78,12 +88,7 @@ fn error_bounds_cover_the_truth_at_nominal_rate() {
     let mut total = 0u32;
     for seed in 0..5u64 {
         let mut mix = scenarios::gaussian_mix(20_000.0, WINDOW);
-        let mut tree = SimTree::new(
-            TreeConfig::paper_topology(0.2)
-                .with_window(WINDOW)
-                .with_seed(seed),
-        )
-        .expect("valid");
+        let mut tree = paper_tree(Strategy::whs(), 0.2, WINDOW, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xC0FFEE);
         let mut truths = Vec::new();
         for _ in 0..10 {
@@ -108,12 +113,7 @@ fn error_bounds_cover_the_truth_at_nominal_rate() {
 fn count_reconstruction_is_exact_for_every_strategy_setting() {
     for fraction in [0.1, 0.3, 0.7, 1.0] {
         let mut mix = scenarios::gaussian_mix(10_000.0, WINDOW);
-        let mut tree = SimTree::new(
-            TreeConfig::paper_topology(fraction)
-                .with_window(WINDOW)
-                .with_seed(9),
-        )
-        .expect("valid");
+        let mut tree = paper_tree(Strategy::whs(), fraction, WINDOW, 9);
         let mut rng = StdRng::seed_from_u64(9);
         let mut total_items = 0usize;
         for _ in 0..5 {
@@ -133,12 +133,7 @@ fn count_reconstruction_is_exact_for_every_strategy_setting() {
 #[test]
 fn taxi_trace_end_to_end() {
     let mut trace = TaxiTrace::new(20_000.0, WINDOW);
-    let mut tree = SimTree::new(
-        TreeConfig::paper_topology(0.4)
-            .with_window(WINDOW)
-            .with_seed(77),
-    )
-    .expect("valid");
+    let mut tree = paper_tree(Strategy::whs(), 0.4, WINDOW, 77);
     let mut rng = StdRng::seed_from_u64(77);
     let mut truth = 0.0;
     for _ in 0..10 {
@@ -160,12 +155,7 @@ fn pollution_trace_is_more_accurate_than_taxi_at_same_fraction() {
     for &seed in &seeds {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut taxi = TaxiTrace::new(20_000.0, WINDOW);
-        let mut tree = SimTree::new(
-            TreeConfig::paper_topology(fraction)
-                .with_window(WINDOW)
-                .with_seed(seed),
-        )
-        .expect("valid");
+        let mut tree = paper_tree(Strategy::whs(), fraction, WINDOW, seed);
         let mut truth = 0.0;
         for _ in 0..10 {
             let batch = taxi.next_interval(&mut rng);
@@ -177,12 +167,7 @@ fn pollution_trace_is_more_accurate_than_taxi_at_same_fraction() {
         taxi_loss += accuracy_loss(est, truth);
 
         let mut pollution = PollutionTrace::new(2_000, WINDOW);
-        let mut tree = SimTree::new(
-            TreeConfig::paper_topology(fraction)
-                .with_window(WINDOW)
-                .with_seed(seed),
-        )
-        .expect("valid");
+        let mut tree = paper_tree(Strategy::whs(), fraction, WINDOW, seed);
         let mut truth = 0.0;
         for _ in 0..10 {
             let batch = pollution.next_interval(&mut rng);
@@ -217,22 +202,21 @@ fn threaded_pipeline_matches_sim_tree_counts() {
         .collect();
     let total_items: usize = intervals.iter().flatten().map(Batch::len).sum();
 
-    let config = PipelineConfig {
-        leaves: 2,
-        mids: 2,
-        strategy: Strategy::whs(),
-        overall_fraction: 0.3,
-        split: FractionSplit::Even,
-        window: WINDOW,
-        query: Query::Sum,
-        hop_delays: [Duration::from_millis(1); 3],
-        capacity_bytes_per_sec: None,
-        source_capacity_bytes_per_sec: None,
-        source_interval: None,
-        edge_workers: 1,
-        seed: 5,
-    };
-    let report = run_pipeline(&config, intervals).expect("valid");
+    let hop = Duration::from_millis(1);
+    let topology = Topology::builder()
+        .sources(4)
+        .layer(LayerSpec::new(2).delay(hop))
+        .layer(LayerSpec::new(2).delay(hop))
+        .root_delay(hop)
+        .overall_fraction(0.3)
+        .window(WINDOW)
+        .seed(5)
+        .build()
+        .expect("valid");
+    let report = Driver::pipeline(topology, QuerySet::default())
+        .expect("valid")
+        .run(&intervals)
+        .expect("engine open");
     let count: f64 = report.results.iter().map(|r| r.count_hat).sum();
     assert!(
         (count - total_items as f64).abs() < 1e-6,
@@ -342,12 +326,7 @@ fn adaptive_feedback_converges_towards_error_budget() {
     let mut mix = scenarios::gaussian_mix(20_000.0, WINDOW);
     let mut last_bound = f64::INFINITY;
     for i in 0..12u64 {
-        let mut tree = SimTree::new(
-            TreeConfig::paper_topology(feedback.overall_fraction())
-                .with_window(WINDOW)
-                .with_seed(i),
-        )
-        .expect("valid");
+        let mut tree = paper_tree(Strategy::whs(), feedback.overall_fraction(), WINDOW, i);
         let batch = mix.next_interval(&mut rng);
         let sources = batch.split_by_stratum();
         tree.push_interval(&sources);

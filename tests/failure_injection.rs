@@ -11,12 +11,27 @@ use std::time::Duration;
 
 const WINDOW: Duration = Duration::from_millis(100);
 
+/// The paper's 8 → 4 → 2 → root WHS tree on the virtual-time engine, which
+/// routes however many sources an interval carries.
+fn paper_tree(fraction: f64, window: Duration, seed: u64) -> SimEngine {
+    let topology = Topology::builder()
+        .sources(8)
+        .layer(LayerSpec::new(4))
+        .layer(LayerSpec::new(2))
+        .overall_fraction(fraction)
+        .window(window)
+        .seed(seed)
+        .build()
+        .expect("valid fraction");
+    SimEngine::new(topology, QuerySet::default()).expect("valid topology")
+}
+
 /// A mid-layer node crashing loses its share of the stream, but the
 /// estimator still produces a sane (partial) answer rather than garbage:
 /// the reconstructed count equals the surviving share.
 #[test]
 fn dropped_mid_node_degrades_gracefully() {
-    let mut tree = SimTree::new(TreeConfig::paper_topology(1.0)).expect("valid");
+    let mut tree = paper_tree(1.0, Duration::from_secs(1), 0x10D5);
     // 8 sources; simulate the crash by dropping the batches of the sources
     // routed through "mid node 1" (leaves 1 and 3 → sources 1, 3, 5, 7).
     let mut surviving_items = 0usize;
@@ -44,7 +59,7 @@ fn dropped_mid_node_degrades_gracefully() {
 /// (uniform allocation guarantees every stratum its share).
 #[test]
 fn bursty_stratum_does_not_starve_others() {
-    let mut tree = SimTree::new(TreeConfig::paper_topology(0.1).with_seed(3)).expect("valid");
+    let mut tree = paper_tree(0.1, Duration::from_secs(1), 3);
     let mut items = Vec::new();
     for k in 0..100_000u64 {
         items.push(StreamItem::with_meta(StratumId::new(0), 1.0, k, 0)); // burst
@@ -134,24 +149,23 @@ fn corrupt_frames_are_rejected() {
 /// terminates (no deadlock), producing results for the data that made it.
 #[test]
 fn pipeline_with_empty_sources_terminates() {
-    let config = PipelineConfig {
-        leaves: 2,
-        mids: 1,
-        strategy: Strategy::whs(),
-        overall_fraction: 0.5,
-        split: FractionSplit::Even,
-        window: WINDOW,
-        query: Query::Sum,
-        hop_delays: [Duration::from_millis(1); 3],
-        capacity_bytes_per_sec: None,
-        source_capacity_bytes_per_sec: None,
-        source_interval: None,
-        edge_workers: 1,
-        seed: 1,
-    };
+    let hop = Duration::from_millis(1);
+    let topology = Topology::builder()
+        .sources(2)
+        .layer(LayerSpec::new(2).delay(hop))
+        .layer(LayerSpec::new(1).delay(hop))
+        .root_delay(hop)
+        .overall_fraction(0.5)
+        .window(WINDOW)
+        .seed(1)
+        .build()
+        .expect("valid");
     // Sources that produce nothing at all.
     let data = vec![vec![Batch::new(), Batch::new()]];
-    let report = run_pipeline(&config, data).expect("valid");
+    let report = Driver::pipeline(topology, QuerySet::default())
+        .expect("valid")
+        .run(&data)
+        .expect("engine open");
     assert!(report.results.is_empty());
     assert_eq!(report.source_items, 0);
 }
@@ -163,12 +177,7 @@ fn extreme_fractions_are_stable() {
     for fraction in [0.01, 1.0] {
         let mut rng = StdRng::seed_from_u64(21);
         let mut mix = scenarios::gaussian_mix(10_000.0, WINDOW);
-        let mut tree = SimTree::new(
-            TreeConfig::paper_topology(fraction)
-                .with_window(WINDOW)
-                .with_seed(21),
-        )
-        .expect("valid");
+        let mut tree = paper_tree(fraction, WINDOW, 21);
         let batch = mix.next_interval(&mut rng);
         let truth = batch.value_sum();
         let sources = batch.split_by_stratum();

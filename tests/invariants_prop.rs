@@ -157,11 +157,16 @@ proptest! {
         fraction in 0.05f64..1.0,
         seed in 0u64..200,
     ) {
-        let mut tree = SimTree::new(
-            TreeConfig::paper_topology(fraction)
-                .with_window(Duration::from_millis(100))
-                .with_seed(seed),
-        ).expect("valid fraction");
+        let topology = Topology::builder()
+            .sources(8)
+            .layer(LayerSpec::new(4))
+            .layer(LayerSpec::new(2))
+            .overall_fraction(fraction)
+            .window(Duration::from_millis(100))
+            .seed(seed)
+            .build()
+            .expect("valid fraction");
+        let mut tree = SimEngine::new(topology, QuerySet::default()).expect("valid topology");
         let total = batch.len();
         let sources = batch.split_by_stratum();
         tree.push_interval(&sources);
