@@ -93,9 +93,10 @@ impl ColumnarBatch {
         self.strata.is_empty()
     }
 
-    /// Empties every column and the weight map, keeping all five
-    /// allocations — the recycling primitive behind
-    /// [`crate::ColumnarPool`] and the columnar wire decoder.
+    /// Empties every column and the weight map, keeping the four column
+    /// allocations — how the wire decoder and the samplers refill one
+    /// reused column set per frame. The weight map's tree nodes are
+    /// freed, so refilling it allocates again.
     pub fn clear(&mut self) {
         self.weights.clear();
         self.strata.clear();
@@ -293,45 +294,6 @@ pub fn distinct_strata_u32_into(strata: &[u32], out: &mut Vec<StratumId>) {
     out.dedup();
 }
 
-/// A bounded free-list of cleared [`ColumnarBatch`]es, used by the
-/// threaded pipeline's sampling edge nodes to decode without allocating
-/// per frame.
-#[derive(Debug, Default)]
-pub struct ColumnarPool {
-    free: Vec<ColumnarBatch>,
-    cap: usize,
-}
-
-impl ColumnarPool {
-    /// Creates a pool retaining at most `cap` idle batches.
-    pub fn new(cap: usize) -> Self {
-        ColumnarPool {
-            free: Vec::with_capacity(cap.min(64)),
-            cap,
-        }
-    }
-
-    /// Takes a batch from the pool, or a fresh empty one when dry.
-    pub fn get(&mut self) -> ColumnarBatch {
-        self.free.pop().unwrap_or_default()
-    }
-
-    /// Returns a finished batch (cleared here, storage kept), dropping it
-    /// instead when the pool already holds its capacity.
-    pub fn put(&mut self, mut batch: ColumnarBatch) {
-        if self.free.len() >= self.cap {
-            return;
-        }
-        batch.clear();
-        self.free.push(batch);
-    }
-
-    /// Number of idle batches currently pooled.
-    pub fn idle(&self) -> usize {
-        self.free.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,22 +382,6 @@ mod tests {
         let mut from_items = Vec::new();
         crate::batch::distinct_strata_into(&aos.items, &mut from_items);
         assert_eq!(from_cols, from_items);
-    }
-
-    #[test]
-    fn pool_recycles_columns() {
-        let mut pool = ColumnarPool::new(1);
-        let mut batch = pool.get();
-        batch.push(item(0, 1.0, 0, 0));
-        let ptr = batch.strata.as_ptr();
-        pool.put(batch);
-        assert_eq!(pool.idle(), 1);
-        let recycled = pool.get();
-        assert!(recycled.is_empty());
-        assert_eq!(recycled.strata.as_ptr(), ptr, "storage recycled");
-        pool.put(ColumnarBatch::new());
-        pool.put(ColumnarBatch::new());
-        assert_eq!(pool.idle(), 1, "capacity bounds retained batches");
     }
 
     #[test]

@@ -129,7 +129,7 @@ pub mod weight;
 
 pub use batch::{distinct_strata_into, Batch, StrataIndex};
 pub use budget::{AdaptiveController, BudgetError, CostFunction, FixedSize, SamplingBudget};
-pub use columns::{distinct_strata_u32_into, ColumnarBatch, ColumnarPool, ColumnsView};
+pub use columns::{distinct_strata_u32_into, ColumnarBatch, ColumnsView};
 pub use error::{accuracy_loss, Confidence, Estimate};
 pub use estimate::{StratumEstimate, ThetaRow, ThetaStore};
 pub use item::{Measure, StratumId, StreamItem};

@@ -429,9 +429,9 @@ fn floyd_pick_into<R: Rng + ?Sized>(
 ///
 /// Since the hot-path rebuild, the sampler runs on a private
 /// [`WhsScratch`] kernel, so per-batch work is allocation-free apart from
-/// the returned output; see [`WhsScratch`] for what changed versus the
-/// pure [`whs_sample`] function (which is kept as the readable reference
-/// and comparison baseline).
+/// the output and the resolved input weights; see [`WhsScratch`] for
+/// what changed versus the pure [`whs_sample`] function (which is kept
+/// as the readable reference and comparison baseline).
 ///
 /// # Examples
 ///

@@ -372,16 +372,30 @@ impl SamplingNode {
     /// [`SamplingNode::process_batch`], running the flat-slice kernels.
     /// Bit-identical output for the same logical items and node state:
     /// every strategy consumes the node RNG exactly like its AoS
-    /// counterpart.
+    /// counterpart. A fresh-output wrapper over
+    /// [`SamplingNode::process_columns_into`].
     pub fn process_columns(&mut self, batch: &ColumnarBatch) -> ColumnarBatch {
+        let mut out = ColumnarBatch::new();
+        self.process_columns_into(batch, &mut out);
+        out
+    }
+
+    /// [`SamplingNode::process_columns`] into a caller-owned output,
+    /// replacing its contents (items and weights) and keeping its
+    /// allocations — how an edge thread samples every frame into one
+    /// reused column set. The result is the same as sampling into a fresh
+    /// batch, whatever `out` held before.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a sketch node, like [`SamplingNode::process_batch`].
+    pub fn process_columns_into(&mut self, batch: &ColumnarBatch, out: &mut ColumnarBatch) {
         self.items_in += batch.len() as u64;
-        let out = match self.strategy {
+        match self.strategy {
             Strategy::Whs { .. } => {
                 let size = self.budget.sample_size(batch.len());
-                let mut out = ColumnarBatch::new();
                 self.whs
-                    .sample_columns_into(batch, size, &mut out, &mut self.rng);
-                out
+                    .sample_columns_into(batch, size, out, &mut self.rng);
             }
             Strategy::Srs => {
                 let srs = self
@@ -389,26 +403,32 @@ impl SamplingNode {
                     .as_ref()
                     // analysis: allow(P1, reason = "constructor creates the sampler whenever strategy is Srs")
                     .expect("srs sampler present for Srs strategy");
-                let mut out = ColumnarBatch::new();
-                srs.sample_columns_into(batch.view(), &mut out, &mut self.rng);
-                out
+                out.clear();
+                srs.sample_columns_into(batch.view(), out, &mut self.rng);
             }
-            Strategy::Native => batch.clone(),
+            Strategy::Native => {
+                out.clear();
+                out.weights.merge_from(&batch.weights);
+                out.extend_from_view(batch.view(), 0, batch.len());
+            }
             Strategy::Sketch(_) => {
                 // analysis: allow(P1, reason = "documented contract panic; the Driver front door never routes item batches to sketch nodes")
                 panic!("sketch nodes forward summaries, not item batches; use process_payload")
             }
-        };
+        }
         self.items_out += out.len() as u64;
-        out
     }
 
     /// Like [`SamplingNode::process_columns`], but borrows the input
     /// mutably so native (no-sampling) nodes can **move** the columns to
     /// the output instead of cloning them. WHS/SRS nodes sample from the
     /// columns and leave them untouched; native nodes leave them empty.
-    /// Either way the caller keeps the storage and can recycle it through
-    /// a [`approxiot_core::ColumnarPool`].
+    /// Either way the caller keeps the input's storage for the next
+    /// frame, but a WHS/SRS call allocates a fresh output (four columns
+    /// and its weights). [`SamplingNode::process_columns_into`] reuses
+    /// the output too, which leaves a warmed WHS edge thread allocating
+    /// only weight-map nodes and the forwarded payload per frame — 3 at a
+    /// leaf, 4 above it, pinned by `tests/alloc_budget.rs`.
     pub fn process_columns_mut(&mut self, batch: &mut ColumnarBatch) -> ColumnarBatch {
         if matches!(self.strategy, Strategy::Native) {
             let out = std::mem::take(batch);
@@ -863,6 +883,69 @@ mod sharded_tests {
         assert_eq!(a.len(), c.len());
         for (a, c) in a.into_iter().zip(c) {
             assert_eq!(c.to_batch(), a, "parallel shard outputs diverged");
+        }
+    }
+
+    /// The columns and weights of `batch`, floats as bits.
+    type Bits = (Vec<u32>, Vec<u64>, Vec<u64>, Vec<u64>, Vec<(u32, u64)>);
+
+    fn bits(batch: &ColumnarBatch) -> Bits {
+        (
+            batch.strata.clone(),
+            batch.values.iter().map(|v| v.to_bits()).collect(),
+            batch.seqs.clone(),
+            batch.source_ts.clone(),
+            batch
+                .weights
+                .iter()
+                .map(|(s, w)| (s.index(), w.to_bits()))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn sampling_into_a_reused_output_matches_a_fresh_one() {
+        // One frame of `n` items over `strata`, interleaved (round-robin)
+        // or grouped (one run per stratum), with explicit weights.
+        let frame = |strata: &[u32], n: usize, grouped: bool, weights: &[(u32, f64)]| {
+            let mut cols = ColumnarBatch::new();
+            for k in 0..n {
+                let stratum = if grouped {
+                    strata[k * strata.len() / n]
+                } else {
+                    strata[k % strata.len()]
+                };
+                cols.push_parts(stratum, 0.5 + k as f64 * 1.25, k as u64, 7 * k as u64);
+            }
+            for &(s, w) in weights {
+                cols.weights.set(StratumId::new(s), w);
+            }
+            cols
+        };
+        let frames = [
+            frame(&[0, 1, 2], 300, false, &[(0, 2.0), (2, 1.5)]),
+            frame(&[0, 1, 2], 240, true, &[(1, 3.0)]),
+            // Stratum 2, which both frames above carried, is gone: its
+            // output weight must not survive into this frame's output.
+            frame(&[0, 1], 200, false, &[]),
+            frame(&[1, 3], 90, true, &[(3, 4.0)]),
+        ];
+        for strategy in [Strategy::whs(), Strategy::Srs, Strategy::Native] {
+            let mut fresh = SamplingNode::new(strategy, 0.3, 11).expect("valid");
+            let mut reused = SamplingNode::new(strategy, 0.3, 11).expect("valid");
+            // Dirty from the start: items and a weight no frame carries.
+            let mut out = frame(&[9], 500, true, &[(9, 8.0)]);
+            for (i, input) in frames.iter().enumerate() {
+                let expected = fresh.process_columns(input);
+                reused.process_columns_into(input, &mut out);
+                assert_eq!(
+                    bits(&out),
+                    bits(&expected),
+                    "{}/frame {i}",
+                    strategy.label()
+                );
+            }
+            assert_eq!(fresh.items_out(), reused.items_out());
         }
     }
 

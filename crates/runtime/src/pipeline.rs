@@ -55,17 +55,18 @@
 //! batches straight into v2 in one pass over their items — in wall-clock
 //! mode writing the send time as every item's `source_ts` on the way
 //! ([`BatchProducer::send_v2_stamped_to`]; replay keeps event time,
-//! [`BatchProducer::send_v2_to`]). Sampling (WHS and SRS) edge nodes
-//! decode frames into recycled column sets drawn from a per-node
-//! [`ColumnarPool`] ([`decode_columns_into`] — four bulk copies per
-//! frame), sample through the flat-slice kernels
-//! ([`SamplingNode::process_columns_parallel`] /
-//! [`SamplingNode::process_columns`]) and forward with
+//! [`BatchProducer::send_v2_to`]). A sampling (WHS or SRS) edge node
+//! holds the frames it receives as they came, validated but not decoded;
+//! when it processes one it decodes it into its one reused input column
+//! set ([`decode_columns_into`] — four bulk copies), samples that into
+//! its one reused output through the flat-slice kernels
+//! ([`SamplingNode::process_columns_into`]; sharded nodes
+//! [`SamplingNode::process_columns_parallel`]) and forwards with
 //! [`BatchProducer::send_columns_to`]; the root decodes into one reused
 //! column set and condenses the columns into its `Θ` rows
 //! ([`RootNode::ingest_columns`]). Nothing sends v1 item frames. Sampling
 //! output and the root's rows are bit-identical to the array-of-structs
-//! path (pinned by kernel-, pool-, node- and root-level parity tests), so
+//! path (pinned by kernel-, node- and root-level parity tests), so
 //! fixed-seed estimates are unchanged — only the per-item traversal cost
 //! drops.
 //!
@@ -78,16 +79,23 @@
 //! stream stops it; and it sends the bytes decode → re-encode would
 //! have, because the v2 encoding is canonical.
 //!
-//! The wall-clock edge node loops are steady-state allocation-free. Every
-//! consumer polls through one reused record buffer
+//! What a warmed wall-clock edge thread allocates is counted, not
+//! assumed. Every consumer polls through one reused record buffer
 //! ([`Consumer::poll_into`] appending via the partition logs'
 //! `read_into`), every producer encodes through its own reused scratch,
-//! and both the input columns and the forwarded output batches return to
-//! the pool once sent. Sharded WHS nodes sample on a
-//! persistent [`crate::WorkerPool`] rather than a per-batch thread scope,
-//! so thread lifecycle is off the per-batch path too. What the root
-//! still allocates is each window's rows and, under WHS or SRS, its own
-//! sampler's output columns per frame.
+//! and a WHS node's held window is a reused `Vec` of refcounted records.
+//! Per frame, a warmed unsharded WHS node on an unimpaired hop then
+//! allocates the forwarded payload (the producer copies its scratch into
+//! the shared record) and one B-tree node per
+//! [`approxiot_core::WeightMap`] it fills: the resolved input weights, the
+//! sampled output's weights and, if the frame carries weights, the
+//! decoded ones (one node holds up to 11 strata). That is 3 allocations
+//! per frame at a leaf fed by sources and 4 at a node fed by samplers,
+//! pinned by `tests/alloc_budget.rs`; a native node allocates none.
+//! Sharded WHS nodes sample on a persistent [`crate::WorkerPool`] rather
+//! than a per-batch thread scope, with one fresh output per shard. What
+//! the root still allocates is each window's rows and, under WHS or SRS,
+//! its own sampler's output columns per frame.
 //!
 //! Memory follows what is in flight, not the length of the run: every
 //! node subscribes before the first push, and a partition log drops a
@@ -102,7 +110,7 @@ use crate::node::{NodePayload, SamplingNode, Strategy};
 use crate::query::QuerySet;
 use crate::root::{RootConfig, RootNode, WindowResult};
 use crate::topology::Topology;
-use approxiot_core::{Batch, BudgetError, ColumnarBatch, ColumnarPool, SketchConfig};
+use approxiot_core::{Batch, BudgetError, ColumnarBatch, SketchConfig};
 use approxiot_mq::codec::{
     decode_columns, decode_columns_into, decode_summaries, encoded_len_columns,
     encoded_len_summaries, encoded_len_v2, frame_items,
@@ -766,7 +774,7 @@ impl EdgeChurn {
 
 /// A native edge node: it forwards each frame it receives to its parent
 /// topic as is ([`BatchProducer::relay_to`] — one refcount bump on the
-/// record's payload; no decode, no encode, no copy, no pool). The bytes
+/// record's payload; no decode, no encode, no copy). The bytes
 /// it sends are the ones decode → re-encode would have produced, because
 /// a native node passes every column and the weights through unchanged
 /// and the v2 encoding is canonical (a proptest in the `mq` crate holds
@@ -894,19 +902,27 @@ impl NativeRelay<'_> {
 }
 
 /// The wall-clock loop of a sampling (WHS or SRS) edge node, running
-/// entirely on the columnar hot path: v2 frames decode into pooled
-/// [`ColumnarBatch`]es, the node samples through the flat-slice kernels,
-/// and outputs go back out as v2 frames.
+/// entirely on the columnar hot path: the node samples v2 frames through
+/// the flat-slice kernels and forwards its outputs as v2 frames.
 ///
-/// Steady-state allocation-free (see the module docs) **when the outgoing
-/// hop is unimpaired**: records poll into a reused buffer, frames decode
-/// into pooled column sets, and every batch — the decoded input and each
-/// forwarded output — returns to the node's [`ColumnarPool`] after the
-/// producer's reused scratch has encoded it. With an injector present the
-/// node's outputs route through it instead: dropped frames never touch the
-/// limiter or the wire, duplicated frames are sent twice, and jitter is
-/// added to the send timestamp (the consumer side holds the frame for
-/// `send + delay + jitter`).
+/// Every received frame is validated on receipt ([`frame_items`]), so a
+/// poisoned frame stops the node there, before it forwards anything of
+/// the window it holds. A buffered (WHS) node then holds the received
+/// records themselves — refcounted payloads, not decoded copies — until
+/// its window flushes; an SRS node processes each frame at once. Either
+/// way a frame is decoded into **one** reused input column set just
+/// before it is sampled into **one** reused output
+/// ([`SamplingNode::process_columns_into`]); a sharded node samples the
+/// same input on its worker pool instead, one fresh output per shard.
+///
+/// Per frame a warmed unsharded WHS node on an unimpaired hop allocates
+/// the forwarded payload and its weight maps' tree nodes: 3 allocations
+/// at a leaf, 4 above it (see the module docs; `tests/alloc_budget.rs`
+/// pins both).
+/// With an injector present the outputs route through it: dropped frames
+/// never touch the limiter or the wire, duplicated frames are sent twice,
+/// and jitter is added to the send timestamp (the consumer side holds the
+/// frame for `send + delay + jitter`).
 #[allow(clippy::too_many_arguments)]
 fn edge_node_loop(
     mut consumer: Consumer,
@@ -918,17 +934,12 @@ fn edge_node_loop(
     injector: &mut Option<FaultInjector>,
     churn: &mut Option<EdgeChurn>,
 ) {
-    // Sized to cover a window's held backlog in buffered (WHS) mode, not
-    // just one poll's worth; beyond this a burst falls back to fresh
-    // allocations rather than pinning memory.
-    let mut pool = ColumnarPool::new(256);
     let mut records: Vec<Record> = Vec::new();
-    let mut held: Vec<ColumnarBatch> = Vec::new();
+    let mut held: Vec<Record> = Vec::new();
+    let mut input = ColumnarBatch::new();
+    let mut output = ColumnarBatch::new();
     let mut last_flush = epoch.elapsed();
     let send = |out: &ColumnarBatch, extra: Duration| {
-        if out.is_empty() {
-            return true;
-        }
         if let Some(l) = &limiter {
             l.acquire(encoded_len_columns(out) as u64);
         }
@@ -937,88 +948,69 @@ fn edge_node_loop(
             .send_columns_to(params.out_partition, out, ts)
             .is_ok()
     };
-    let forward = |node: &mut SamplingNode,
-                   pool: &mut ColumnarPool,
-                   injector: &mut Option<FaultInjector>,
-                   churn: &mut Option<EdgeChurn>,
-                   batch: ColumnarBatch| {
-        if let Some(churn) = churn {
+    // Samples and forwards one validated frame; `false` once the node
+    // must stop.
+    let mut forward = |record: &Record| {
+        let mut crashed = false;
+        if let Some(churn) = churn.as_mut() {
             // Wall mode evaluates the schedule at the wall window of "now"
             // — the processing moment — mirroring a real fleet where an
             // outage is a property of when work happens, not of the data.
             let interval = churn.scheme.index_of(epoch.elapsed().as_nanos() as u64);
             match churn.disposition(interval) {
-                NodeDisposition::Down => {
-                    // Dark: the delivery is lost at this node's doorstep
-                    // (the sender already billed the wire).
-                    pool.put(batch);
-                    return true;
+                // Dark: the delivery is lost at this node's doorstep (the
+                // sender already billed the wire).
+                NodeDisposition::Down => return true,
+                // Mid-window crash: process (the sampler RNG advances as
+                // if healthy), then lose the buffered output.
+                disposition => {
+                    churn.sync(&mut node, interval);
+                    crashed = matches!(disposition, NodeDisposition::Crashed { .. });
                 }
-                NodeDisposition::Crashed { .. } => {
-                    // Mid-window crash: process (the sampler RNG advances
-                    // as if healthy), then lose the buffered output.
-                    churn.sync(node, interval);
-                    for out in node.process_columns_parallel(&batch) {
-                        pool.put(out);
-                    }
-                    pool.put(batch);
-                    return true;
-                }
-                NodeDisposition::Active { .. } => churn.sync(node, interval),
             }
         }
-        if let Some(injector) = injector {
-            // Fault-injected path: the outputs of this one input frame are
-            // one transmission burst.
-            let mut outs = node.process_columns_parallel(&batch);
-            outs.retain(|out| !out.is_empty());
-            let ok = injector.transmit(&outs, &mut |out, extra| send(out, extra));
-            for out in outs {
-                pool.put(out);
-            }
-            pool.put(batch);
-            return ok;
+        if decode_columns_into(&record.value, &mut input).is_err() {
+            return false;
         }
-        if params.sharded {
-            let mut ok = true;
-            for out in node.process_columns_parallel(&batch) {
-                ok = ok && send(&out, Duration::ZERO);
-                pool.put(out);
-            }
-            pool.put(batch);
-            ok
+        // The non-empty outputs of one input frame: one transmission burst.
+        let mut shards;
+        let outs: &[ColumnarBatch] = if params.sharded {
+            shards = node.process_columns_parallel(&input);
+            shards.retain(|out| !out.is_empty());
+            &shards
         } else {
-            let out = node.process_columns(&batch);
-            let ok = send(&out, Duration::ZERO);
-            // The pool pops LIFO, so put the big decoded input last: the
-            // next decode gets the warmest buffer.
-            pool.put(out);
-            pool.put(batch);
-            ok
+            node.process_columns_into(&input, &mut output);
+            if output.is_empty() {
+                &[]
+            } else {
+                std::slice::from_ref(&output)
+            }
+        };
+        if crashed {
+            return true;
+        }
+        match injector {
+            Some(injector) => injector.transmit(outs, &mut |out, extra| send(out, extra)),
+            None => outs.iter().all(|out| send(out, Duration::ZERO)),
         }
     };
     loop {
         match consumer.poll_into(&mut records, POLL_MAX, Duration::from_millis(5)) {
             Ok(_) => {
                 for record in records.drain(..) {
-                    let mut batch = pool.get();
-                    if decode_columns_into(&record.value, &mut batch).is_err() {
+                    if frame_items(&record.value).is_err() {
                         return;
                     }
                     wait_until(epoch, record.timestamp, params.hop_delay);
                     if params.buffered {
-                        held.push(batch);
-                    } else if !forward(&mut node, &mut pool, injector, churn, batch) {
+                        held.push(record);
+                    } else if !forward(&record) {
                         return;
                     }
                 }
             }
             Err(MqError::Closed) => {
-                for batch in held.drain(..) {
-                    if !forward(&mut node, &mut pool, injector, churn, batch) {
-                        return;
-                    }
-                }
+                held.iter().all(&mut forward);
                 return;
             }
             Err(_) => return,
@@ -1026,11 +1018,10 @@ fn edge_node_loop(
         if params.buffered {
             let now = epoch.elapsed();
             if now.saturating_sub(last_flush) >= params.window {
-                for batch in held.drain(..) {
-                    if !forward(&mut node, &mut pool, injector, churn, batch) {
-                        return;
-                    }
+                if !held.iter().all(&mut forward) {
+                    return;
                 }
+                held.clear();
                 last_flush = now;
             }
         }
@@ -1592,6 +1583,53 @@ mod tests {
         assert_eq!(report.source_items, 4 * 50 * pushes as u64);
         let count: f64 = report.results.iter().map(|r| r.count_hat).sum();
         assert_eq!(count, report.source_items as f64, "nothing lost or late");
+    }
+
+    #[test]
+    fn poisoned_frame_stops_a_whs_leaf_at_receipt() {
+        // A WHS leaf holding a window (an hour long, so it never flushes
+        // on its own) receives a malformed record between good frames. It
+        // must stop on receipt, with its input still open, and forward
+        // nothing of the window it held.
+        let broker = Broker::new();
+        let input = broker.create_topic("in", 1).expect("fresh broker");
+        let output = broker.create_topic("out", 1).expect("fresh broker");
+        let consumer = Consumer::subscribe(Arc::clone(&input), &[0], StartOffset::Earliest);
+        let feed = BatchProducer::new(Arc::clone(&input));
+        let frame = ColumnarBatch::from_batch(&intervals(1, 1, 64, 1.0)[0][0]);
+        let mut poisoned = approxiot_mq::codec::encode_columns(&frame).to_vec();
+        poisoned.pop();
+        feed.send_columns_to(0, &frame, 0).expect("open");
+        feed.send_columns_to(0, &frame, 0).expect("open");
+        feed.relay_to(0, poisoned.into(), frame.len(), 0)
+            .expect("open");
+        feed.send_columns_to(0, &frame, 0).expect("open");
+        let params = EdgeParams {
+            hop_delay: Duration::ZERO,
+            window: Duration::from_secs(3600),
+            out_partition: 0,
+            buffered: true,
+            sharded: false,
+        };
+        let node = SamplingNode::new(Strategy::whs(), 0.5, 1).expect("valid");
+        let producer = BatchProducer::new(Arc::clone(&output));
+        let (done_tx, done_rx) = mpsc::channel();
+        let leaf = thread::spawn(move || {
+            let epoch = Instant::now();
+            edge_node_loop(
+                consumer, &producer, node, params, None, epoch, &mut None, &mut None,
+            );
+            let _ = done_tx.send(producer.batches_sent());
+        });
+        let stopped = done_rx.recv_timeout(Duration::from_secs(10));
+        input.close(); // releases a leaf that failed to stop
+        leaf.join().expect("leaf thread");
+        assert_eq!(
+            stopped,
+            Ok(0),
+            "the leaf must stop at the poisoned frame, forwarding nothing"
+        );
+        assert!(output.is_empty());
     }
 
     #[test]
