@@ -3,8 +3,8 @@
 //! per-batch costs of the samplers and estimators.
 
 use approxiot_core::{
-    whs_sample, Allocation, Batch, ParallelShardedSampler, Reservoir, SkipReservoir, SrsSampler,
-    StratumId, StreamItem, ThetaStore, WeightMap, WhsSampler,
+    whs_sample, Allocation, Batch, ParallelShardedSampler, Reservoir, SrsSampler, StratumId,
+    StreamItem, ThetaStore, WeightMap, WhsSampler,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -38,14 +38,6 @@ fn bench_reservoirs(c: &mut Criterion) {
             black_box(res.len())
         })
     });
-    group.bench_function("algorithm_l_skip", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(1);
-            let mut res = SkipReservoir::new(1_000);
-            res.offer_all(black_box(0..n), &mut rng);
-            black_box(res.len())
-        })
-    });
     group.finish();
 }
 
@@ -53,9 +45,7 @@ fn bench_reservoirs(c: &mut Criterion) {
 /// sampled at 10%. `whs_seed` is the original per-batch-allocating
 /// Algorithm R path (`whs_sample`, kept as the comparison baseline);
 /// `whs` is the rebuilt zero-copy `WhsSampler` hot path (StrataIndex +
-/// slice allocation + Floyd's selection sampling for overflow — see the
-/// `reservoir` group above for why Algorithm L's transcendental-heavy
-/// draws lose to both Algorithm R and Floyd under a cheap RNG).
+/// slice allocation + Floyd's selection sampling for overflow).
 fn bench_whs_vs_srs(c: &mut Criterion) {
     let mut group = c.benchmark_group("sampler_per_batch");
     const TOTAL_ITEMS: usize = 65_536;

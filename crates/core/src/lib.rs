@@ -134,7 +134,7 @@ pub use error::{accuracy_loss, Confidence, Estimate};
 pub use estimate::{StratumEstimate, ThetaRow, ThetaStore};
 pub use item::{Measure, StratumId, StreamItem};
 pub use sampling::allocation::{Allocation, SizingScratch};
-pub use sampling::reservoir::{Reservoir, SkipReservoir};
+pub use sampling::reservoir::Reservoir;
 pub use sampling::sharded::{shard_bounds, shard_budget, shard_slice, ParallelShardedSampler};
 pub use sampling::srs::{InvalidFractionError, SrsSampler};
 pub use sampling::whs::{whs_sample, WhsOutput, WhsSampler, WhsScratch};

@@ -1,22 +1,14 @@
 //! Reservoir sampling: uniform samples of bounded size from unbounded
 //! streams.
 //!
-//! Two implementations are provided:
-//!
-//! * [`Reservoir`] — Vitter's classic *Algorithm R*: O(1) work per offered
-//!   item, one random draw per item once the reservoir is full.
-//! * [`SkipReservoir`] — Vitter's *Algorithm L*: draws a geometric "skip
-//!   count" and fast-forwards over items that cannot enter the reservoir,
-//!   reducing random draws from O(n) to O(R·log(n/R)). Its
-//!   [`SkipReservoir::sample_slice`] turns the skip into an index jump for
-//!   materialised slices. The right tool when items arrive one at a time
-//!   (e.g. a stratum split across frames in transit); when a whole
-//!   stratum is available as a slice, the `WHSamp` hot path goes further
-//!   with Floyd's selection sampling (see [`crate::WhsScratch`]), which
-//!   needs exactly R draws and no transcendentals.
-//!
-//! Both guarantee that after observing `n ≥ R` items, every item was
-//! retained with probability exactly `R / n`.
+//! [`Reservoir`] is Vitter's classic *Algorithm R*: O(1) work per offered
+//! item, one random draw per item once the reservoir is full. After
+//! observing `n ≥ R` items, every item was retained with probability
+//! exactly `R / n`. It serves items that arrive one at a time (the
+//! reference [`crate::whs_sample`] path); when a whole stratum is
+//! available as a slice, the `WHSamp` hot path uses Floyd's selection
+//! sampling instead (see [`crate::WhsScratch`]), which needs exactly `R`
+//! draws.
 
 use rand::Rng;
 
@@ -134,216 +126,6 @@ impl<T> Reservoir<T> {
     }
 }
 
-/// Skip-optimised reservoir sampler (Vitter's Algorithm L).
-///
-/// Statistically equivalent to [`Reservoir`], but after filling up it draws a
-/// geometric number of items to *skip* instead of flipping a coin per item.
-/// For a reservoir of size `R` fed `n` items it performs `O(R log(n/R))`
-/// random draws instead of `O(n)`.
-///
-/// # Examples
-///
-/// ```
-/// use approxiot_core::SkipReservoir;
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let mut res = SkipReservoir::new(8);
-/// res.offer_all(0..10_000, &mut rng);
-/// assert_eq!(res.len(), 8);
-/// assert_eq!(res.seen(), 10_000);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SkipReservoir<T> {
-    capacity: usize,
-    seen: u64,
-    slots: Vec<T>,
-    /// Items still to skip before the next candidate insertion.
-    skip: u64,
-    /// Algorithm L's running `W` value.
-    w: f64,
-    primed: bool,
-}
-
-impl<T> SkipReservoir<T> {
-    /// Creates a skip-based reservoir holding at most `capacity` items.
-    pub fn new(capacity: usize) -> Self {
-        SkipReservoir {
-            capacity,
-            seen: 0,
-            slots: Vec::with_capacity(capacity.min(1024)),
-            skip: 0,
-            w: 1.0,
-            primed: false,
-        }
-    }
-
-    fn advance<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        // W *= U^(1/R); skip ~ floor(log(U') / log(1 - W)).
-        let r = self.capacity as f64;
-        self.w *= rng.random::<f64>().powf(1.0 / r);
-        let u: f64 = rng.random();
-        let denom = (1.0 - self.w).ln();
-        self.skip = if denom.abs() < f64::EPSILON {
-            u64::MAX
-        } else {
-            let s = (u.ln() / denom).floor();
-            if s >= u64::MAX as f64 {
-                u64::MAX
-            } else {
-                s as u64
-            }
-        };
-    }
-
-    /// Offers one item; see [`Reservoir::offer`] for the return convention.
-    pub fn offer<R: Rng + ?Sized>(&mut self, item: T, rng: &mut R) -> Option<T> {
-        self.seen += 1;
-        if self.capacity == 0 {
-            return Some(item);
-        }
-        if self.slots.len() < self.capacity {
-            self.slots.push(item);
-            if self.slots.len() == self.capacity {
-                self.primed = false;
-            }
-            return None;
-        }
-        if !self.primed {
-            self.advance(rng);
-            self.primed = true;
-        }
-        if self.skip > 0 {
-            self.skip -= 1;
-            return Some(item);
-        }
-        let slot = rng.random_range(0..self.capacity);
-        let evicted = std::mem::replace(&mut self.slots[slot], item);
-        self.advance(rng);
-        Some(evicted)
-    }
-
-    /// Offers every item of an iterator.
-    pub fn offer_all<R, I>(&mut self, items: I, rng: &mut R)
-    where
-        R: Rng + ?Sized,
-        I: IntoIterator<Item = T>,
-    {
-        for item in items {
-            let _ = self.offer(item, rng);
-        }
-    }
-
-    /// Number of items offered so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Resets the reservoir for a fresh stream with a (possibly different)
-    /// capacity, keeping the slot allocation. This is what lets one
-    /// reservoir be reused across every stratum of every batch on the
-    /// sampling hot path without steady-state allocations.
-    pub fn reset_to(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        self.slots.clear();
-        self.slots.reserve(capacity.min(1024));
-        self.seen = 0;
-        self.skip = 0;
-        self.w = 1.0;
-        self.primed = false;
-    }
-
-    /// Number of items retained.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Returns `true` when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Maximum number of retained items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The retained sample, in slot order.
-    pub fn items(&self) -> &[T] {
-        &self.slots
-    }
-
-    /// Consumes the reservoir, returning the retained sample.
-    pub fn into_items(self) -> Vec<T> {
-        self.slots
-    }
-
-    /// Clears state for a new interval.
-    pub fn reset(&mut self) {
-        self.slots.clear();
-        self.seen = 0;
-        self.skip = 0;
-        self.w = 1.0;
-        self.primed = false;
-    }
-}
-
-impl<T: Copy> SkipReservoir<T> {
-    /// Offers an entire slice, jumping directly over skipped items instead
-    /// of visiting them one by one.
-    ///
-    /// Statistically identical to calling [`SkipReservoir::offer`] per item
-    /// (same RNG draw sequence), but the geometric skip becomes an index
-    /// jump, so per-item cost drops to a bounds check: total work is
-    /// `O(R·log(n/R))` RNG draws plus `O(n)` only for the initial fill.
-    /// This is the per-stratum overflow path of the `WHSamp` hot loop.
-    pub fn sample_slice<R: Rng + ?Sized>(&mut self, items: &[T], rng: &mut R) {
-        let mut i = 0usize;
-        // Fill phase: the first `capacity` items enter verbatim.
-        if self.slots.len() < self.capacity {
-            let take = (self.capacity - self.slots.len()).min(items.len());
-            self.slots.extend_from_slice(&items[..take]);
-            self.seen += take as u64;
-            i = take;
-            if self.slots.len() == self.capacity {
-                self.primed = false;
-            }
-            if i == items.len() {
-                return;
-            }
-        }
-        if self.capacity == 0 {
-            self.seen += (items.len() - i) as u64;
-            return;
-        }
-        // Skip phase: fast-forward over rejected items by index.
-        loop {
-            if !self.primed {
-                self.advance(rng);
-                self.primed = true;
-            }
-            let remaining = (items.len() - i) as u64;
-            if self.skip >= remaining {
-                // The whole tail is skipped; carry the leftover skip into
-                // the next call so split streams stay equivalent.
-                self.skip -= remaining;
-                self.seen += remaining;
-                return;
-            }
-            i += self.skip as usize;
-            self.seen += self.skip + 1;
-            self.skip = 0;
-            let slot = rng.random_range(0..self.capacity);
-            self.slots[slot] = items[i];
-            self.advance(rng);
-            i += 1;
-            if i == items.len() {
-                return;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,15 +199,17 @@ mod tests {
 
     /// Uniformity: each of n items should be retained with probability R/n.
     /// We run many trials and check per-item selection frequencies.
-    fn uniformity_check(offer: impl Fn(&mut StdRng, &[u32]) -> Vec<u32>) {
+    #[test]
+    fn algorithm_r_is_uniform() {
         let n = 20u32;
         let r = 5usize;
         let trials = 20_000;
-        let universe: Vec<u32> = (0..n).collect();
         let mut counts = vec![0u32; n as usize];
         let mut rng = StdRng::seed_from_u64(0xA55);
         for _ in 0..trials {
-            for kept in offer(&mut rng, &universe) {
+            let mut res = Reservoir::new(r);
+            res.offer_all(0..n, &mut rng);
+            for kept in res.into_items() {
                 counts[kept as usize] += 1;
             }
         }
@@ -437,58 +221,5 @@ mod tests {
                 "item {i} selected {c} times, expected ~{expected:.0} (rel err {rel:.3})"
             );
         }
-    }
-
-    #[test]
-    fn algorithm_r_is_uniform() {
-        uniformity_check(|rng, universe| {
-            let mut res = Reservoir::new(5);
-            res.offer_all(universe.iter().copied(), rng);
-            res.into_items()
-        });
-    }
-
-    #[test]
-    fn algorithm_l_is_uniform() {
-        uniformity_check(|rng, universe| {
-            let mut res = SkipReservoir::new(5);
-            res.offer_all(universe.iter().copied(), rng);
-            res.into_items()
-        });
-    }
-
-    #[test]
-    fn skip_reservoir_matches_capacity_invariants() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut res = SkipReservoir::new(16);
-        res.offer_all(0..100_000u64, &mut rng);
-        assert_eq!(res.len(), 16);
-        assert_eq!(res.seen(), 100_000);
-        // All retained items must come from the input universe (no dupes
-        // since the input has distinct values).
-        let mut kept = res.into_items();
-        kept.sort_unstable();
-        kept.dedup();
-        assert_eq!(kept.len(), 16);
-    }
-
-    #[test]
-    fn skip_reservoir_zero_capacity() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let mut res = SkipReservoir::new(0);
-        assert_eq!(res.offer(1, &mut rng), Some(1));
-        assert!(res.is_empty());
-    }
-
-    #[test]
-    fn skip_reservoir_reset() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut res = SkipReservoir::new(3);
-        res.offer_all(0..50, &mut rng);
-        res.reset();
-        assert_eq!(res.seen(), 0);
-        assert!(res.is_empty());
-        res.offer_all(0..2, &mut rng);
-        assert_eq!(res.len(), 2);
     }
 }

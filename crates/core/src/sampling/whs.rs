@@ -130,14 +130,8 @@ pub fn whs_sample<R: Rng + ?Sized>(
 ///    instead of allocating two more `BTreeMap`s;
 /// 3. overflowing strata draw a uniform `N_i`-subset with Floyd's
 ///    selection sampling — exactly `N_i` cheap uniform draws per stratum
-///    instead of Algorithm R's `O(c_i)`. (Vitter's Algorithm L,
-///    [`crate::SkipReservoir`], already cuts the draws to
-///    `O(N_i·log(c_i/N_i))`, but each of its draws costs two logarithms
-///    and a power; with the whole stratum materialised as a slice there
-///    is no need to *stream* at all, and Floyd's transcendental-free
-///    draws are strictly cheaper. The skip-based reservoir remains the
-///    right tool when items really do arrive one at a time —
-///    [`crate::SkipReservoir::sample_slice`] covers the split-stream case.)
+///    instead of Algorithm R's `O(c_i)`. With the whole stratum
+///    materialised as a slice there is no need to *stream* at all.
 ///
 /// The statistics are unchanged: per-stratum uniform sampling without
 /// replacement and the Equation 1–2 weight update, so the Equation 9

@@ -2,7 +2,7 @@
 
 use approxiot_core::{
     quantile, whs_sample, Allocation, Batch, Confidence, CostFunction, Estimate, Reservoir,
-    SamplingBudget, SkipReservoir, StratumId, StreamItem, ThetaStore, WeightMap, WeightStore,
+    SamplingBudget, StratumId, StreamItem, ThetaStore, WeightMap, WeightStore,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -19,8 +19,8 @@ proptest! {
 
     // ---- Reservoirs -------------------------------------------------------
 
-    /// Both reservoir variants retain exactly min(seen, capacity) items and
-    /// count every offer.
+    /// A reservoir retains exactly min(seen, capacity) items and counts
+    /// every offer.
     #[test]
     fn reservoirs_respect_capacity(n in 0usize..2000, cap in 0usize..64, seed in 0u64..1000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -28,11 +28,6 @@ proptest! {
         r.offer_all(0..n as u64, &mut rng);
         prop_assert_eq!(r.len(), n.min(cap));
         prop_assert_eq!(r.seen(), n as u64);
-
-        let mut l = SkipReservoir::new(cap);
-        l.offer_all(0..n as u64, &mut rng);
-        prop_assert_eq!(l.len(), n.min(cap));
-        prop_assert_eq!(l.seen(), n as u64);
     }
 
     /// Reservoir contents are always distinct elements of the input.

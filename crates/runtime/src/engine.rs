@@ -51,6 +51,7 @@ use crate::topology::{HopBytes, Topology};
 use approxiot_core::{Batch, BudgetError};
 use approxiot_mq::codec::{encoded_len, encoded_len_summaries};
 use approxiot_streams::{TumblingWindow, WindowId};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -216,11 +217,9 @@ pub struct SimEngine {
     intervals_pushed: u64,
     /// Churn bookkeeping (`None` on an unchurned topology: strict no-op).
     churn: Option<ChurnDriver>,
-    /// `churn_ctx[layer][index]` / `churn_states[layer][index]`: the
-    /// per-node rebuild context and lazily-applied churn state (empty
-    /// unless the topology carries churn).
-    churn_ctx: Vec<Vec<NodeChurnContext>>,
-    churn_states: Vec<Vec<NodeChurnState>>,
+    /// `churn_nodes[layer][index]`: each node's rebuild context and
+    /// lazily-applied churn state (empty unless the topology carries churn).
+    churn_nodes: Vec<Vec<(NodeChurnContext, NodeChurnState)>>,
     started: Instant,
 }
 
@@ -266,27 +265,25 @@ impl SimEngine {
             delivery_factor: topology.delivery_factor(),
             allowed_lateness: topology.allowed_lateness(),
         })?;
-        let (churn, churn_ctx, churn_states) = if topology.has_churn() {
+        let (churn, churn_nodes) = if topology.has_churn() {
             let driver = ChurnDriver::new(&topology);
             root.set_inclusion(driver.inclusion());
-            let ctx = topology
+            let churn_nodes = topology
                 .layers()
                 .iter()
                 .enumerate()
                 .map(|(l, layer)| {
                     (0..layer.nodes)
-                        .map(|j| NodeChurnContext::new(&topology, &fractions, l, j))
+                        .map(|j| {
+                            let ctx = NodeChurnContext::new(&topology, &fractions, l, j);
+                            (ctx, NodeChurnState::new())
+                        })
                         .collect()
                 })
                 .collect();
-            let states = topology
-                .layers()
-                .iter()
-                .map(|layer| vec![NodeChurnState::new(); layer.nodes])
-                .collect();
-            (Some(driver), ctx, states)
+            (Some(driver), churn_nodes)
         } else {
-            (None, Vec::new(), Vec::new())
+            (None, Vec::new())
         };
         let injectors = hop_injectors(&topology);
         let hops = topology.hops();
@@ -304,18 +301,12 @@ impl SimEngine {
             max_event_ts: 0,
             intervals_pushed: 0,
             churn,
-            churn_ctx,
-            churn_states,
+            churn_nodes,
             // D1-allowlisted: wall-clock elapsed time is reported, never
             // fed back into the virtual-time run.
             #[allow(clippy::disallowed_methods)]
             started: Instant::now(),
         })
-    }
-
-    /// The topology this engine runs.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     /// Pushes one interval of source batches through every layer.
@@ -334,43 +325,31 @@ impl SimEngine {
     pub fn push_interval(&mut self, source_batches: &[Batch]) {
         let interval = self.intervals_pushed;
         self.intervals_pushed += 1;
-        let churned = self.churn.is_some();
-        let impaired = self.topology.has_impairment();
+        // Per-window true counts, the completeness denominator, matter
+        // only on impaired runs: unimpaired ones are complete by
+        // definition, and churned ones count in the inclusion map.
+        let count_windows = self.churn.is_none() && self.topology.has_impairment();
         for batch in source_batches {
             self.source_items += batch.len() as u64;
-            if impaired && !churned {
-                // Per-window true counts: the completeness denominator.
-                for item in &batch.items {
-                    self.max_event_ts = self.max_event_ts.max(item.source_ts);
-                    *self
-                        .window_items
-                        .entry(self.scheme.index_of(item.source_ts))
-                        .or_insert(0) += 1;
+            for item in &batch.items {
+                self.max_event_ts = self.max_event_ts.max(item.source_ts);
+                if count_windows {
+                    let window = self.scheme.index_of(item.source_ts);
+                    *self.window_items.entry(window).or_insert(0) += 1;
                 }
-            } else if let Some(ts) = batch.items.iter().map(|i| i.source_ts).max() {
-                // Unimpaired: completeness is 1.0 by definition, so keep
-                // the historical single max() pass. (Churned runs track
-                // per-window counts in the inclusion map instead.)
-                self.max_event_ts = self.max_event_ts.max(ts);
             }
         }
         if self.topology.sketch_config().is_some() {
             // Sketch topologies are homogeneous and unimpaired (the
             // driver validates); churn/impairment state is never built.
             self.push_interval_sketch(source_batches);
-        } else if let Some(churn) = self.churn.as_mut() {
-            // Inclusion tallies + fleet stats, before the data flows.
-            churn.note_interval(interval, source_batches);
-            self.push_interval_churned(source_batches, interval);
-        } else if impaired {
-            self.push_interval_impaired(source_batches);
         } else {
-            self.push_interval_clean(source_batches);
+            self.push_interval_items(source_batches, interval);
         }
     }
 
     /// The sketch-strategy path: hop 0 ships item frames exactly like the
-    /// clean path, the first layer folds them into per-window summaries,
+    /// item path, the first layer folds them into per-window summaries,
     /// and every hop after that carries **one summary payload per node
     /// per interval** — billed with the real v3 frame size
     /// ([`encoded_len_summaries`]) and merged downstream with no per-item
@@ -412,233 +391,71 @@ impl SimEngine {
         }
     }
 
-    /// The unimpaired fast path: identical to the historical engine (no
-    /// frame clones, no injector bookkeeping).
-    fn push_interval_clean(&mut self, source_batches: &[Batch]) {
-        for batch in source_batches {
-            self.bytes.add(0, encoded_len(batch) as u64);
-        }
-        // First layer: inputs are the source batches themselves.
-        let n0 = self.topology.layers()[0].nodes;
-        let mut carried: Vec<Vec<Batch>> = vec![Vec::new(); n0];
-        for (j, outs) in carried.iter_mut().enumerate() {
-            for (i, batch) in source_batches.iter().enumerate() {
-                if i % n0 == j {
-                    outs.extend(
-                        self.nodes[0][j]
-                            .process_batch_parallel(batch)
-                            .into_iter()
-                            .filter(|out| !out.is_empty()),
-                    );
-                }
-            }
-        }
-        // Deeper layers: child j of the previous layer feeds node
-        // j % n, inputs gathered in child order.
-        for l in 1..self.nodes.len() {
-            let n = self.topology.layers()[l].nodes;
-            let mut inputs: Vec<Vec<Batch>> = vec![Vec::new(); n];
-            for (child, outs) in carried.into_iter().enumerate() {
-                for out in outs {
-                    self.bytes.add(l, encoded_len(&out) as u64);
-                    inputs[child % n].push(out);
-                }
-            }
-            carried = vec![Vec::new(); n];
-            for (j, input) in inputs.into_iter().enumerate() {
-                for batch in &input {
-                    carried[j].extend(
-                        self.nodes[l][j]
-                            .process_batch_parallel(batch)
-                            .into_iter()
-                            .filter(|out| !out.is_empty()),
-                    );
-                }
-            }
-        }
-        // Root: last-layer nodes in index order.
-        let root_hop = self.topology.hops() - 1;
-        for outs in carried {
-            for out in outs {
-                self.bytes.add(root_hop, encoded_len(&out) as u64);
-                self.root.ingest(&out);
-            }
-        }
-    }
-
-    /// The fault-injected path. Per-node frame order is exactly the clean
-    /// path's canonical `(interval, sender, arrival)` order, minus dropped
-    /// frames, plus duplicated copies, with bursts possibly reordered —
-    /// the same sequence every sender's injector produces on the threaded
-    /// engine, which is what keeps impaired runs engine-identical.
-    fn push_interval_impaired(&mut self, source_batches: &[Batch]) {
+    /// The item-strategy path. The outputs of one input frame form one
+    /// burst on the next hop; on hop 0 each source frame is a burst.
+    ///
+    /// Under churn a dark node loses its deliveries at the doorstep (the
+    /// sender already billed them); a crashed node processes its input,
+    /// so its sampler RNG advances as if healthy, then loses the output.
+    /// Replacements and fraction scales apply lazily via
+    /// [`NodeChurnState::sync`] when a node is about to process data — the
+    /// moments replay mode applies them, keeping churn engine-identical.
+    fn push_interval_items(&mut self, source_batches: &[Batch], interval: u64) {
         let Self {
             topology,
             nodes,
             root,
             bytes,
             injectors,
+            churn,
+            churn_nodes,
             ..
         } = self;
-        let n_layers = nodes.len();
-        // Hop 0: each source frame crosses its injector into node i % n0.
-        let n0 = topology.layers()[0].nodes;
-        let mut inputs: Vec<Vec<Batch>> = vec![Vec::new(); n0];
-        for (i, batch) in source_batches.iter().enumerate() {
-            let sink = &mut inputs[i % n0];
-            match injectors[0][i].as_mut() {
-                Some(injector) => {
-                    injector.transmit(std::slice::from_ref(batch), &mut |frame, _| {
-                        bytes.add(0, encoded_len(frame) as u64);
-                        sink.push(frame.clone());
-                        true
-                    });
-                }
-                None => {
-                    bytes.add(0, encoded_len(batch) as u64);
-                    sink.push(batch.clone());
-                }
-            }
+        if let Some(churn) = churn.as_mut() {
+            // Inclusion tallies + fleet stats, before the data flows.
+            churn.note_interval(interval, source_batches);
         }
-        // Each layer processes its delivered frames in (sender, arrival)
-        // order; the outputs of one input frame form one burst on the next
-        // hop, delivered to node j % n_next (or the root).
-        for (l, layer_nodes) in nodes.iter_mut().enumerate() {
-            let hop = l + 1;
-            let n_next = topology.layers().get(l + 1).map_or(0, |layer| layer.nodes);
-            let mut next: Vec<Vec<Batch>> = vec![Vec::new(); n_next];
-            for (j, frames) in inputs.into_iter().enumerate() {
-                for frame in &frames {
-                    let mut outs = layer_nodes[j].process_batch_parallel(frame);
-                    outs.retain(|out| !out.is_empty());
-                    match injectors[hop][j].as_mut() {
-                        Some(injector) => {
-                            if l + 1 < n_layers {
-                                let sink = &mut next[j % n_next];
-                                injector.transmit(&outs, &mut |out, _| {
-                                    bytes.add(hop, encoded_len(out) as u64);
-                                    sink.push(out.clone());
-                                    true
-                                });
-                            } else {
-                                injector.transmit(&outs, &mut |out, _| {
-                                    bytes.add(hop, encoded_len(out) as u64);
-                                    root.ingest(out);
-                                    true
-                                });
-                            }
-                        }
-                        None => {
-                            for out in outs {
-                                bytes.add(hop, encoded_len(&out) as u64);
-                                if l + 1 < n_layers {
-                                    next[j % n_next].push(out);
-                                } else {
-                                    root.ingest(&out);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            inputs = next;
-        }
-    }
-
-    /// The churned path: the impaired path's wire semantics plus the
-    /// per-node churn state machine. A dark node's delivered frames are
-    /// lost at its doorstep (the sender already transmitted — and billed —
-    /// them); a crashed node processes its input (its sampler RNG advances
-    /// exactly as if healthy) then loses its buffered output before
-    /// forwarding; replacements and fraction scales are applied lazily via
-    /// [`NodeChurnState::sync`] only when a node is about to process data,
-    /// the same moments replay mode applies them — which is what keeps
-    /// fixed-seed churn runs engine-identical.
-    fn push_interval_churned(&mut self, source_batches: &[Batch], interval: u64) {
-        let Self {
-            topology,
-            nodes,
-            root,
-            bytes,
-            injectors,
-            churn_ctx,
-            churn_states,
-            ..
-        } = self;
-        let schedule = topology.churn();
-        let n_layers = nodes.len();
-        // Hop 0: sources are never churned; identical to the impaired path.
         let n0 = topology.layers()[0].nodes;
-        let mut inputs: Vec<Vec<Batch>> = vec![Vec::new(); n0];
+        let mut inputs: Vec<Vec<Cow<'_, Batch>>> = vec![Vec::new(); n0];
         for (i, batch) in source_batches.iter().enumerate() {
+            let burst = Cow::Borrowed(std::slice::from_ref(batch));
             let sink = &mut inputs[i % n0];
-            match injectors[0][i].as_mut() {
-                Some(injector) => {
-                    injector.transmit(std::slice::from_ref(batch), &mut |frame, _| {
-                        bytes.add(0, encoded_len(frame) as u64);
-                        sink.push(frame.clone());
-                        true
-                    });
-                }
-                None => {
-                    bytes.add(0, encoded_len(batch) as u64);
-                    sink.push(batch.clone());
-                }
-            }
+            cross(bytes, 0, injectors[0][i].as_mut(), burst, sink);
         }
         for (l, layer_nodes) in nodes.iter_mut().enumerate() {
             let hop = l + 1;
-            let n_next = topology.layers().get(l + 1).map_or(0, |layer| layer.nodes);
-            let mut next: Vec<Vec<Batch>> = vec![Vec::new(); n_next];
+            // The root is the last hop's one receiver.
+            let n_next = topology.layers().get(hop).map_or(1, |layer| layer.nodes);
+            let mut next = vec![Vec::new(); n_next];
             for (j, frames) in inputs.into_iter().enumerate() {
                 if frames.is_empty() {
                     // No deliveries — replay mode has no record to process
                     // here either, so the node's churn state stays lazy.
                     continue;
                 }
-                let disposition = schedule.disposition(l, j, interval);
-                if disposition == NodeDisposition::Down {
-                    continue; // dark: deliveries lost at the doorstep
+                let mut forward = true;
+                if let Some((ctx, state)) = churn_nodes.get_mut(l).map(|layer| &mut layer[j]) {
+                    let schedule = topology.churn();
+                    let disposition = schedule.disposition(l, j, interval);
+                    if disposition == NodeDisposition::Down {
+                        continue; // dark: deliveries lost at the doorstep
+                    }
+                    state.sync(&mut layer_nodes[j], ctx, schedule, interval);
+                    forward = !matches!(disposition, NodeDisposition::Crashed { .. });
                 }
-                churn_states[l][j].sync(&mut layer_nodes[j], &churn_ctx[l][j], schedule, interval);
-                let crashed = matches!(disposition, NodeDisposition::Crashed { .. });
                 for frame in &frames {
                     let mut outs = layer_nodes[j].process_batch_parallel(frame);
                     outs.retain(|out| !out.is_empty());
-                    if crashed {
-                        continue; // buffered output lost before forwarding
-                    }
-                    match injectors[hop][j].as_mut() {
-                        Some(injector) => {
-                            if l + 1 < n_layers {
-                                let sink = &mut next[j % n_next];
-                                injector.transmit(&outs, &mut |out, _| {
-                                    bytes.add(hop, encoded_len(out) as u64);
-                                    sink.push(out.clone());
-                                    true
-                                });
-                            } else {
-                                injector.transmit(&outs, &mut |out, _| {
-                                    bytes.add(hop, encoded_len(out) as u64);
-                                    root.ingest(out);
-                                    true
-                                });
-                            }
-                        }
-                        None => {
-                            for out in outs {
-                                bytes.add(hop, encoded_len(&out) as u64);
-                                if l + 1 < n_layers {
-                                    next[j % n_next].push(out);
-                                } else {
-                                    root.ingest(&out);
-                                }
-                            }
-                        }
+                    if forward {
+                        let (injector, sink) = (injectors[hop][j].as_mut(), &mut next[j % n_next]);
+                        cross(bytes, hop, injector, Cow::Owned(outs), sink);
                     }
                 }
             }
             inputs = next;
+        }
+        for frame in &inputs[0] {
+            root.ingest(frame);
         }
     }
 
@@ -676,19 +493,9 @@ impl SimEngine {
         &self.bytes
     }
 
-    /// Fault-injection accounting so far, per hop.
-    pub fn faults(&self) -> HopFaults {
-        collect_faults(&self.injectors)
-    }
-
     /// Total items pushed by sources so far.
     pub fn source_items(&self) -> u64 {
         self.source_items
-    }
-
-    /// Items that reached the root (after every edge sampling stage).
-    pub fn root_items_in(&self) -> u64 {
-        self.root.items_in()
     }
 }
 
@@ -725,8 +532,36 @@ impl Engine for SimEngine {
     }
 }
 
+/// Sends one burst across `hop` into `sink` — through the sender's
+/// injector, if the hop has one (see [`SimEngine::push_interval`]) —
+/// billing each delivered copy with its real codec frame size. An
+/// unimpaired hop clones no frame: owned ones move, borrowed ones are lent.
+fn cross<'a>(
+    bytes: &mut HopBytes,
+    hop: usize,
+    injector: Option<&mut FaultInjector>,
+    burst: Cow<'a, [Batch]>,
+    sink: &mut Vec<Cow<'a, Batch>>,
+) {
+    let mut deliver = |frame: Cow<'a, Batch>| {
+        bytes.add(hop, encoded_len(&frame) as u64);
+        sink.push(frame);
+    };
+    match (injector, burst) {
+        (Some(injector), burst) => {
+            injector.transmit(&burst, &mut |frame, _| {
+                deliver(Cow::Owned(frame.clone()));
+                true
+            });
+        }
+        (None, Cow::Borrowed(frames)) => frames.iter().map(Cow::Borrowed).for_each(deliver),
+        (None, Cow::Owned(frames)) => frames.into_iter().map(Cow::Owned).for_each(deliver),
+    }
+}
+
 /// Builds the per-hop, per-sender injector table for a topology: `None`
-/// everywhere a hop's spec is a no-op, so unimpaired paths stay untouched.
+/// everywhere a hop's spec is a no-op, so an unimpaired hop's frames
+/// cross untouched.
 pub(crate) fn hop_injectors(topology: &Topology) -> Vec<Vec<Option<FaultInjector>>> {
     (0..topology.hops())
         .map(|hop| {
@@ -1210,6 +1045,46 @@ mod tests {
             EngineKind::pipeline_deterministic()
         )
         .is_ok());
+    }
+
+    #[test]
+    fn one_impaired_hop_and_one_churned_leaf_stay_engine_identical() {
+        // Only hop 0 has injectors and only leaf 1 churns, so one run mixes
+        // hops with and without injectors and nodes with and without churn.
+        use crate::churn::ChurnSchedule;
+        use approxiot_net::ImpairmentSpec;
+        let chaos = ImpairmentSpec::none().loss(0.2).duplicate(0.1).reorder(0.3);
+        let topology = Topology::builder()
+            .sources(5)
+            .layer(LayerSpec::new(3).impairment(chaos))
+            .layer(LayerSpec::new(2))
+            .overall_fraction(0.3)
+            .seed(0xE0_0E)
+            .churn(ChurnSchedule::new().down(0, 1, 1, 2).crash(0, 1, 3))
+            .build()
+            .expect("valid");
+        let mut data: Vec<_> = (0..5).map(|t| interval(5, 300, 0.0, t * SEC)).collect();
+        // Distinct values, so which items each sampler keeps shows in the sums.
+        let items = data.iter_mut().flatten().flat_map(|b| &mut b.items);
+        items
+            .enumerate()
+            .for_each(|(k, item)| item.value = (k % 97) as f64);
+        let run = |kind| Driver::new(topology.clone(), QuerySet::default(), kind)?.run(&data);
+        let sim = run(EngineKind::Sim).expect("sim run");
+        let pipe = run(EngineKind::pipeline_deterministic()).expect("pipeline run");
+        // Debug prints each f64 in its shortest exact form: equal text is
+        // equal bits, in every field of every window.
+        assert_eq!(format!("{:?}", sim.results), format!("{:?}", pipe.results));
+        assert_eq!((&sim.faults, sim.churn), (&pipe.faults, pipe.churn));
+        let hop0 = sim.faults.hops()[0];
+        assert!(hop0.dropped_frames > 0 && sim.churn.node_downtime > 0 && sim.churn.crashes > 0);
+        // Sim bills each frame as v1, the pipeline as the v2 frame it
+        // sends, 12 bytes longer: hop 0 carries the 25 source frames, less
+        // drops, plus duplicates.
+        let (s, p) = (sim.bytes.hops(), pipe.bytes.hops());
+        let frames0 = 25 - hop0.dropped_frames + hop0.duplicated_frames;
+        assert_eq!(p[0] - s[0], 12 * frames0);
+        assert!((1..3).all(|h| (p[h] - s[h]) % 12 == 0), "{s:?} vs {p:?}");
     }
 
     #[test]

@@ -182,7 +182,7 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// Builds the injector for one sender, or `None` when the spec is a
-    /// no-op — callers keep the unimpaired fast path exactly as it was.
+    /// no-op — a hop without an injector sends its frames untouched.
     pub fn new(spec: ImpairmentSpec, seed: u64) -> Option<Self> {
         if spec.is_noop() {
             return None;

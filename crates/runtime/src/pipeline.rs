@@ -1054,7 +1054,7 @@ fn edge_node_replay(
     for (key, batch) in held {
         // Replay evaluates the schedule at the record's interval key —
         // the same timeline index (and the same lazy application moments)
-        // as the sim engine's churned path.
+        // as the sim engine's item path.
         let mut crashed = false;
         if let Some(churn) = churn.as_mut() {
             match churn.disposition(key) {

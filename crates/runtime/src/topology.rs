@@ -82,13 +82,6 @@ impl FractionSplit {
             }
         }
     }
-
-    /// The per-stage fractions `[leaf, mid, root]` for the paper's
-    /// three-stage tree.
-    pub fn stage_fractions(self, overall: f64) -> [f64; 3] {
-        let f = self.fractions(overall, 3);
-        [f[0], f[1], f[2]]
-    }
 }
 
 /// One WAN hop: the link feeding a layer (or the root) from the layer
@@ -727,18 +720,18 @@ mod tests {
             FractionSplit::LeafHeavy.fractions(0.25, 4),
             vec![0.25, 1.0, 1.0, 1.0]
         );
-        // The historical three-stage view agrees.
+        // The paper's three-stage tree.
         assert_eq!(
-            FractionSplit::LeafHeavy.stage_fractions(0.25),
-            [0.25, 1.0, 1.0]
+            FractionSplit::LeafHeavy.fractions(0.25, 3),
+            vec![0.25, 1.0, 1.0]
         );
     }
 
     #[test]
     fn three_stage_view_matches_generalized_split() {
-        let [l, m, r] = FractionSplit::Even.stage_fractions(0.125);
-        assert!((l - 0.5).abs() < 1e-12);
-        assert!((l * m * r - 0.125).abs() < 1e-12);
+        let f = FractionSplit::Even.fractions(0.125, 3);
+        assert!((f[0] - 0.5).abs() < 1e-12);
+        assert!((f[0] * f[1] * f[2] - 0.125).abs() < 1e-12);
     }
 
     #[test]
