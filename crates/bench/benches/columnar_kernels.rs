@@ -40,7 +40,7 @@ fn interleaved(total: usize) -> Batch {
 /// fills a `u32` permutation only).
 fn bench_grouping(c: &mut Criterion) {
     let mut group = c.benchmark_group("columnar_kernels/grouping");
-    for &total in &[1_024usize, 65_536] {
+    for &total in &[512usize, 1_024, 65_536] {
         let aos = interleaved(total);
         let soa = ColumnarBatch::from_batch(&aos);
         group.throughput(Throughput::Elements(total as u64));
@@ -85,7 +85,7 @@ fn bench_value_sum(c: &mut Criterion) {
 /// construction; this measures the layout cost alone.
 fn bench_selection(c: &mut Criterion) {
     let mut group = c.benchmark_group("columnar_kernels/whs_select");
-    for &total in &[1_024usize, 65_536] {
+    for &total in &[512usize, 1_024, 65_536] {
         let budget = total / 10;
         let aos = interleaved(total);
         let soa = ColumnarBatch::from_batch(&aos);

@@ -150,11 +150,15 @@ impl Batch {
 /// owns all its buffers and reuses them across batches: after the first
 /// few batches of a steady workload, [`StrataIndex::build`] performs
 /// **zero allocations**, and for the common case of inputs that already
-/// arrive grouped by stratum (per-source batches, the bench workloads) it
+/// arrive grouped by stratum (per-source batches, a sampler's output) it
 /// also copies **zero items** — the counting pass detects that every
 /// stratum forms one contiguous run and the ranges then index the caller's
-/// slice directly. Interleaved inputs take one extra scatter pass through
-/// the internal scratch buffer.
+/// slice directly. Interleaved inputs (the round-robin frames the threaded
+/// drains send) take one extra scatter pass through the internal scratch
+/// buffer. [`StrataIndex::build`] and [`StrataIndex::build_columns`] share
+/// that one counting pass; it probes the stratum table only where the
+/// stratum changes and counts per run, so its per-item cost is one compare
+/// and one `u32` store, plus one table probe per stratum change.
 ///
 /// Within each stratum the arrival order of items is preserved, matching
 /// the map-based grouping semantics (line 5 of Algorithm 1).
@@ -203,14 +207,8 @@ pub struct StrataIndex {
     /// Fallback for stratum ids beyond [`TABLE_CAP`] (cleared per build).
     overflow: BTreeMap<StratumId, u32>,
     generation: u32,
-    /// Item count per bucket, in first-seen order.
-    counts: Vec<usize>,
-    /// Position of the bucket's first item, in first-seen order.
-    first_pos: Vec<usize>,
-    /// Bucket → stratum, in first-seen order.
-    strata_of_bucket: Vec<StratumId>,
-    /// Bucket → next scatter position.
-    cursors: Vec<usize>,
+    /// The strata of the last build, in first-seen order.
+    buckets: Vec<Bucket>,
     /// Grouped position → original position (columnar scatter path only);
     /// columnar kernels gather through this instead of copying items.
     perm: Vec<u32>,
@@ -234,6 +232,17 @@ struct TableSlot {
     bucket: u32,
 }
 
+/// One stratum of the current build, indexed by bucket (first-seen
+/// order).
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    stratum: StratumId,
+    count: usize,
+    /// The input position of the stratum's first item after the counting
+    /// pass; on the scatter path, the next grouped position to fill.
+    pos: usize,
+}
+
 /// Largest stratum id served by the O(1) sparse table (4 MiB of slots);
 /// ids at or above this go through the `overflow` tree map.
 const TABLE_CAP: usize = 1 << 19;
@@ -247,10 +256,8 @@ impl StrataIndex {
 
     /// Rebuilds the index over `items`, reusing all internal buffers.
     pub fn build(&mut self, items: &[StreamItem]) {
-        self.begin(items.len());
         self.columnar = false;
-        let contiguous = self.count_pass(items.iter().map(|item| item.stratum));
-        if self.layout(contiguous) {
+        if self.index(items.iter().map(|item| item.stratum.index())) {
             return;
         }
         // Interleaved input: scatter items into the contiguous scratch
@@ -263,9 +270,9 @@ impl StrataIndex {
             self.scratch.resize(items.len(), filler);
         }
         for (item, &bucket) in items.iter().zip(&self.bucket_of_item) {
-            let pos = self.cursors[bucket as usize];
-            self.scratch[pos] = *item;
-            self.cursors[bucket as usize] = pos + 1;
+            let cursor = &mut self.buckets[bucket as usize].pos;
+            self.scratch[*cursor] = *item;
+            *cursor += 1;
         }
     }
 
@@ -280,10 +287,8 @@ impl StrataIndex {
     /// by index through [`StrataIndex::src_index`]; already-grouped
     /// inputs skip even that (identity mapping, zero extra work).
     pub fn build_columns(&mut self, strata: &[u32]) {
-        self.begin(strata.len());
         self.columnar = true;
-        let contiguous = self.count_pass(strata.iter().map(|&s| StratumId::new(s)));
-        if self.layout(contiguous) {
+        if self.index(strata.iter().copied()) {
             return;
         }
         // Interleaved input: fill the grouped-position → original-position
@@ -291,21 +296,17 @@ impl StrataIndex {
         self.perm.clear();
         self.perm.resize(strata.len(), 0);
         for (pos, &bucket) in self.bucket_of_item.iter().enumerate() {
-            let slot = self.cursors[bucket as usize];
-            self.perm[slot] = pos as u32;
-            self.cursors[bucket as usize] = slot + 1;
+            let cursor = &mut self.buckets[bucket as usize].pos;
+            self.perm[*cursor] = pos as u32;
+            *cursor += 1;
         }
     }
 
-    /// Resets per-build state (buffers keep their allocations).
-    fn begin(&mut self, len: usize) {
-        self.len = len;
-        self.ranges.clear();
-        self.counts.clear();
-        self.first_pos.clear();
-        self.strata_of_bucket.clear();
-        self.bucket_of_item.clear();
-        self.overflow.clear();
+    /// Counts and lays out one build (pass 1 plus the range layout) and
+    /// returns `true` when the grouped zero-copy path applies; otherwise
+    /// every bucket's `pos` is its scatter cursor for the caller's pass 2.
+    fn index(&mut self, strata: impl ExactSizeIterator<Item = u32>) -> bool {
+        self.len = strata.len();
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             // Generation counter wrapped: stale stamps could collide, so
@@ -315,47 +316,81 @@ impl StrataIndex {
                 .for_each(|s| *s = TableSlot::default());
             self.generation = 1;
         }
+        let contiguous = self.count_pass(strata);
+        self.layout(contiguous)
     }
 
-    /// Pass 1: discovers strata and counts, memoising the previous
-    /// position's stratum — real streams arrive in long per-source runs.
-    /// Along the way, detects whether every stratum forms a single
-    /// contiguous run (a stratum re-entered after a gap breaks
-    /// contiguity); returns that flag.
-    fn count_pass(&mut self, strata: impl Iterator<Item = StratumId>) -> bool {
+    /// Pass 1: assigns every item its stratum's bucket (first-seen order)
+    /// and counts each bucket, returning whether every stratum forms a
+    /// single contiguous run.
+    ///
+    /// The table is consulted only where the stratum changes from the
+    /// previous item, so a run of one stratum — per-source frames, the
+    /// root's ascending sampled output — costs one compare per item. A
+    /// changed stratum that the table already holds for this build is a
+    /// stratum re-entered after a gap, which is exactly what breaks
+    /// contiguity; a stratum the table lacks (new this build, or an id at
+    /// or above [`TABLE_CAP`]) takes the out-of-line [`discover`] path.
+    /// The loop writes through local slices: no per-item push and no call.
+    fn count_pass(&mut self, strata: impl ExactSizeIterator<Item = u32>) -> bool {
+        let StrataIndex {
+            bucket_of_item,
+            table,
+            overflow,
+            generation,
+            buckets,
+            ..
+        } = self;
+        let generation = *generation;
+        buckets.clear();
+        overflow.clear();
+        bucket_of_item.clear();
+        bucket_of_item.resize(strata.len(), 0);
         let mut contiguous = true;
-        let mut last: Option<(StratumId, u32)> = None;
-        for (pos, stratum) in strata.enumerate() {
-            let bucket = match last {
-                Some((prev, bucket)) if prev == stratum => bucket,
-                _ => {
-                    let bucket = self.bucket_for(stratum);
-                    if self.counts[bucket as usize] == 0 {
-                        self.first_pos[bucket as usize] = pos;
-                    } else {
+        let mut prev = None;
+        let mut bucket = 0u32;
+        // Counts are added per run: `run_start` is where the current
+        // stratum's run began.
+        let mut run_start = 0usize;
+        for (pos, (id, slot)) in strata.zip(bucket_of_item.iter_mut()).enumerate() {
+            if prev != Some(id) {
+                if prev.is_some() {
+                    buckets[bucket as usize].count += pos - run_start;
+                }
+                prev = Some(id);
+                run_start = pos;
+                match table.get(id as usize) {
+                    Some(hit) if hit.generation == generation => {
+                        bucket = hit.bucket;
                         contiguous = false;
                     }
-                    bucket
+                    _ => {
+                        let (found, seen) = discover(table, overflow, buckets, generation, id, pos);
+                        bucket = found;
+                        contiguous &= !seen;
+                    }
                 }
-            };
-            last = Some((stratum, bucket));
-            self.counts[bucket as usize] += 1;
-            self.bucket_of_item.push(bucket);
+            }
+            *slot = bucket;
+        }
+        if prev.is_some() {
+            buckets[bucket as usize].count += bucket_of_item.len() - run_start;
         }
         contiguous
     }
 
     /// Orders the (few) strata and assigns their ranges. Returns `true`
     /// when the grouped zero-copy path applies (no scatter pass needed);
-    /// otherwise the contiguous scatter layout and cursors are prepared
-    /// for the caller's pass 2.
+    /// otherwise the contiguous scatter layout is prepared and every
+    /// bucket's `pos` set to its range start, the caller's pass-2 cursor.
     fn layout(&mut self, contiguous: bool) -> bool {
+        self.ranges.clear();
         self.ranges.extend(
-            self.strata_of_bucket
+            self.buckets
                 .iter()
                 .enumerate()
-                .map(|(b, &stratum)| StratumRange {
-                    stratum,
+                .map(|(b, bucket)| StratumRange {
+                    stratum: bucket.stratum,
                     bucket: b as u32,
                     start: 0,
                     end: 0,
@@ -367,54 +402,22 @@ impl StrataIndex {
         if contiguous {
             // Zero-copy path: the ranges index the caller's slice.
             for range in &mut self.ranges {
-                range.start = self.first_pos[range.bucket as usize];
-                range.end = range.start + self.counts[range.bucket as usize];
+                let bucket = &self.buckets[range.bucket as usize];
+                range.start = bucket.pos;
+                range.end = bucket.pos + bucket.count;
             }
             return true;
         }
 
-        self.cursors.clear();
-        self.cursors.resize(self.strata_of_bucket.len(), 0);
         let mut offset = 0usize;
         for range in &mut self.ranges {
+            let bucket = &mut self.buckets[range.bucket as usize];
             range.start = offset;
-            offset += self.counts[range.bucket as usize];
+            offset += bucket.count;
             range.end = offset;
-            self.cursors[range.bucket as usize] = range.start;
+            bucket.pos = range.start;
         }
         false
-    }
-
-    fn bucket_for(&mut self, stratum: StratumId) -> u32 {
-        let id = stratum.index() as usize;
-        if id >= TABLE_CAP {
-            let next = self.strata_of_bucket.len() as u32;
-            return match self.overflow.entry(stratum) {
-                std::collections::btree_map::Entry::Occupied(e) => *e.get(),
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(next);
-                    self.strata_of_bucket.push(stratum);
-                    self.counts.push(0);
-                    self.first_pos.push(0);
-                    next
-                }
-            };
-        }
-        if id >= self.table.len() {
-            self.table.resize(id + 1, TableSlot::default());
-        }
-        let generation = self.generation;
-        let slot = &mut self.table[id];
-        if slot.generation == generation {
-            slot.bucket
-        } else {
-            let bucket = self.strata_of_bucket.len() as u32;
-            *slot = TableSlot { generation, bucket };
-            self.strata_of_bucket.push(stratum);
-            self.counts.push(0);
-            self.first_pos.push(0);
-            bucket
-        }
     }
 
     /// Number of items indexed by the last [`StrataIndex::build`].
@@ -507,6 +510,48 @@ impl StrataIndex {
             .iter()
             .map(move |r| (r.stratum, &source[r.start..r.end]))
     }
+}
+
+/// The count pass's slow path, for a stratum the sparse table does not
+/// hold for the current build: returns its bucket and whether the build
+/// had already seen it (possible only for ids at or above [`TABLE_CAP`],
+/// which live in `overflow`). A new stratum gets the next bucket, with
+/// `pos` as its first position.
+#[cold]
+#[inline(never)]
+fn discover(
+    table: &mut Vec<TableSlot>,
+    overflow: &mut BTreeMap<StratumId, u32>,
+    buckets: &mut Vec<Bucket>,
+    generation: u32,
+    id: u32,
+    pos: usize,
+) -> (u32, bool) {
+    let stratum = StratumId::new(id);
+    let next = buckets.len() as u32;
+    let idx = id as usize;
+    if idx >= TABLE_CAP {
+        match overflow.entry(stratum) {
+            std::collections::btree_map::Entry::Occupied(e) => return (*e.get(), true),
+            std::collections::btree_map::Entry::Vacant(e) => {
+                e.insert(next);
+            }
+        }
+    } else {
+        if idx >= table.len() {
+            table.resize(idx + 1, TableSlot::default());
+        }
+        table[idx] = TableSlot {
+            generation,
+            bucket: next,
+        };
+    }
+    buckets.push(Bucket {
+        stratum,
+        count: 0,
+        pos,
+    });
+    (next, false)
 }
 
 /// Collects the distinct strata of `items` into `out` (ascending) with a

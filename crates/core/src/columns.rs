@@ -171,6 +171,23 @@ impl ColumnarBatch {
             .extend_from_slice(&view.source_ts[start..end]);
     }
 
+    /// Appends the items of `view` at `positions`, in that order: one
+    /// gather per column, so each column is reserved once and written
+    /// without a per-item capacity check.
+    pub(crate) fn extend_gathered<I>(&mut self, view: ColumnsView<'_>, positions: I)
+    where
+        I: Iterator<Item = usize> + Clone,
+    {
+        self.strata
+            .extend(positions.clone().map(|src| view.strata[src]));
+        self.values
+            .extend(positions.clone().map(|src| view.values[src]));
+        self.seqs
+            .extend(positions.clone().map(|src| view.seqs[src]));
+        self.source_ts
+            .extend(positions.map(|src| view.source_ts[src]));
+    }
+
     /// Builds a columnar batch from an AoS batch (one transposing pass;
     /// weights are cloned).
     pub fn from_batch(batch: &Batch) -> Self {

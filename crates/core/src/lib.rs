@@ -30,10 +30,15 @@
 //!   reusable [`StrataIndex`] groups each batch into contiguous
 //!   per-stratum ranges (zero allocations in steady state; zero item
 //!   copies when the batch already arrives grouped by stratum, the common
-//!   per-source case), sizing runs on slices
-//!   ([`Allocation::reservoir_sizes_slice`]), and overflowing strata draw
-//!   their reservoir with Floyd's selection sampling — exactly `N_i`
-//!   cheap uniform draws per stratum, no transcendentals. The statistics
+//!   per-source case). Its one counting pass, shared by the item and
+//!   column builds, looks a stratum up only where it changes from the
+//!   previous item and counts per run, so a grouped batch costs a compare
+//!   per item and a round-robin one a table probe per item. Sizing runs
+//!   on slices ([`Allocation::reservoir_sizes_slice`]), and overflowing
+//!   strata draw their reservoir with Floyd's selection sampling —
+//!   exactly `N_i` cheap uniform draws per stratum, no transcendentals,
+//!   with the chosen set in one register word for strata of at most 64
+//!   items. The statistics
 //!   (uniform without-replacement samples, Equations 1–2 weights, the
 //!   Equation 9 invariant) are identical to the reference; property tests
 //!   in `tests/proptests.rs` pin the two paths to the same per-stratum

@@ -131,7 +131,11 @@ pub fn whs_sample<R: Rng + ?Sized>(
 /// 3. overflowing strata draw a uniform `N_i`-subset with Floyd's
 ///    selection sampling — exactly `N_i` cheap uniform draws per stratum
 ///    instead of Algorithm R's `O(c_i)`. With the whole stratum
-///    materialised as a slice there is no need to *stream* at all.
+///    materialised as a slice there is no need to *stream* at all. The
+///    draw's chosen set is a bitset over the stratum: one `u64` kept in a
+///    register when the stratum has at most 64 items (every stratum of
+///    the pipeline's 512-item, 8-stratum frames), else a reused word
+///    slice — 64 because that is what one machine word holds.
 ///
 /// The statistics are unchanged: per-stratum uniform sampling without
 /// replacement and the Equation 1–2 weight update, so the Equation 9
@@ -158,8 +162,9 @@ pub struct WhsScratch {
     sizing: SizingScratch,
     /// Indices chosen by the current Floyd draw.
     chosen: Vec<u32>,
-    /// One bit per candidate index; bits set during a draw are cleared
-    /// again afterwards, so the buffer stays all-zero between strata.
+    /// One bit per candidate index, for strata too large for the
+    /// register bitset; cleared after each draw, so the buffer stays
+    /// all-zero between strata.
     chosen_bits: Vec<u64>,
 }
 
@@ -323,15 +328,8 @@ impl WhsScratch {
                     // Grouped fast path: four bulk column copies.
                     out.extend_from_view(input, range.start, range.end);
                 } else {
-                    for pos in range {
-                        let src = self.index.src_index(pos);
-                        out.push_parts(
-                            input.strata[src],
-                            input.values[src],
-                            input.seqs[src],
-                            input.source_ts[src],
-                        );
-                    }
+                    let index = &self.index;
+                    out.extend_gathered(input, range.map(|pos| index.src_index(pos)));
                 }
                 out.weights.set(stratum, input_w);
             } else if n_i == 0 {
@@ -343,15 +341,13 @@ impl WhsScratch {
                 // a uniform n_i-subset with exactly n_i draws, then the
                 // survivors are gathered by index into the columns.
                 floyd_pick_into(c_i, n_i, &mut self.chosen, &mut self.chosen_bits, rng);
-                for &local in self.chosen.iter() {
-                    let src = self.index.src_index(range.start + local as usize);
-                    out.push_parts(
-                        input.strata[src],
-                        input.values[src],
-                        input.seqs[src],
-                        input.source_ts[src],
-                    );
-                }
+                let index = &self.index;
+                out.extend_gathered(
+                    input,
+                    self.chosen
+                        .iter()
+                        .map(|&local| index.src_index(range.start + local as usize)),
+                );
                 // Lines 12–18, Equations 1–2.
                 out.weights.set(stratum, input_w * c_i as f64 / n_i as f64);
             }
@@ -363,9 +359,8 @@ impl WhsScratch {
 /// selection-sampling algorithm: exactly `n` uniform draws, no
 /// transcendentals, no replacement.
 ///
-/// `chosen` and `bits` are caller-owned scratch; `bits` must be all-zero
-/// on entry and is returned all-zero (only the bits set during this draw
-/// are cleared, so the buffer's size never forces a full wipe).
+/// `chosen` and `bits` are caller-owned scratch, used as
+/// [`floyd_pick_into`] describes.
 fn floyd_sample_into<R: Rng + ?Sized>(
     items: &[StreamItem],
     n: usize,
@@ -375,16 +370,21 @@ fn floyd_sample_into<R: Rng + ?Sized>(
     rng: &mut R,
 ) {
     floyd_pick_into(items.len(), n, chosen, bits, rng);
-    for &i in chosen.iter() {
-        out.push(items[i as usize]);
-    }
+    out.extend(chosen.iter().map(|&i| items[i as usize]));
 }
 
 /// Fills `chosen` with a uniform `n`-subset of `0..c` using Floyd's
 /// draws (the selection half of [`floyd_sample_into`], shared by the AoS
 /// and columnar kernels so their RNG consumption is identical by
-/// construction). `bits` must be all-zero on entry and is returned
-/// all-zero.
+/// construction). Picks land in `chosen` in draw order.
+///
+/// The chosen set is a bitset over `0..c`. When `c <= 64` it is one
+/// `u64` held in a register for the whole draw — every stratum of a
+/// 512-item, 8-stratum frame fits — and `bits` is not touched. Larger
+/// strata use the first `c.div_ceil(64)` words of `bits`, which must be
+/// all-zero on entry and are returned all-zero (cleared word by word,
+/// which costs less than revisiting `n` picks). Both sides run the one
+/// draw loop in [`floyd_draws`], so they pick identically.
 fn floyd_pick_into<R: Rng + ?Sized>(
     c: usize,
     n: usize,
@@ -393,23 +393,68 @@ fn floyd_pick_into<R: Rng + ?Sized>(
     rng: &mut R,
 ) {
     debug_assert!(n <= c, "selection needs n <= c");
-    let words = c.div_ceil(64);
-    if bits.len() < words {
-        bits.resize(words, 0);
+    if c <= 64 {
+        floyd_draws(c, n, &mut 0u64, chosen, rng);
+    } else {
+        let words = c.div_ceil(64);
+        if bits.len() < words {
+            bits.resize(words, 0);
+        }
+        let set = &mut bits[..words];
+        floyd_draws(c, n, set, chosen, rng);
+        set.fill(0);
     }
+}
+
+/// Floyd's draw loop over either side of [`floyd_pick_into`]'s bitset:
+/// for each `j` in `c - n..c`, draw `t` uniform in `0..=j`, and pick `t`
+/// unless it is already chosen, in which case pick `j` (never chosen
+/// before, since every earlier pick is below `j`).
+#[inline(always)]
+fn floyd_draws<S: PickSet + ?Sized, R: Rng + ?Sized>(
+    c: usize,
+    n: usize,
+    set: &mut S,
+    chosen: &mut Vec<u32>,
+    rng: &mut R,
+) {
     chosen.clear();
-    for j in (c - n)..c {
+    chosen.extend(((c - n)..c).map(|j| {
         let t = rng.random_range(0..(j as u64 + 1)) as usize;
-        let pick = if bits[t / 64] >> (t % 64) & 1 == 1 {
-            j
+        if set.insert(t) {
+            t as u32
         } else {
-            t
-        };
-        bits[pick / 64] |= 1 << (pick % 64);
-        chosen.push(pick as u32);
+            set.insert(j);
+            j as u32
+        }
+    }));
+}
+
+/// The chosen set of one Floyd draw: a bitset over the candidate indices.
+trait PickSet {
+    /// Adds `i`, returning `true` when it was not already present.
+    fn insert(&mut self, i: usize) -> bool;
+}
+
+/// One register word, for `c <= 64`.
+impl PickSet for u64 {
+    #[inline(always)]
+    fn insert(&mut self, i: usize) -> bool {
+        let bit = 1u64 << i;
+        let fresh = *self & bit == 0;
+        *self |= bit;
+        fresh
     }
-    for &i in chosen.iter() {
-        bits[i as usize / 64] &= !(1 << (i as usize % 64));
+}
+
+/// A word slice, for larger strata.
+impl PickSet for [u64] {
+    #[inline(always)]
+    fn insert(&mut self, i: usize) -> bool {
+        let (word, bit) = (&mut self[i / 64], 1u64 << (i % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
     }
 }
 
@@ -822,6 +867,55 @@ mod tests {
             a.resolve_weights(&first),
             b.resolve_weights_columns(&ColumnarBatch::from_batch(&first))
         );
+    }
+
+    /// The word-slice Floyd loop as it stood before the register side:
+    /// the reference both sides of `floyd_pick_into` must reproduce.
+    fn floyd_pick_reference(c: usize, n: usize, rng: &mut StdRng) -> Vec<u32> {
+        let mut bits = vec![0u64; c.div_ceil(64)];
+        let mut chosen = Vec::new();
+        for j in (c - n)..c {
+            let t = rng.random_range(0..(j as u64 + 1)) as usize;
+            let pick = if bits[t / 64] >> (t % 64) & 1 == 1 {
+                j
+            } else {
+                t
+            };
+            bits[pick / 64] |= 1 << (pick % 64);
+            chosen.push(pick as u32);
+        }
+        chosen
+    }
+
+    #[test]
+    fn floyd_register_and_slice_bitsets_pick_like_the_word_loop() {
+        // Spans the register side (c <= 64), the cutoff and two- and
+        // three-word slices, with one shared scratch so a bit left set
+        // by one draw would corrupt the next.
+        let mut chosen = Vec::new();
+        let mut bits = Vec::new();
+        for c in 1..=130usize {
+            for n in [1, c / 2, c - 1, c] {
+                let seed = (c * 1000 + n) as u64;
+                let mut expected_rng = StdRng::seed_from_u64(seed);
+                let expected = floyd_pick_reference(c, n, &mut expected_rng);
+                let mut rng = StdRng::seed_from_u64(seed);
+                floyd_pick_into(c, n, &mut chosen, &mut bits, &mut rng);
+                assert_eq!(chosen, expected, "c {c}, n {n}: picks and their order");
+                assert_eq!(
+                    rng.random::<u64>(),
+                    expected_rng.random::<u64>(),
+                    "c {c}, n {n}: same RNG draws consumed"
+                );
+                assert!(
+                    bits.iter().all(|&w| w == 0),
+                    "c {c}, n {n}: bitset returned all-zero"
+                );
+                // The word slice serves exactly the strata one register
+                // cannot hold (it only ever grows, from empty).
+                assert_eq!(bits.is_empty(), c <= 64, "c {c}: bitset side");
+            }
+        }
     }
 
     #[test]

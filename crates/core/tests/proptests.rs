@@ -195,8 +195,22 @@ proptest! {
 
 use approxiot_core::{ParallelShardedSampler, StrataIndex, WhsScratch};
 
+/// The first stratum id `StrataIndex` keeps out of its dense table (in
+/// its overflow map instead).
+const TABLE_CAP: u32 = 1 << 19;
+
+/// Runs of items per stratum: mostly small dense ids, plus ids on both
+/// sides of [`TABLE_CAP`] and the largest id, so the dense table, the
+/// overflow map and their mix all get indexed.
 fn arb_items() -> impl Strategy<Value = Vec<StreamItem>> {
-    proptest::collection::vec((0u32..6, 1usize..120), 1..5).prop_map(|spec| {
+    let stratum = (0u32..10).prop_map(|pick| match pick {
+        6 => TABLE_CAP - 1,
+        7 => TABLE_CAP,
+        8 => TABLE_CAP + 1,
+        9 => u32::MAX,
+        small => small,
+    });
+    proptest::collection::vec((stratum, 1usize..120), 1..5).prop_map(|spec| {
         let mut items = Vec::new();
         for (stratum, count) in spec {
             for k in 0..count {
@@ -239,23 +253,56 @@ fn interleave(items: &[StreamItem]) -> Vec<StreamItem> {
     out
 }
 
+/// Deal the items out one stratum at a time in turn, each stratum's
+/// items in arrival order: the round-robin shape of the drains' frames.
+fn round_robin(items: &[StreamItem]) -> Vec<StreamItem> {
+    let groups: Vec<Vec<StreamItem>> = group_by_stratum(items).into_values().collect();
+    let longest = groups.iter().map(Vec::len).max().unwrap_or(0);
+    (0..longest)
+        .flat_map(|i| groups.iter().filter_map(move |g| g.get(i).copied()))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The index groups exactly like the naive map grouping for any
-    /// input order.
+    /// Both builds group exactly like the naive map grouping for any
+    /// input order — as generated, riffled or dealt round-robin — and
+    /// report `grouped()` exactly when every stratum forms one run.
     #[test]
-    fn strata_index_equals_map_grouping(items in arb_items(), shuffle in proptest::bool::ANY) {
-        let items = if shuffle { interleave(&items) } else { items };
+    fn strata_index_equals_map_grouping(items in arb_items(), order in 0u8..3) {
+        let items = match order {
+            0 => items,
+            1 => interleave(&items),
+            _ => round_robin(&items),
+        };
+        let by_map = group_by_stratum(&items);
+        let runs = 1 + items.windows(2).filter(|w| w[0].stratum != w[1].stratum).count();
+        let one_run_each = runs == by_map.len();
+
         let mut index = StrataIndex::new();
         index.build(&items);
-        let by_map = group_by_stratum(&items);
         prop_assert_eq!(index.num_strata(), by_map.len());
+        prop_assert_eq!(index.grouped(), one_run_each);
         for ((stratum, slice), (map_stratum, map_items)) in
             index.iter_in(&items).zip(by_map.iter())
         {
             prop_assert_eq!(stratum, *map_stratum);
             prop_assert_eq!(slice, map_items.as_slice());
+        }
+
+        let column: Vec<u32> = items.iter().map(|item| item.stratum.index()).collect();
+        let mut columns = StrataIndex::new();
+        columns.build_columns(&column);
+        prop_assert_eq!(columns.num_strata(), by_map.len());
+        prop_assert_eq!(columns.grouped(), one_run_each);
+        for ((stratum, range), (map_stratum, map_items)) in
+            columns.column_ranges().zip(by_map.iter())
+        {
+            prop_assert_eq!(stratum, *map_stratum);
+            let gathered: Vec<StreamItem> =
+                range.map(|pos| items[columns.src_index(pos)]).collect();
+            prop_assert_eq!(&gathered, map_items);
         }
     }
 
