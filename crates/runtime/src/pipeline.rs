@@ -93,9 +93,11 @@
 //! per frame at a leaf fed by sources and 4 at a node fed by samplers,
 //! pinned by `tests/alloc_budget.rs`; a native node allocates none.
 //! Sharded WHS nodes sample on a persistent [`crate::WorkerPool`] rather
-//! than a per-batch thread scope, with one fresh output per shard. What
-//! the root still allocates is each window's rows and, under WHS or SRS,
-//! its own sampler's output columns per frame.
+//! than a per-batch thread scope, with one fresh output per shard. The
+//! root samples every frame (under WHS or SRS) into one reused column set
+//! too. What it still allocates is its sampler's weight-map nodes per
+//! frame, each open window's growing rows, and a per-window split for a
+//! frame that straddles a window boundary.
 //!
 //! Memory follows what is in flight, not the length of the run: every
 //! node subscribes before the first push, and a partition log drops a

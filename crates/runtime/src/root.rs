@@ -129,6 +129,9 @@ impl RootConfig {
 #[derive(Debug)]
 pub struct RootNode {
     sampler: SamplingNode,
+    /// The sampler's output for the current columnar frame, reused across
+    /// frames so sampling allocates no columns.
+    sampled: ColumnarBatch,
     /// Each open window's `Θ` store — exactly one per window, condensed
     /// rows (see [`approxiot_core::estimate`]).
     buffer: WindowBuffer<ThetaStore>,
@@ -187,6 +190,7 @@ impl RootNode {
         );
         Ok(RootNode {
             sampler: SamplingNode::new(config.strategy, config.fraction, config.seed)?,
+            sampled: ColumnarBatch::new(),
             buffer: WindowBuffer::new(TumblingWindow::new(config.window))
                 .with_allowed_lateness(config.allowed_lateness),
             summaries: WindowBuffer::new(TumblingWindow::new(config.window))
@@ -255,8 +259,7 @@ impl RootNode {
         if matches!(self.strategy, Strategy::Native) {
             self.file(frame);
         } else {
-            let sampled = frame.sample(&mut self.sampler);
-            self.file(&sampled);
+            frame.sample_and_file(self);
         }
     }
 
@@ -531,8 +534,9 @@ trait Frame {
     fn items(&self) -> impl Iterator<Item = (u32, f64)> + '_;
     /// Condenses the whole frame into `theta` as one pair.
     fn condense_into(&self, theta: &mut ThetaStore, weight_of: impl Fn(StratumId) -> f64);
-    /// The root sampler's output for this frame, in the same layout.
-    fn sample(&self, sampler: &mut SamplingNode) -> Self;
+    /// Runs the root's sampler over this frame and files its output, in
+    /// the same layout.
+    fn sample_and_file(&self, root: &mut RootNode);
 }
 
 impl Frame for Batch {
@@ -554,8 +558,9 @@ impl Frame for Batch {
         theta.push_items(&self.items, weight_of);
     }
 
-    fn sample(&self, sampler: &mut SamplingNode) -> Self {
-        sampler.process_batch(self)
+    fn sample_and_file(&self, root: &mut RootNode) {
+        let sampled = root.sampler.process_batch(self);
+        root.file(&sampled);
     }
 }
 
@@ -576,8 +581,13 @@ impl Frame for ColumnarBatch {
         theta.push_columns(&self.strata, &self.values, weight_of);
     }
 
-    fn sample(&self, sampler: &mut SamplingNode) -> Self {
-        sampler.process_columns(self)
+    fn sample_and_file(&self, root: &mut RootNode) {
+        // Sample into the root's reused columns, lent out while `file`
+        // borrows the root.
+        let mut sampled = std::mem::take(&mut root.sampled);
+        root.sampler.process_columns_into(self, &mut sampled);
+        root.file(&sampled);
+        root.sampled = sampled;
     }
 }
 
