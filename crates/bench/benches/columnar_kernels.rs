@@ -4,7 +4,10 @@
 //! large (64k) window so the crossover is visible: at 1k the columnar
 //! path must be no slower than the array-of-structs one; at 64k the flat
 //! `u32`/`f64` scans should win on cache traffic (28-byte `StreamItem`
-//! strides vs contiguous columns).
+//! strides vs contiguous columns). The grouping and selection groups also
+//! run the threaded drains' 512-item frame, where the 10 % budget leaves
+//! 64 items per stratum: every Floyd draw there uses the one-register
+//! bitset.
 //!
 //! Inputs are round-robin interleaved across 8 strata — the worst case
 //! for grouping, forcing the scatter pass instead of the grouped-input

@@ -257,7 +257,7 @@ impl StrataIndex {
     /// Rebuilds the index over `items`, reusing all internal buffers.
     pub fn build(&mut self, items: &[StreamItem]) {
         self.columnar = false;
-        if self.index(items.iter().map(|item| item.stratum.index())) {
+        if self.count_and_layout(items.iter().map(|item| item.stratum.index())) {
             return;
         }
         // Interleaved input: scatter items into the contiguous scratch
@@ -288,7 +288,7 @@ impl StrataIndex {
     /// inputs skip even that (identity mapping, zero extra work).
     pub fn build_columns(&mut self, strata: &[u32]) {
         self.columnar = true;
-        if self.index(strata.iter().copied()) {
+        if self.count_and_layout(strata.iter().copied()) {
             return;
         }
         // Interleaved input: fill the grouped-position → original-position
@@ -305,7 +305,7 @@ impl StrataIndex {
     /// Counts and lays out one build (pass 1 plus the range layout) and
     /// returns `true` when the grouped zero-copy path applies; otherwise
     /// every bucket's `pos` is its scatter cursor for the caller's pass 2.
-    fn index(&mut self, strata: impl ExactSizeIterator<Item = u32>) -> bool {
+    fn count_and_layout(&mut self, strata: impl ExactSizeIterator<Item = u32>) -> bool {
         self.len = strata.len();
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
@@ -325,8 +325,8 @@ impl StrataIndex {
     /// single contiguous run.
     ///
     /// The table is consulted only where the stratum changes from the
-    /// previous item, so a run of one stratum — per-source frames, the
-    /// root's ascending sampled output — costs one compare per item. A
+    /// previous item, so a run of one stratum — per-source frames, a
+    /// sampler's stratum-ascending output — costs one compare per item. A
     /// changed stratum that the table already holds for this build is a
     /// stratum re-entered after a gap, which is exactly what breaks
     /// contiguity; a stratum the table lacks (new this build, or an id at

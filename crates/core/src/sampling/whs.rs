@@ -869,8 +869,8 @@ mod tests {
         );
     }
 
-    /// The word-slice Floyd loop as it stood before the register side:
-    /// the reference both sides of `floyd_pick_into` must reproduce.
+    /// Floyd's draws over a plain word-slice bitset: the reference both
+    /// sides of `floyd_pick_into` must reproduce.
     fn floyd_pick_reference(c: usize, n: usize, rng: &mut StdRng) -> Vec<u32> {
         let mut bits = vec![0u64; c.div_ceil(64)];
         let mut chosen = Vec::new();
