@@ -3,8 +3,8 @@
 //!
 //! Paper shape to reproduce: latency grows with the fraction as the
 //! capacity-limited links queue up; the native execution is the worst
-//! (≈6× ApproxIoT's latency at a 10% fraction); ApproxIoT ≈ SRS plus the
-//! sampling window.
+//! (≈6× ApproxIoT's latency at a 10% fraction); ApproxIoT ≈ SRS, as every
+//! edge node forwards on arrival and only the root closes windows.
 
 use approxiot_bench::{figure_header, print_row, PAPER_FRACTIONS_WITH_FULL_PCT};
 use approxiot_core::{Batch, StratumId, StreamItem};
@@ -96,5 +96,5 @@ fn main() {
         ]);
     }
     println!("\nExpected shape: latency grows with fraction; native is the worst;");
-    println!("ApproxIoT ≈ SRS + window buffering.");
+    println!("ApproxIoT ≈ SRS (edge nodes forward on arrival).");
 }

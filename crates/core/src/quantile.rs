@@ -96,30 +96,6 @@ pub fn weighted_quantile(theta: &ThetaStore, q: f64) -> Option<f64> {
     Some(invert_cdf(&pairs, q * total))
 }
 
-/// Estimates several quantiles in one pass (cheaper than repeated
-/// [`weighted_quantile`] calls for a sorted probe list).
-///
-/// # Panics
-///
-/// Panics if any probe is outside `[0, 1]`.
-pub fn weighted_quantiles(theta: &ThetaStore, qs: &[f64]) -> Vec<Option<f64>> {
-    let pairs = weighted_values(theta);
-    let total: f64 = pairs.iter().map(|p| p.1).sum();
-    qs.iter()
-        .map(|&q| {
-            assert!(
-                (0.0..=1.0).contains(&q),
-                "quantile must be in [0, 1], got {q}"
-            );
-            if pairs.is_empty() {
-                None
-            } else {
-                Some(invert_cdf(&pairs, q * total))
-            }
-        })
-        .collect()
-}
-
 /// Estimates the `q`-quantile with the distribution-free order-statistic
 /// confidence interval: the interval endpoints are the weighted CDF
 /// inverses at `q ± z·√(q(1−q)/ζ)` where `ζ` is the number of sampled
@@ -272,15 +248,6 @@ mod tests {
     #[should_panic(expected = "quantile must be in [0, 1]")]
     fn rejects_out_of_range_quantile() {
         weighted_quantile(&ThetaStore::new(), 1.5);
-    }
-
-    #[test]
-    fn batch_quantile_query_matches_probe_list() {
-        let theta = theta_of(&[(0, 2.0, (0..100).map(|v| v as f64).collect())]);
-        let multi = weighted_quantiles(&theta, &[0.25, 0.5, 0.75]);
-        assert_eq!(multi[0], weighted_quantile(&theta, 0.25));
-        assert_eq!(multi[1], weighted_quantile(&theta, 0.5));
-        assert_eq!(multi[2], weighted_quantile(&theta, 0.75));
     }
 
     #[test]

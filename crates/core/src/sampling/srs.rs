@@ -92,28 +92,6 @@ impl SrsSampler {
             }
         }
     }
-
-    /// Estimates the total value of the original batch from a sample taken
-    /// with this sampler.
-    pub fn estimate_sum(&self, sample: &[StreamItem]) -> f64 {
-        sample.iter().map(|i| i.value).sum::<f64>() * self.scale()
-    }
-
-    /// Estimates the item count of the original batch.
-    pub fn estimate_count(&self, sample: &[StreamItem]) -> f64 {
-        sample.len() as f64 * self.scale()
-    }
-
-    /// Estimates the mean value of the original batch. Returns `None` when
-    /// the sample is empty (SRS can miss everything at small fractions — one
-    /// of its failure modes the paper highlights).
-    pub fn estimate_mean(&self, sample: &[StreamItem]) -> Option<f64> {
-        if sample.is_empty() {
-            None
-        } else {
-            Some(sample.iter().map(|i| i.value).sum::<f64>() / sample.len() as f64)
-        }
-    }
 }
 
 /// Error returned by [`SrsSampler::new`] for a fraction outside `(0, 1]`.
@@ -184,7 +162,10 @@ mod tests {
         let truth = b.value_sum();
         let trials = 200;
         let mean_est: f64 = (0..trials)
-            .map(|_| srs.estimate_sum(&srs.sample(&b, &mut rng)))
+            .map(|_| {
+                let sample = srs.sample(&b, &mut rng);
+                sample.iter().map(|i| i.value).sum::<f64>() * srs.scale()
+            })
             .sum::<f64>()
             / trials as f64;
         assert!((mean_est - truth).abs() / truth < 0.02);
@@ -193,20 +174,7 @@ mod tests {
     #[test]
     fn count_estimate_scales_by_inverse_fraction() {
         let srs = SrsSampler::new(0.25).expect("valid");
-        let sample = vec![StreamItem::new(StratumId::new(0), 1.0); 10];
-        assert_eq!(srs.estimate_count(&sample), 40.0);
         assert_eq!(srs.scale(), 4.0);
-    }
-
-    #[test]
-    fn mean_estimate_handles_empty_sample() {
-        let srs = SrsSampler::new(0.5).expect("valid");
-        assert_eq!(srs.estimate_mean(&[]), None);
-        let sample = vec![
-            StreamItem::new(StratumId::new(0), 2.0),
-            StreamItem::new(StratumId::new(0), 4.0),
-        ];
-        assert_eq!(srs.estimate_mean(&sample), Some(3.0));
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //!   ([`approxiot_net::RateLimiter`]) charged with the encoded frame size —
 //!   the paper's 1 Gbps link cap, scaled down for laptop runs. Per-hop
 //!   links come straight from the topology's [`crate::LinkSpec`]s.
-//! * **Interval semantics**: in WHS mode each edge node buffers one
-//!   computation window of input before sampling and forwarding — this is
-//!   Algorithm 2's per-interval loop and the source of the window-size
-//!   latency dependence in Figure 9. SRS and native nodes forward
-//!   immediately (coin flips need no window, and native takes none).
+//! * **Interval semantics**: every edge node forwards each frame on
+//!   arrival, whatever its strategy — a WHS or SRS node samples the frame
+//!   (its sample is sized from that frame alone), a native node relays
+//!   it. Only the root closes windows, so the window size shows up in the
+//!   root's result lag, not in any item's edge latency.
 //!
 //! ## Fault injection
 //!
@@ -56,10 +56,9 @@
 //! mode writing the send time as every item's `source_ts` on the way
 //! ([`BatchProducer::send_v2_stamped_to`]; replay keeps event time,
 //! [`BatchProducer::send_v2_to`]). A sampling (WHS or SRS) edge node
-//! holds the frames it receives as they came, validated but not decoded;
-//! when it processes one it decodes it into its one reused input column
-//! set ([`decode_columns_into`] — four bulk copies), samples that into
-//! its one reused output through the flat-slice kernels
+//! decodes each frame it receives into its one reused input column set
+//! ([`decode_columns_into`] — four bulk copies), samples that into its
+//! one reused output through the flat-slice kernels
 //! ([`SamplingNode::process_columns_into`]; sharded nodes
 //! [`SamplingNode::process_columns_parallel`]) and forwards with
 //! [`BatchProducer::send_columns_to`]; the root decodes into one reused
@@ -82,11 +81,10 @@
 //! What a warmed wall-clock edge thread allocates is counted, not
 //! assumed. Every consumer polls through one reused record buffer
 //! ([`Consumer::poll_into`] appending via the partition logs'
-//! `read_into`), every producer encodes through its own reused scratch,
-//! and a WHS node's held window is a reused `Vec` of refcounted records.
-//! Per frame, a warmed unsharded WHS node on an unimpaired hop then
-//! allocates the forwarded payload (the producer copies its scratch into
-//! the shared record) and one B-tree node per
+//! `read_into`), and every producer encodes through its own reused
+//! scratch. Per frame, a warmed unsharded WHS node on an unimpaired hop
+//! then allocates the forwarded payload (the producer copies its scratch
+//! into the shared record) and one B-tree node per
 //! [`approxiot_core::WeightMap`] it fills: the resolved input weights, the
 //! sampled output's weights and, if the frame carries weights, the
 //! decoded ones (one node holds up to 11 strata). That is 3 allocations
@@ -332,7 +330,6 @@ impl PipelineEngine {
                     hop_delay: topology.layer_link(l).delay,
                     window: topology.window(),
                     out_partition: j as u32,
-                    buffered: matches!(topology.layer_strategy(l), Strategy::Whs { .. }),
                     sharded: layer.workers > 1,
                 };
                 let deterministic = options.deterministic;
@@ -742,9 +739,6 @@ struct EdgeParams {
     hop_delay: Duration,
     window: Duration,
     out_partition: u32,
-    /// WHS nodes buffer one window of input before sampling (Algorithm 2's
-    /// interval loop); SRS nodes sample each frame as it arrives.
-    buffered: bool,
     /// Sample each batch on the node's §III-E parallel shard pool,
     /// forwarding one batch per shard.
     sharded: bool,
@@ -907,15 +901,14 @@ impl NativeRelay<'_> {
 /// entirely on the columnar hot path: the node samples v2 frames through
 /// the flat-slice kernels and forwards its outputs as v2 frames.
 ///
-/// Every received frame is validated on receipt ([`frame_items`]), so a
-/// poisoned frame stops the node there, before it forwards anything of
-/// the window it holds. A buffered (WHS) node then holds the received
-/// records themselves — refcounted payloads, not decoded copies — until
-/// its window flushes; an SRS node processes each frame at once. Either
-/// way a frame is decoded into **one** reused input column set just
-/// before it is sampled into **one** reused output
+/// Every strategy forwards on arrival: each frame is held for its hop
+/// delay, decoded into **one** reused input column set — which validates
+/// it, so a poisoned frame stops the node there, whatever its churn
+/// disposition — and sampled into **one** reused output
 /// ([`SamplingNode::process_columns_into`]); a sharded node samples the
 /// same input on its worker pool instead, one fresh output per shard.
+/// Each frame's sample is sized from that frame alone, so no edge node
+/// holds input across frames; only the root closes windows.
 ///
 /// Per frame a warmed unsharded WHS node on an unimpaired hop allocates
 /// the forwarded payload and its weight maps' tree nodes: 3 allocations
@@ -937,10 +930,8 @@ fn edge_node_loop(
     churn: &mut Option<EdgeChurn>,
 ) {
     let mut records: Vec<Record> = Vec::new();
-    let mut held: Vec<Record> = Vec::new();
     let mut input = ColumnarBatch::new();
     let mut output = ColumnarBatch::new();
-    let mut last_flush = epoch.elapsed();
     let send = |out: &ColumnarBatch, extra: Duration| {
         if let Some(l) = &limiter {
             l.acquire(encoded_len_columns(out) as u64);
@@ -950,81 +941,58 @@ fn edge_node_loop(
             .send_columns_to(params.out_partition, out, ts)
             .is_ok()
     };
-    // Samples and forwards one validated frame; `false` once the node
-    // must stop.
-    let mut forward = |record: &Record| {
-        let mut crashed = false;
-        if let Some(churn) = churn.as_mut() {
-            // Wall mode evaluates the schedule at the wall window of "now"
-            // — the processing moment — mirroring a real fleet where an
-            // outage is a property of when work happens, not of the data.
-            let interval = churn.scheme.index_of(epoch.elapsed().as_nanos() as u64);
-            match churn.disposition(interval) {
-                // Dark: the delivery is lost at this node's doorstep (the
-                // sender already billed the wire).
-                NodeDisposition::Down => return true,
-                // Mid-window crash: process (the sampler RNG advances as
-                // if healthy), then lose the buffered output.
-                disposition => {
-                    churn.sync(&mut node, interval);
-                    crashed = matches!(disposition, NodeDisposition::Crashed { .. });
-                }
-            }
-        }
-        if decode_columns_into(&record.value, &mut input).is_err() {
-            return false;
-        }
-        // The non-empty outputs of one input frame: one transmission burst.
-        let mut shards;
-        let outs: &[ColumnarBatch] = if params.sharded {
-            shards = node.process_columns_parallel(&input);
-            shards.retain(|out| !out.is_empty());
-            &shards
-        } else {
-            node.process_columns_into(&input, &mut output);
-            if output.is_empty() {
-                &[]
-            } else {
-                std::slice::from_ref(&output)
-            }
-        };
-        if crashed {
-            return true;
-        }
-        match injector {
-            Some(injector) => injector.transmit(outs, &mut |out, extra| send(out, extra)),
-            None => outs.iter().all(|out| send(out, Duration::ZERO)),
-        }
-    };
-    loop {
-        match consumer.poll_into(&mut records, POLL_MAX, Duration::from_millis(5)) {
-            Ok(_) => {
-                for record in records.drain(..) {
-                    if frame_items(&record.value).is_err() {
-                        return;
-                    }
-                    wait_until(epoch, record.timestamp, params.hop_delay);
-                    if params.buffered {
-                        held.push(record);
-                    } else if !forward(&record) {
-                        return;
-                    }
-                }
-            }
-            Err(MqError::Closed) => {
-                held.iter().all(&mut forward);
+    while consumer
+        .poll_into(&mut records, POLL_MAX, Duration::from_millis(5))
+        .is_ok()
+    {
+        for record in records.drain(..) {
+            wait_until(epoch, record.timestamp, params.hop_delay);
+            if decode_columns_into(&record.value, &mut input).is_err() {
                 return;
             }
-            Err(_) => return,
-        }
-        if params.buffered {
-            let now = epoch.elapsed();
-            if now.saturating_sub(last_flush) >= params.window {
-                if !held.iter().all(&mut forward) {
-                    return;
+            let mut crashed = false;
+            if let Some(churn) = churn.as_mut() {
+                // Wall mode evaluates the schedule at the wall window of
+                // "now" — the processing moment — mirroring a real fleet
+                // where an outage is a property of when work happens, not
+                // of the data.
+                let interval = churn.scheme.index_of(epoch.elapsed().as_nanos() as u64);
+                match churn.disposition(interval) {
+                    // Dark: the delivery is lost at this node's doorstep
+                    // (the sender already billed the wire).
+                    NodeDisposition::Down => continue,
+                    // Mid-window crash: process (the sampler RNG advances
+                    // as if healthy), then lose the output.
+                    disposition => {
+                        churn.sync(&mut node, interval);
+                        crashed = matches!(disposition, NodeDisposition::Crashed { .. });
+                    }
                 }
-                held.clear();
-                last_flush = now;
+            }
+            // The non-empty outputs of one input frame: one transmission
+            // burst.
+            let mut shards;
+            let outs: &[ColumnarBatch] = if params.sharded {
+                shards = node.process_columns_parallel(&input);
+                shards.retain(|out| !out.is_empty());
+                &shards
+            } else {
+                node.process_columns_into(&input, &mut output);
+                if output.is_empty() {
+                    &[]
+                } else {
+                    std::slice::from_ref(&output)
+                }
+            };
+            if crashed {
+                continue;
+            }
+            let sent = match injector.as_mut() {
+                Some(injector) => injector.transmit(outs, &mut |out, extra| send(out, extra)),
+                None => outs.iter().all(|out| send(out, Duration::ZERO)),
+            };
+            if !sent {
+                return;
             }
         }
     }
@@ -1288,6 +1256,7 @@ mod tests {
     use super::*;
     use crate::topology::{LayerSpec, LinkSpec, TopologyBuilder};
     use approxiot_core::{accuracy_loss, StratumId, StreamItem};
+    use approxiot_mq::Topic;
 
     fn intervals(
         n_intervals: usize,
@@ -1440,10 +1409,11 @@ mod tests {
     }
 
     #[test]
-    fn whs_buffers_a_window_at_each_edge_layer() {
-        // WHS latency should include the edge buffering window; native's
-        // should not. Sources must be paced so the stream outlives a window
-        // (otherwise edges just flush at close).
+    fn whs_edge_layers_forward_on_arrival_like_native() {
+        // No edge node holds input for a window: WHS item latency is
+        // native's plus sampling time, far below the window. Sources are
+        // paced so the stream outlives several windows (a node that held
+        // a window would add up to one per layer).
         let window = Duration::from_millis(100);
         let pace = Some(Duration::from_millis(20));
         let data = intervals(8, 2, 50, 1.0);
@@ -1452,7 +1422,7 @@ mod tests {
         let whs = run_wall_clock(whs_tree, pace, &data);
         let native = run_wall_clock(native_tree, pace, &data);
         assert!(
-            whs.latency.p50 > native.latency.p50 + Duration::from_millis(20),
+            whs.latency.p50 < native.latency.p50 + window / 4,
             "whs {:?} vs native {:?}",
             whs.latency.p50,
             native.latency.p50
@@ -1587,16 +1557,44 @@ mod tests {
         assert_eq!(count, report.source_items as f64, "nothing lost or late");
     }
 
-    #[test]
-    fn poisoned_frame_stops_a_whs_leaf_at_receipt() {
-        // A WHS leaf holding a window (an hour long, so it never flushes
-        // on its own) receives a malformed record between good frames. It
-        // must stop on receipt, with its input still open, and forward
-        // nothing of the window it held.
+    /// A lone WHS leaf (fraction 0.5, seed 1) on its own wall-clock loop,
+    /// reading topic `input` and writing topic `output` (one partition
+    /// each). The receiver yields the frames it sent once it returns.
+    fn spawn_whs_leaf(
+        input: &Arc<Topic>,
+        output: &Arc<Topic>,
+        mut churn: Option<EdgeChurn>,
+    ) -> (JoinHandle<()>, mpsc::Receiver<u64>) {
+        let consumer = Consumer::subscribe(Arc::clone(input), &[0], StartOffset::Earliest);
+        let producer = BatchProducer::new(Arc::clone(output));
+        let params = EdgeParams {
+            hop_delay: Duration::ZERO,
+            window: Duration::from_secs(3600),
+            out_partition: 0,
+            sharded: false,
+        };
+        let node = SamplingNode::new(Strategy::whs(), 0.5, 1).expect("valid");
+        let (done_tx, done_rx) = mpsc::channel();
+        let leaf = thread::spawn(move || {
+            let epoch = Instant::now();
+            edge_node_loop(
+                consumer, &producer, node, params, None, epoch, &mut None, &mut churn,
+            );
+            let _ = done_tx.send(producer.batches_sent());
+        });
+        (leaf, done_rx)
+    }
+
+    /// Feeds a WHS leaf two good 64-item frames, a truncated one and a
+    /// good one, and returns what it had sent when it stopped (`Err` if it
+    /// had not stopped 10 s in, with its input still open) and how many
+    /// frames reached its output topic.
+    fn whs_leaf_at_a_poisoned_frame(
+        churn: Option<EdgeChurn>,
+    ) -> (Result<u64, mpsc::RecvTimeoutError>, usize) {
         let broker = Broker::new();
         let input = broker.create_topic("in", 1).expect("fresh broker");
         let output = broker.create_topic("out", 1).expect("fresh broker");
-        let consumer = Consumer::subscribe(Arc::clone(&input), &[0], StartOffset::Earliest);
         let feed = BatchProducer::new(Arc::clone(&input));
         let frame = ColumnarBatch::from_batch(&intervals(1, 1, 64, 1.0)[0][0]);
         let mut poisoned = approxiot_mq::codec::encode_columns(&frame).to_vec();
@@ -1606,32 +1604,79 @@ mod tests {
         feed.relay_to(0, poisoned.into(), frame.len(), 0)
             .expect("open");
         feed.send_columns_to(0, &frame, 0).expect("open");
-        let params = EdgeParams {
-            hop_delay: Duration::ZERO,
-            window: Duration::from_secs(3600),
-            out_partition: 0,
-            buffered: true,
-            sharded: false,
-        };
-        let node = SamplingNode::new(Strategy::whs(), 0.5, 1).expect("valid");
-        let producer = BatchProducer::new(Arc::clone(&output));
-        let (done_tx, done_rx) = mpsc::channel();
-        let leaf = thread::spawn(move || {
-            let epoch = Instant::now();
-            edge_node_loop(
-                consumer, &producer, node, params, None, epoch, &mut None, &mut None,
-            );
-            let _ = done_tx.send(producer.batches_sent());
-        });
-        let stopped = done_rx.recv_timeout(Duration::from_secs(10));
+        let (leaf, done) = spawn_whs_leaf(&input, &output, churn);
+        let stopped = done.recv_timeout(Duration::from_secs(10));
         input.close(); // releases a leaf that failed to stop
         leaf.join().expect("leaf thread");
+        (stopped, output.len())
+    }
+
+    #[test]
+    fn poisoned_frame_stops_a_whs_leaf_at_receipt() {
+        // The leaf forwards each good frame on arrival, then must stop on
+        // receipt of the bad one, with its input still open, forwarding
+        // nothing after it.
         assert_eq!(
-            stopped,
-            Ok(0),
-            "the leaf must stop at the poisoned frame, forwarding nothing"
+            whs_leaf_at_a_poisoned_frame(None),
+            (Ok(2), 2),
+            "the leaf must forward the two good frames, then stop at the poisoned one"
         );
-        assert!(output.is_empty());
+    }
+
+    #[test]
+    fn poisoned_frame_stops_a_churned_whs_leaf_in_every_disposition() {
+        // Each frame is decoded before the node's churn disposition is
+        // read, so a dark leaf — which forwards nothing — stops at the
+        // poisoned frame too, as do a crashed and a low-power one. The
+        // hour-long window keeps the whole test in interval 0.
+        let cases = [
+            ("down", ChurnSchedule::new().down(0, 0, 0, 1), 0),
+            ("crashed", ChurnSchedule::new().crash(0, 0, 0), 0),
+            (
+                "low-power",
+                ChurnSchedule::new().low_power(0, 0, 0, 1, 0.5),
+                2,
+            ),
+        ];
+        for (name, schedule, forwarded) in cases {
+            let topology = fast_tree(Strategy::whs(), 0.5, 2, fast_edge())
+                .window(Duration::from_secs(3600))
+                .churn(schedule)
+                .build()
+                .expect("valid");
+            let churn = EdgeChurn {
+                schedule: topology.churn().clone(),
+                ctx: NodeChurnContext::new(&topology, &topology.stage_fractions(), 0, 0),
+                state: NodeChurnState::new(),
+                scheme: TumblingWindow::new(topology.window()),
+            };
+            assert_eq!(
+                whs_leaf_at_a_poisoned_frame(Some(churn)),
+                (Ok(forwarded), forwarded as usize),
+                "{name} leaf"
+            );
+        }
+    }
+
+    #[test]
+    fn whs_leaf_forwards_each_frame_before_its_input_closes() {
+        // Nothing is held for a window (this one is an hour long): every
+        // good frame is sampled and sent while the input is still open.
+        let broker = Broker::new();
+        let input = broker.create_topic("in", 1).expect("fresh broker");
+        let output = broker.create_topic("out", 1).expect("fresh broker");
+        let feed = BatchProducer::new(Arc::clone(&input));
+        let mut watch = Consumer::subscribe(Arc::clone(&output), &[0], StartOffset::Earliest);
+        let frame = ColumnarBatch::from_batch(&intervals(1, 1, 64, 1.0)[0][0]);
+        let (leaf, done) = spawn_whs_leaf(&input, &output, None);
+        for k in 0..3 {
+            feed.send_columns_to(0, &frame, 0).expect("open");
+            let out = watch.poll(POLL_MAX, Duration::from_secs(10)).expect("open");
+            assert_eq!(out.len(), 1, "frame {k} still held after 10 s");
+        }
+        input.close();
+        leaf.join().expect("leaf thread");
+        assert_eq!(done.recv(), Ok(3), "the leaf sends nothing at close");
     }
 
     #[test]

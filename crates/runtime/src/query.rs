@@ -40,12 +40,6 @@ impl Query {
         self.answer(&theta.stratum_estimates())
     }
 
-    /// Executes the query per stratum (used by the per-pollutant variant of
-    /// the Brasov query).
-    pub fn run_per_stratum(self, theta: &ThetaStore) -> BTreeMap<StratumId, Estimate> {
-        self.answer_per_stratum(&theta.stratum_estimates())
-    }
-
     /// [`Query::run`] from a window's per-stratum estimates.
     pub(crate) fn answer(self, per: &BTreeMap<StratumId, StratumEstimate>) -> Estimate {
         match self {
@@ -58,7 +52,8 @@ impl Query {
         }
     }
 
-    /// [`Query::run_per_stratum`] from a window's per-stratum estimates.
+    /// The query's answer per stratum (the per-pollutant variant of the
+    /// Brasov query), from a window's per-stratum estimates.
     pub(crate) fn answer_per_stratum(
         self,
         per: &BTreeMap<StratumId, StratumEstimate>,
@@ -492,12 +487,18 @@ mod tests {
     #[test]
     fn per_stratum_results_are_separate() {
         let t = theta(&[(0, 2.0, &[1.0]), (1, 3.0, &[10.0])]);
-        let per = Query::Sum.run_per_stratum(&t);
-        assert_eq!(per[&StratumId::new(0)].value, 2.0);
-        assert_eq!(per[&StratumId::new(1)].value, 30.0);
-        let counts = Query::Count.run_per_stratum(&t);
+        let results = QuerySet::new()
+            .with(QuerySpec::SumPerStratum)
+            .with(QuerySpec::CountPerStratum)
+            .with(QuerySpec::MeanPerStratum)
+            .run(&t);
+        let per = |spec| results.per_stratum(spec).expect("registered");
+        let sums = per(QuerySpec::SumPerStratum);
+        assert_eq!(sums[&StratumId::new(0)].value, 2.0);
+        assert_eq!(sums[&StratumId::new(1)].value, 30.0);
+        let counts = per(QuerySpec::CountPerStratum);
         assert_eq!(counts[&StratumId::new(1)].value, 3.0);
-        let means = Query::Mean.run_per_stratum(&t);
+        let means = per(QuerySpec::MeanPerStratum);
         assert_eq!(means[&StratumId::new(1)].value, 10.0);
     }
 

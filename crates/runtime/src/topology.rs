@@ -315,8 +315,7 @@ impl Topology {
         self.split.fractions(self.overall_fraction, self.depth())
     }
 
-    /// The computation window at the root (and WHS edge-buffering
-    /// interval).
+    /// The computation window at the root.
     pub fn window(&self) -> Duration {
         self.window
     }

@@ -1,7 +1,7 @@
 //! The full threaded edge pipeline, live, through the unified driver:
 //! the driver publishes intervals into broker topics, edge nodes sample
-//! per window, WAN delays and link caps apply, and the root answers a
-//! multi-query window set with error bounds.
+//! each frame on arrival, WAN delays and link caps apply, and the root
+//! answers a multi-query window set with error bounds.
 //!
 //! This exercises every substrate at once: `approxiot-mq` topics,
 //! `approxiot-net` delay/capacity emulation, the `approxiot-streams`
@@ -107,7 +107,7 @@ fn main() -> Result<(), EngineError> {
         report.throughput_items_per_sec
     );
     println!(
-        "end-to-end latency: p50 {:?}, p95 {:?} (incl. {:?} of WAN + window buffering)",
+        "end-to-end latency: p50 {:?}, p95 {:?} (incl. {:?} of WAN delay)",
         report.latency.p50,
         report.latency.p95,
         Duration::from_millis(70),

@@ -21,8 +21,8 @@
 //! * **mid**, one leaf output in, one frame out: the decoded input
 //!   weights (one node), then the same three as a leaf — **4**.
 //!
-//! Polling, holding a window's records, decoding into the reused input
-//! columns and sampling into the reused output columns allocate nothing.
+//! Polling, decoding into the reused input columns and sampling into the
+//! reused output columns allocate nothing.
 //! The same tree run native (no sampling) has a budget of **0** on both
 //! layers: a native node relays the payload it received.
 #![cfg(target_os = "linux")]
