@@ -22,6 +22,12 @@
 //! order, each pointing at its row for the weight) unless the store is
 //! built with [`ThetaStore::with_values`]`(false)`.
 //!
+//! A pair may also arrive already condensed: a sketch root files each
+//! child summary's exact per-stratum moments ([`crate::summary::Moments`])
+//! as one pair of rows through [`ThetaStore::push_rows`], with no values.
+//! At weight 1, `ĉ_i = ζ_i`, so those strata answer exactly, with
+//! variance 0.
+//!
 //! [`ThetaStore::stratum_estimates`] is the one pass over the rows;
 //! [`sum_of`], [`mean_of`] and [`count_of`] derive the global answers from
 //! its map, so a caller answering several queries per window computes it
@@ -154,6 +160,25 @@ impl ThetaStore {
         assert_eq!(strata.len(), values.len(), "columns of one pair");
         let items = strata.iter().zip(values);
         self.condense(items.map(|(&s, &v)| (StratumId::new(s), v)), weight_of);
+    }
+
+    /// Appends one pair given as its condensed rows, which must be in
+    /// stratum-ascending order like the rows of any other pair. The pair
+    /// keeps no raw values, so the quantile estimators do not see it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the rows' strata are strictly ascending.
+    pub fn push_rows(&mut self, rows: impl IntoIterator<Item = ThetaRow>) {
+        let first_row = self.rows.len();
+        self.rows.extend(rows);
+        assert!(
+            self.rows[first_row..]
+                .windows(2)
+                .all(|w| w[0].stratum < w[1].stratum),
+            "one pair's rows are stratum-ascending"
+        );
+        self.pairs += 1;
     }
 
     /// The condense loop behind both entry points: one pair's
@@ -594,6 +619,47 @@ mod tests {
         theta.clear();
         assert!(theta.is_empty());
         assert_eq!(theta.sum_estimate().value, 0.0);
+    }
+
+    #[test]
+    fn push_rows_appends_one_pair_and_no_values() {
+        let row = |stratum, weight, value_sum, n, value_sq_sum| ThetaRow {
+            stratum: s(stratum),
+            weight,
+            value_sum,
+            n,
+            value_sq_sum,
+        };
+        let mut theta = ThetaStore::new();
+        theta.push(pair(0, 2.0, &[1.0, 3.0]));
+        let rows = [row(0, 1.0, 6.0, 3, 14.0), row(2, 1.0, 0.5, 1, 0.25)];
+        theta.push_rows(rows);
+        assert_eq!(theta.len(), 2, "one pair");
+        assert_eq!(&theta.rows()[1..], &rows, "appended as given");
+        assert_eq!(theta.sampled_items(), 6);
+        let values: Vec<_> = theta.weighted_values().collect();
+        assert_eq!(values, [(1.0, 2.0), (3.0, 2.0)], "the rows keep no values");
+        let per = theta.stratum_estimates();
+        assert_eq!(per[&s(0)].sum, 2.0 * 4.0 + 6.0);
+        assert_eq!(per[&s(0)].count_hat, 7.0);
+        // Weight 1: ĉ = ζ, so the stratum is exact.
+        assert_eq!(per[&s(2)].count_hat, 1.0);
+        assert_eq!(per[&s(2)].sum_variance, 0.0);
+        theta.push_rows([]);
+        assert_eq!(theta.len(), 3, "an empty pair still counts");
+    }
+
+    #[test]
+    #[should_panic(expected = "stratum-ascending")]
+    fn push_rows_rejects_unordered_rows() {
+        let row = |stratum| ThetaRow {
+            stratum: s(stratum),
+            weight: 1.0,
+            value_sum: 1.0,
+            n: 1,
+            value_sq_sum: 1.0,
+        };
+        ThetaStore::new().push_rows([row(1), row(0)]);
     }
 
     #[test]

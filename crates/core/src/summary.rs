@@ -6,9 +6,11 @@
 //! bytes. This module pushes below that floor with three classical
 //! mergeable summaries, each deterministic at fixed seed:
 //!
-//! * [`Moments`] — exact count / sum / sum-of-squares accumulators.
-//!   Serving `Sum`/`Mean`/`Count` (and their per-stratum variants) from
-//!   moments is *exact*: merging is addition, no estimation error at all.
+//! * [`Moments`] — exact count / sum / sum-of-squares accumulators,
+//!   merged by addition. The root files them into its `Θ` store as
+//!   weight-1 rows ([`crate::ThetaStore::push_rows`]), so `Sum`/`Mean`/
+//!   `Count` and their per-stratum variants answer through the same
+//!   estimators as sampled items, exactly and with variance 0.
 //! * [`KllSketch`] — a KLL-style quantile sketch implemented as a
 //!   **hash-priority layered subsample**: every item gets a deterministic
 //!   64-bit priority from splitmix64 over `(seed, identity, value bits)`;
@@ -141,15 +143,6 @@ impl Moments {
         self.count += other.count;
         self.sum += other.sum;
         self.sum_sq += other.sum_sq;
-    }
-
-    /// Mean of the observed values (`0` when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
     }
 }
 
@@ -504,7 +497,7 @@ pub struct StratumSummary {
 /// One window's complete summary state: per-stratum sections plus the
 /// shared heavy-hitter summary. This is what a sketch-strategy node
 /// emits instead of a batch of items, what inner nodes [`merge`], and
-/// what the root answers queries from.
+/// what the root answers quantile and top-k queries from.
 ///
 /// [`merge`]: StratumSummaries::merge
 #[derive(Debug, Clone, PartialEq)]
@@ -621,56 +614,6 @@ impl StratumSummaries {
         self.strata.values().map(|s| s.moments.count).sum()
     }
 
-    /// Exact total value sum.
-    pub fn sum(&self) -> f64 {
-        self.strata.values().map(|s| s.moments.sum).sum()
-    }
-
-    /// Exact SUM estimate (zero variance: moments are not sampled).
-    pub fn sum_estimate(&self) -> Estimate {
-        Estimate::new(self.sum(), 0.0)
-    }
-
-    /// Exact MEAN estimate (zero variance).
-    pub fn mean_estimate(&self) -> Estimate {
-        let count = self.count();
-        let mean = if count == 0 {
-            0.0
-        } else {
-            self.sum() / count as f64
-        };
-        Estimate::new(mean, 0.0)
-    }
-
-    /// Exact COUNT estimate (zero variance).
-    pub fn count_estimate(&self) -> Estimate {
-        Estimate::new(self.count() as f64, 0.0)
-    }
-
-    /// Exact per-stratum SUM estimates.
-    pub fn sum_per_stratum(&self) -> BTreeMap<StratumId, Estimate> {
-        self.strata
-            .iter()
-            .map(|(&s, sec)| (s, Estimate::new(sec.moments.sum, 0.0)))
-            .collect()
-    }
-
-    /// Exact per-stratum MEAN estimates.
-    pub fn mean_per_stratum(&self) -> BTreeMap<StratumId, Estimate> {
-        self.strata
-            .iter()
-            .map(|(&s, sec)| (s, Estimate::new(sec.moments.mean(), 0.0)))
-            .collect()
-    }
-
-    /// Exact per-stratum COUNT estimates.
-    pub fn count_per_stratum(&self) -> BTreeMap<StratumId, Estimate> {
-        self.strata
-            .iter()
-            .map(|(&s, sec)| (s, Estimate::new(sec.moments.count as f64, 0.0)))
-            .collect()
-    }
-
     /// The `q`-quantile over all strata from the per-stratum sketches:
     /// each retained entry stands for `2^level` originals of its
     /// stratum, so the global weighted empirical CDF is inverted exactly
@@ -755,13 +698,13 @@ mod tests {
         assert_eq!(m.count, 3);
         assert_eq!(m.sum, 6.0);
         assert_eq!(m.sum_sq, 14.0);
-        assert_eq!(m.mean(), 2.0);
         let mut other = Moments::new();
         other.update(4.0);
         m.merge(&other);
         assert_eq!(m.count, 4);
         assert_eq!(m.sum, 10.0);
-        assert_eq!(Moments::new().mean(), 0.0);
+        assert_eq!(m.sum_sq, 30.0);
+        assert_eq!(Moments::new(), Moments::default());
     }
 
     #[test]
@@ -894,13 +837,24 @@ mod tests {
             ss.observe(s((i % 3) as u32), i, (i % 100) as f64);
         }
         assert_eq!(ss.count(), 1000);
+        // Each stratum's moments are exactly its items' moments, folded in
+        // observation order.
+        let mut oracle: BTreeMap<StratumId, Moments> = BTreeMap::new();
+        for i in 0..1000u64 {
+            oracle
+                .entry(s((i % 3) as u32))
+                .or_default()
+                .update((i % 100) as f64);
+        }
+        let moments: BTreeMap<StratumId, Moments> = ss
+            .strata()
+            .iter()
+            .map(|(&st, sec)| (st, sec.moments))
+            .collect();
+        assert_eq!(moments, oracle);
+        assert_eq!(moments[&s(0)].count, 334);
         let exact_sum: f64 = (0..1000u64).map(|i| (i % 100) as f64).sum();
-        assert_eq!(ss.sum_estimate().value, exact_sum);
-        assert_eq!(ss.sum_estimate().variance, 0.0);
-        assert_eq!(ss.count_estimate().value, 1000.0);
-        assert!((ss.mean_estimate().value - exact_sum / 1000.0).abs() < 1e-12);
-        assert_eq!(ss.sum_per_stratum().len(), 3);
-        assert_eq!(ss.count_per_stratum()[&s(0)].value, 334.0);
+        assert_eq!(moments.values().map(|m| m.sum).sum::<f64>(), exact_sum);
         let q = ss.quantile(0.5, Confidence::P95).expect("non-empty");
         assert!(q.lo <= q.value && q.value <= q.hi);
         assert!((q.value - 50.0).abs() < 20.0, "median ~{}", q.value);
@@ -930,13 +884,13 @@ mod tests {
         // Counts and sketches are exactly multiset-determined; moments
         // sums agree to float tolerance (different add order).
         assert_eq!(merged.count(), whole.count());
-        assert!((merged.sum() - whole.sum()).abs() < 1e-9);
+        assert_eq!(merged.strata().len(), whole.strata().len());
         for (stratum, section) in whole.strata() {
-            assert_eq!(
-                merged.strata()[stratum].sketch,
-                section.sketch,
-                "{stratum} sketch"
-            );
+            let mine = &merged.strata()[stratum];
+            assert_eq!(mine.moments.count, section.moments.count, "{stratum}");
+            assert!((mine.moments.sum - section.moments.sum).abs() < 1e-9);
+            assert!((mine.moments.sum_sq - section.moments.sum_sq).abs() < 1e-9);
+            assert_eq!(mine.sketch, section.sketch, "{stratum} sketch");
         }
         // Commutativity is bit-exact.
         let mut swapped = right.clone();
@@ -961,7 +915,7 @@ mod tests {
         assert!(ss.is_empty());
         assert_eq!(ss.quantile(0.5, Confidence::P95), None);
         assert!(ss.top_k(1).is_empty());
-        assert_eq!(ss.sum_estimate().value, 0.0);
-        assert_eq!(ss.mean_estimate().value, 0.0);
+        assert!(ss.strata().is_empty());
+        assert_eq!(ss.count(), 0);
     }
 }

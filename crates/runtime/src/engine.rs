@@ -353,7 +353,9 @@ impl SimEngine {
     /// and every hop after that carries **one summary payload per node
     /// per interval** — billed with the real v3 frame size
     /// ([`encoded_len_summaries`]) and merged downstream with no per-item
-    /// work. The root answers queries straight from the merged summaries.
+    /// work. The root files each summary's exact moments as `Θ` rows and
+    /// answers through the same estimators as the item path; the merged
+    /// sketches answer only `Quantile` and `TopK`.
     fn push_interval_sketch(&mut self, source_batches: &[Batch]) {
         let scheme = self.scheme;
         // Hop 0: source item frames into the first layer, i % n0 fan-in.

@@ -112,7 +112,7 @@ pub use engine::{Driver, Engine, EngineError, EngineKind, RunReport, SimEngine};
 pub use fault::{FaultFrame, FaultInjector, FaultStats, HopFaults};
 pub use feedback::FeedbackLoop;
 pub use metrics::{mean_window_error, results_bit_identical, window_estimates, RunSummary};
-pub use node::{merge_windowed_summaries, NodePayload, SamplingNode, Strategy};
+pub use node::{NodePayload, SamplingNode, Strategy};
 pub use pipeline::{LatencyStats, PipelineEngine, PipelineOptions};
 pub use pool::WorkerPool;
 pub use query::{Query, QueryResults, QuerySet, QuerySpec, QueryValue};

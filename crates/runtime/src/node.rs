@@ -101,32 +101,6 @@ pub enum NodePayload {
     Summaries(Vec<(u64, StratumSummaries)>),
 }
 
-impl NodePayload {
-    /// Returns `true` when the payload carries nothing.
-    pub fn is_empty(&self) -> bool {
-        match self {
-            NodePayload::Items(batch) => batch.is_empty(),
-            NodePayload::Summaries(windows) => windows.iter().all(|(_, s)| s.is_empty()),
-        }
-    }
-
-    /// The item batch, if this is an items payload.
-    pub fn items(&self) -> Option<&Batch> {
-        match self {
-            NodePayload::Items(batch) => Some(batch),
-            NodePayload::Summaries(_) => None,
-        }
-    }
-
-    /// The windowed summaries, if this is a summary payload.
-    pub fn summaries(&self) -> Option<&[(u64, StratumSummaries)]> {
-        match self {
-            NodePayload::Items(_) => None,
-            NodePayload::Summaries(windows) => Some(windows),
-        }
-    }
-}
-
 /// The sketch identity of one stream item: a deterministic function of the
 /// item alone (never of arrival order or node placement), so every engine
 /// and every node hashes the same item to the same KLL priority.
@@ -138,7 +112,7 @@ pub(crate) fn sketch_identity(item: &StreamItem) -> u64 {
 /// Merges windowed summaries into a window-keyed accumulator. Summary
 /// merge is associative and commutative bit-for-bit, so accumulation
 /// order never shows in the result.
-pub fn merge_windowed_summaries(
+fn merge_windowed_summaries(
     acc: &mut BTreeMap<u64, StratumSummaries>,
     input: &[(u64, StratumSummaries)],
 ) {
@@ -314,7 +288,8 @@ impl SamplingNode {
     /// # Panics
     ///
     /// Panics on a sketch node — summary nodes forward summaries, not
-    /// items; use [`SamplingNode::process_payload`].
+    /// items; use [`SamplingNode::absorb_batch`] and
+    /// [`SamplingNode::take_summaries`].
     pub fn process_batch(&mut self, batch: &Batch) -> Batch {
         self.items_in += batch.len() as u64;
         let out = match self.strategy {
@@ -335,7 +310,7 @@ impl SamplingNode {
             Strategy::Native => batch.clone(),
             Strategy::Sketch(_) => {
                 // analysis: allow(P1, reason = "documented contract panic; the Driver front door never routes item batches to sketch nodes")
-                panic!("sketch nodes forward summaries, not item batches; use process_payload")
+                panic!("sketch nodes forward summaries, not item batches; use absorb_batch and take_summaries")
             }
         };
         self.items_out += out.len() as u64;
@@ -413,7 +388,7 @@ impl SamplingNode {
             }
             Strategy::Sketch(_) => {
                 // analysis: allow(P1, reason = "documented contract panic; the Driver front door never routes item batches to sketch nodes")
-                panic!("sketch nodes forward summaries, not item batches; use process_payload")
+                panic!("sketch nodes forward summaries, not item batches; use absorb_batch and take_summaries")
             }
         }
         self.items_out += out.len() as u64;
@@ -461,69 +436,6 @@ impl SamplingNode {
                 self.items_out += o.len() as u64;
             })
             .collect()
-    }
-
-    /// The payload front door: item-strategy nodes sample an items payload
-    /// into forwarded item payloads immediately (one call, its outputs);
-    /// sketch nodes **absorb** the payload — items are folded into the
-    /// window-keyed summary accumulator, child summaries are merged — and
-    /// return nothing until [`SamplingNode::take_summaries`] drains the
-    /// merged state (one payload per interval, the engines' forwarding
-    /// unit).
-    ///
-    /// # Panics
-    ///
-    /// Panics when an item-strategy node is handed a summaries payload —
-    /// the [`crate::Driver`] front door rejects mixed topologies before
-    /// any data flows.
-    pub fn process_payload(
-        &mut self,
-        payload: &NodePayload,
-        scheme: TumblingWindow,
-    ) -> Vec<NodePayload> {
-        if self.sketch.is_some() {
-            self.absorb_payload(payload, scheme);
-            return Vec::new();
-        }
-        let batch = payload
-            .items()
-            // analysis: allow(P1, reason = "documented contract panic; the Driver validates topology homogeneity before any payload flows")
-            .expect("item-strategy nodes take item payloads; sketch topologies are homogeneous");
-        self.process_batch_parallel(batch)
-            .into_iter()
-            .filter(|out| !out.is_empty())
-            .map(NodePayload::Items)
-            .collect()
-    }
-
-    /// Folds one item batch into fresh per-window summaries without
-    /// touching the accumulator — the stateless leaf kernel behind
-    /// [`SamplingNode::process_payload`], exposed for tests and the
-    /// replay pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the node runs the sketch strategy.
-    pub fn summarize_batch(
-        &mut self,
-        batch: &Batch,
-        scheme: TumblingWindow,
-    ) -> Vec<(u64, StratumSummaries)> {
-        let state = self
-            .sketch
-            .as_ref()
-            // analysis: allow(P1, reason = "documented # Panics contract; callers are sketch-strategy nodes by construction")
-            .expect("summarize_batch requires the sketch strategy");
-        let (config, seed) = (state.config, state.seed);
-        self.items_in += batch.len() as u64;
-        let mut windows: BTreeMap<u64, StratumSummaries> = BTreeMap::new();
-        for item in &batch.items {
-            windows
-                .entry(scheme.index_of(item.source_ts))
-                .or_insert_with(|| StratumSummaries::new(config, seed))
-                .observe(item.stratum, sketch_identity(item), item.value);
-        }
-        windows.into_iter().filter(|(_, s)| !s.is_empty()).collect()
     }
 
     /// Absorbs one payload into the sketch accumulator: items are
@@ -709,18 +621,18 @@ mod tests {
             0,
             1_500_000_000,
         ));
-        let payload = NodePayload::Items(Batch::from_items(items));
-        assert!(
-            node.process_payload(&payload, scheme).is_empty(),
-            "absorbed"
-        );
+        node.absorb_payload(&NodePayload::Items(Batch::from_items(items)), scheme);
         let windows = node.take_summaries();
         assert_eq!(windows.len(), 2);
+        let moments =
+            |w: usize, stratum: u32| windows[w].1.strata()[&StratumId::new(stratum)].moments;
         assert_eq!(windows[0].0, 0);
         assert_eq!(windows[0].1.count(), 10);
-        assert_eq!(windows[0].1.sum(), 20.0);
+        assert_eq!(windows[0].1.strata().len(), 1);
+        assert_eq!(moments(0, 0).sum, 20.0);
         assert_eq!(windows[1].0, 1);
-        assert_eq!(windows[1].1.sum(), 5.0);
+        assert_eq!(windows[1].1.strata().len(), 1);
+        assert_eq!(moments(1, 1).sum, 5.0);
         assert_eq!(node.items_in(), 11);
         assert!(node.take_summaries().is_empty(), "drained");
     }

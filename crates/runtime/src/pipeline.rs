@@ -461,9 +461,25 @@ impl PipelineEngine {
                 .name(ROOT_THREAD_NAME.into())
                 .spawn(move || {
                     if root_is_sketch {
-                        root_sketch_replay(root_consumer, root, &result_tx);
+                        root_replay(
+                            root_consumer,
+                            root,
+                            &result_tx,
+                            decode_summaries,
+                            |root, windows| {
+                                root.ingest_summaries(windows);
+                            },
+                        );
                     } else if deterministic {
-                        root_replay(root_consumer, root, &result_tx);
+                        root_replay(
+                            root_consumer,
+                            root,
+                            &result_tx,
+                            decode_columns,
+                            |root, batch| {
+                                root.ingest_columns(&batch);
+                            },
+                        );
                     } else {
                         root_loop(
                             root_consumer,
@@ -1210,39 +1226,22 @@ fn root_loop(
     }
 }
 
-/// The deterministic root: collect to close, replay in canonical order,
-/// answer every window at flush.
-fn root_replay(mut consumer: Consumer, mut root: RootNode, result_tx: &mpsc::Sender<WindowResult>) {
-    let Some(held) =
-        collect_until_closed(&mut consumer).and_then(|h| decode_all(h, decode_columns))
-    else {
-        return;
-    };
-    for (_, batch) in held {
-        root.ingest_columns(&batch);
-    }
-    let mut results = root.flush();
-    results.sort_by_key(|r| r.window);
-    for result in results {
-        let _ = result_tx.send(result);
-    }
-}
-
-/// The sketch root: collect v3 summary frames to close, ingest in the
-/// canonical order (the same insertion order as the sim engine's per-interval
-/// `ingest_summaries` calls), answer every window at flush.
-fn root_sketch_replay(
+/// The deterministic root: collect to close, `decode` every frame (item
+/// columns, or a sketch topology's v3 summaries), `ingest` them in the
+/// canonical order — the sim engine's insertion order — and answer every
+/// window at flush.
+fn root_replay<T>(
     mut consumer: Consumer,
     mut root: RootNode,
     result_tx: &mpsc::Sender<WindowResult>,
+    decode: impl Fn(&[u8]) -> Result<T, MqError>,
+    ingest: impl Fn(&mut RootNode, T),
 ) {
-    let Some(held) =
-        collect_until_closed(&mut consumer).and_then(|h| decode_all(h, decode_summaries))
-    else {
+    let Some(held) = collect_until_closed(&mut consumer).and_then(|h| decode_all(h, decode)) else {
         return;
     };
-    for (_, windows) in held {
-        root.ingest_summaries(windows);
+    for (_, frame) in held {
+        ingest(&mut root, frame);
     }
     let mut results = root.flush();
     results.sort_by_key(|r| r.window);

@@ -12,7 +12,9 @@
 //!   [`QuerySpec::Quantile`] / [`QuerySpec::TopK`] backed by
 //!   [`approxiot_core::quantile`]. The root runs the whole set over each
 //!   closed window's `Θ` store and files the answers into a
-//!   [`QueryResults`] map on the window result.
+//!   [`QueryResults`] map on the window result. On a sketch root, whose
+//!   `Θ` rows are the summaries' exact moments, the merged summaries
+//!   answer `Quantile` and `TopK` instead.
 
 use approxiot_core::estimate::{count_of, mean_of, sum_of};
 use approxiot_core::quantile::{quantile_with_bounds, top_k_of, QuantileEstimate};
@@ -34,13 +36,9 @@ pub enum Query {
 }
 
 impl Query {
-    /// Executes the query over a window's `Θ` store, returning the
-    /// estimate with its variance (§III-C and §III-D).
-    pub fn run(self, theta: &ThetaStore) -> Estimate {
-        self.answer(&theta.stratum_estimates())
-    }
-
-    /// [`Query::run`] from a window's per-stratum estimates.
+    /// Executes the query over a window's per-stratum estimates
+    /// ([`ThetaStore::stratum_estimates`]), returning the estimate with its
+    /// variance (§III-C and §III-D).
     pub(crate) fn answer(self, per: &BTreeMap<StratumId, StratumEstimate>) -> Estimate {
         match self {
             Query::Sum => sum_of(per),
@@ -365,17 +363,16 @@ impl QuerySet {
             .any(|spec| matches!(spec, QuerySpec::Quantile(_)))
     }
 
-    /// Runs every registered query over a window's `Θ` store.
-    pub fn run(&self, theta: &ThetaStore) -> QueryResults {
-        self.run_with(theta, &theta.stratum_estimates())
-    }
-
-    /// [`QuerySet::run`] given the store's per-stratum estimates, so a
-    /// caller that needs them too computes them once per window.
+    /// Runs every registered query over a window's `Θ` store, given the
+    /// store's per-stratum estimates so a caller that needs them too
+    /// computes them once per window. A sketch window passes its merged
+    /// `sketches`, which answer `Quantile` (KLL) and `TopK` (Space-Saving);
+    /// every other query reads `per` alone.
     pub(crate) fn run_with(
         &self,
         theta: &ThetaStore,
         per: &BTreeMap<StratumId, StratumEstimate>,
+        sketches: Option<&StratumSummaries>,
     ) -> QueryResults {
         let answers = self
             .specs
@@ -394,44 +391,14 @@ impl QuerySet {
                     QuerySpec::CountPerStratum => {
                         QueryValue::PerStratum(Query::Count.answer_per_stratum(per))
                     }
-                    QuerySpec::Quantile(q) => {
-                        QueryValue::Quantile(quantile_with_bounds(theta, q, self.confidence))
-                    }
-                    QuerySpec::TopK(k) => QueryValue::TopK(top_k_of(per, k)),
-                };
-                (spec, value)
-            })
-            .collect();
-        QueryResults { answers }
-    }
-
-    /// Runs every registered query over a window's merged stratum
-    /// summaries — the sketch-strategy counterpart of [`QuerySet::run`].
-    ///
-    /// SUM / MEAN / COUNT come from the exact moment accumulators
-    /// (variance 0 — sketch moments are lossless), the per-stratum
-    /// variants from the per-stratum moments, `Quantile(q)` from the KLL
-    /// sketch and `TopK(k)` from the Space-Saving counters.
-    pub fn run_summaries(&self, summaries: &StratumSummaries) -> QueryResults {
-        let answers = self
-            .specs
-            .iter()
-            .map(|&spec| {
-                let value = match spec {
-                    QuerySpec::Sum => QueryValue::Scalar(summaries.sum_estimate()),
-                    QuerySpec::Mean => QueryValue::Scalar(summaries.mean_estimate()),
-                    QuerySpec::Count => QueryValue::Scalar(summaries.count_estimate()),
-                    QuerySpec::SumPerStratum => QueryValue::PerStratum(summaries.sum_per_stratum()),
-                    QuerySpec::MeanPerStratum => {
-                        QueryValue::PerStratum(summaries.mean_per_stratum())
-                    }
-                    QuerySpec::CountPerStratum => {
-                        QueryValue::PerStratum(summaries.count_per_stratum())
-                    }
-                    QuerySpec::Quantile(q) => {
-                        QueryValue::Quantile(summaries.quantile(q, self.confidence))
-                    }
-                    QuerySpec::TopK(k) => QueryValue::TopK(summaries.top_k(k)),
+                    QuerySpec::Quantile(q) => QueryValue::Quantile(match sketches {
+                        Some(sketches) => sketches.quantile(q, self.confidence),
+                        None => quantile_with_bounds(theta, q, self.confidence),
+                    }),
+                    QuerySpec::TopK(k) => QueryValue::TopK(match sketches {
+                        Some(sketches) => sketches.top_k(k),
+                        None => top_k_of(per, k),
+                    }),
                 };
                 (spec, value)
             })
@@ -462,16 +429,24 @@ mod tests {
             .collect()
     }
 
+    fn run(set: &QuerySet, theta: &ThetaStore) -> QueryResults {
+        set.run_with(theta, &theta.stratum_estimates(), None)
+    }
+
+    fn answer(query: Query, theta: &ThetaStore) -> Estimate {
+        query.answer(&theta.stratum_estimates())
+    }
+
     #[test]
     fn sum_query_scales_by_weight() {
         let t = theta(&[(0, 2.0, &[3.0, 4.0])]);
-        assert_eq!(Query::Sum.run(&t).value, 14.0);
+        assert_eq!(answer(Query::Sum, &t).value, 14.0);
     }
 
     #[test]
     fn count_query_reconstructs_exactly() {
         let t = theta(&[(0, 5.0, &[1.0, 1.0])]);
-        let est = Query::Count.run(&t);
+        let est = answer(Query::Count, &t);
         assert_eq!(est.value, 10.0);
         assert_eq!(est.variance, 0.0);
     }
@@ -480,18 +455,18 @@ mod tests {
     fn mean_query_weights_strata() {
         // 10 items of value 1 (weight 5 x 2 samples), 10 of value 3.
         let t = theta(&[(0, 5.0, &[1.0, 1.0]), (1, 5.0, &[3.0, 3.0])]);
-        let est = Query::Mean.run(&t);
+        let est = answer(Query::Mean, &t);
         assert!((est.value - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn per_stratum_results_are_separate() {
         let t = theta(&[(0, 2.0, &[1.0]), (1, 3.0, &[10.0])]);
-        let results = QuerySet::new()
+        let set = QuerySet::new()
             .with(QuerySpec::SumPerStratum)
             .with(QuerySpec::CountPerStratum)
-            .with(QuerySpec::MeanPerStratum)
-            .run(&t);
+            .with(QuerySpec::MeanPerStratum);
+        let results = run(&set, &t);
         let per = |spec| results.per_stratum(spec).expect("registered");
         let sums = per(QuerySpec::SumPerStratum);
         assert_eq!(sums[&StratumId::new(0)].value, 2.0);
@@ -531,9 +506,9 @@ mod tests {
             .with(QuerySpec::Quantile(0.5))
             .with(QuerySpec::TopK(1))
             .with(QuerySpec::SumPerStratum);
-        let results = set.run(&t);
+        let results = run(&set, &t);
         assert_eq!(results.len(), 5);
-        assert_eq!(results.sum(), Some(&Query::Sum.run(&t)));
+        assert_eq!(results.sum(), Some(&answer(Query::Sum, &t)));
         let median = results.quantile(0.5).expect("non-empty window");
         // Weighted CDF: weights 2,2,2,1; total 7, target 3.5 → value 2.
         assert_eq!(median.value, 2.0);
@@ -550,7 +525,7 @@ mod tests {
     #[test]
     fn query_set_quantile_of_empty_window_is_none() {
         let set = QuerySet::new().with(QuerySpec::Quantile(0.9));
-        let results = set.run(&ThetaStore::new());
+        let results = run(&set, &ThetaStore::new());
         assert_eq!(
             results.get(QuerySpec::Quantile(0.9)),
             Some(&QueryValue::Quantile(None))
@@ -561,12 +536,12 @@ mod tests {
     #[test]
     fn typed_accessors_return_registered_answers_only() {
         let t = theta(&[(0, 2.0, &[1.0, 2.0, 3.0]), (1, 1.0, &[100.0])]);
-        let results = QuerySet::new()
+        let set = QuerySet::new()
             .with(QuerySpec::Sum)
             .with(QuerySpec::Quantile(0.5))
             .with(QuerySpec::TopK(1))
-            .with(QuerySpec::CountPerStratum)
-            .run(&t);
+            .with(QuerySpec::CountPerStratum);
+        let results = run(&set, &t);
         assert_eq!(results.sum().map(|e| e.value), Some(112.0));
         assert!(results.mean().is_none(), "MEAN was not registered");
         assert!(results.count().is_none(), "COUNT was not registered");
@@ -579,38 +554,6 @@ mod tests {
             .expect("registered per-stratum query");
         assert_eq!(counts[&StratumId::new(0)].value, 6.0);
         assert!(results.per_stratum(QuerySpec::SumPerStratum).is_none());
-    }
-
-    #[test]
-    fn run_summaries_answers_every_query_kind() {
-        use approxiot_core::{SketchConfig, StratumSummaries};
-        let mut summaries = StratumSummaries::new(SketchConfig::default(), 7);
-        for i in 0..10u64 {
-            summaries.observe(StratumId::new(0), i, (i + 1) as f64);
-        }
-        summaries.observe(StratumId::new(1), 100, 500.0);
-        let results = QuerySet::new()
-            .with(QuerySpec::Sum)
-            .with(QuerySpec::Mean)
-            .with(QuerySpec::Count)
-            .with(QuerySpec::Quantile(0.5))
-            .with(QuerySpec::TopK(1))
-            .with(QuerySpec::SumPerStratum)
-            .run_summaries(&summaries);
-        // Moments are exact: sum 55 + 500, count 11.
-        assert_eq!(results.sum().map(|e| e.value), Some(555.0));
-        assert_eq!(results.sum().map(|e| e.variance), Some(0.0));
-        assert_eq!(results.count().map(|e| e.value), Some(11.0));
-        assert!((results.mean().expect("mean").value - 555.0 / 11.0).abs() < 1e-12);
-        let median = results.quantile(0.5).expect("non-empty sketch");
-        assert!(median.lo <= median.value && median.value <= median.hi);
-        let top = results.top_k(1).expect("top-k answer");
-        assert_eq!(top[0].0, StratumId::new(1), "stratum 1 carries the mass");
-        let per = results
-            .per_stratum(QuerySpec::SumPerStratum)
-            .expect("per-stratum answer");
-        assert_eq!(per[&StratumId::new(0)].value, 55.0);
-        assert_eq!(per[&StratumId::new(1)].value, 500.0);
     }
 
     #[test]

@@ -6,7 +6,8 @@ use crate::node::{SamplingNode, Strategy};
 use crate::query::{Query, QueryResults, QuerySet, QuerySpec, QueryValue};
 use approxiot_core::estimate::count_of;
 use approxiot_core::{
-    Batch, ColumnarBatch, Confidence, Estimate, StratumId, StratumSummaries, ThetaStore, WeightMap,
+    Batch, ColumnarBatch, Confidence, Estimate, StratumId, StratumSummaries, ThetaRow, ThetaStore,
+    WeightMap,
 };
 use approxiot_streams::{TumblingWindow, WindowBuffer, WindowId};
 use std::collections::BTreeMap;
@@ -132,19 +133,13 @@ pub struct RootNode {
     /// The sampler's output for the current columnar frame, reused across
     /// frames so sampling allocates no columns.
     sampled: ColumnarBatch,
-    /// Each open window's `Θ` store — exactly one per window, condensed
-    /// rows (see [`approxiot_core::estimate`]).
-    buffer: WindowBuffer<ThetaStore>,
+    /// Each open window — exactly one [`OpenWindow`] per window.
+    buffer: WindowBuffer<OpenWindow>,
     /// Whether `Θ` keeps raw values: only when a registered query reads
     /// them (`Quantile`).
     keep_values: bool,
     /// Items received (pre-sampling).
     items_in: u64,
-    /// The sketch-strategy counterpart of `buffer`: per-window summary
-    /// payloads from the final edge layer, merged at answer time. Only
-    /// one of the two stores is ever populated — which one is decided by
-    /// the strategy.
-    summaries: WindowBuffer<StratumSummaries>,
     queries: QuerySet,
     /// The first scalar query (drives the result's primary `estimate`).
     primary: Query,
@@ -192,8 +187,6 @@ impl RootNode {
             sampler: SamplingNode::new(config.strategy, config.fraction, config.seed)?,
             sampled: ColumnarBatch::new(),
             buffer: WindowBuffer::new(TumblingWindow::new(config.window))
-                .with_allowed_lateness(config.allowed_lateness),
-            summaries: WindowBuffer::new(TumblingWindow::new(config.window))
                 .with_allowed_lateness(config.allowed_lateness),
             keep_values: config.queries.reads_values(),
             items_in: 0,
@@ -264,23 +257,40 @@ impl RootNode {
     }
 
     /// Ingests windowed summary payloads from a sketch-strategy edge
-    /// layer ([`crate::NodePayload::Summaries`]): each window's summary is
-    /// filed into the per-window summary store, merged with whatever other
-    /// senders already contributed at answer time. Payloads targeting a
-    /// window that already closed (past the allowed lateness) are dropped
-    /// and their exact item counts added to the late tally.
+    /// layer ([`crate::NodePayload::Summaries`]). Each window's summary
+    /// becomes one pair in that window's `Θ` store: one row per stratum
+    /// holding the stratum's exact moments, weighted by the loss scale
+    /// (1 on every topology the sketch strategy runs on). Its sketches
+    /// merge into the window's, which answer only `Quantile` and `TopK`.
+    /// Payloads targeting a window that already closed (past the allowed
+    /// lateness) are dropped and their exact item counts added to the
+    /// late tally.
     pub fn ingest_summaries(&mut self, windows: Vec<(u64, StratumSummaries)>) {
-        let scheme = self.summaries.scheme();
+        let scheme = self.buffer.scheme();
+        let weight = self.loss_scale;
         for (window, summaries) in windows {
             if summaries.is_empty() {
                 continue;
             }
-            let start = scheme.start_of(window);
-            if !self.summaries.accepts(start) {
-                self.dropped_late += summaries.count();
+            let Some(open) = self.window_at(scheme.start_of(window), summaries.count()) else {
                 continue;
+            };
+            open.theta.push_rows(
+                summaries
+                    .strata()
+                    .iter()
+                    .map(|(&stratum, section)| ThetaRow {
+                        stratum,
+                        weight,
+                        value_sum: section.moments.sum,
+                        n: section.moments.count,
+                        value_sq_sum: section.moments.sum_sq,
+                    }),
+            );
+            match &mut open.sketches {
+                Some(merged) => merged.merge(&summaries),
+                None => open.sketches = Some(summaries),
             }
-            self.summaries.insert(start, summaries);
         }
     }
 
@@ -299,8 +309,8 @@ impl RootNode {
         let span = scheme.start_of(window)..scheme.end_of(window);
         let weight_of = self.row_weight(sampled.weights());
         if sampled.source_ts().all(|ts| span.contains(&ts)) {
-            if let Some(theta) = self.theta_for(span.start, sampled.source_ts().len()) {
-                sampled.condense_into(theta, weight_of);
+            if let Some(open) = self.window_at(span.start, sampled.source_ts().len() as u64) {
+                sampled.condense_into(&mut open.theta, weight_of);
             }
             return;
         }
@@ -313,24 +323,27 @@ impl RootNode {
             values.push(value);
         }
         for (window, (strata, values)) in per_window {
-            if let Some(theta) = self.theta_for(scheme.start_of(window), strata.len()) {
-                theta.push_columns(&strata, &values, &weight_of);
+            if let Some(open) = self.window_at(scheme.start_of(window), strata.len() as u64) {
+                open.theta.push_columns(&strata, &values, &weight_of);
             }
         }
     }
 
-    /// The open `Θ` store of the window starting at `start`; `None` — the
-    /// pair's `items` counted as late — when that window already closed.
-    fn theta_for(&mut self, start: u64, items: usize) -> Option<&mut ThetaStore> {
+    /// The open window starting at `start`; `None` — the pair's `items`
+    /// counted as late — when that window already closed.
+    fn window_at(&mut self, start: u64, items: u64) -> Option<&mut OpenWindow> {
         let keep_values = self.keep_values;
-        let Some(stores) = self.buffer.window_mut(start) else {
-            self.dropped_late += items as u64;
+        let Some(open) = self.buffer.window_mut(start) else {
+            self.dropped_late += items;
             return None;
         };
-        if stores.is_empty() {
-            stores.push(ThetaStore::with_values(keep_values));
+        if open.is_empty() {
+            open.push(OpenWindow {
+                theta: ThetaStore::with_values(keep_values),
+                sketches: None,
+            });
         }
-        stores.first_mut()
+        open.first_mut()
     }
 
     /// The weight `Θ` records per stratum for a pair carrying `weights`:
@@ -345,7 +358,7 @@ impl RootNode {
             Strategy::Whs { .. } => weights.get(stratum) * loss_scale,
             Strategy::Srs => srs_scale,
             Strategy::Native => loss_scale,
-            Strategy::Sketch(_) => unreachable!("sketch roots answer from summaries, not items"),
+            Strategy::Sketch(_) => unreachable!("sketch roots file summaries' moments, not items"),
         }
     }
 
@@ -379,13 +392,6 @@ impl RootNode {
     /// Advances the event-time watermark, closing and answering every
     /// window that ended at or before it.
     pub fn advance_watermark(&mut self, watermark_nanos: u64) -> Vec<WindowResult> {
-        if matches!(self.strategy, Strategy::Sketch(_)) {
-            let closed = self.summaries.drain_closed(watermark_nanos);
-            return closed
-                .into_iter()
-                .map(|(id, parts)| self.answer_summaries(id, parts))
-                .collect();
-        }
         let closed = self.buffer.drain_closed(watermark_nanos);
         closed
             .into_iter()
@@ -395,13 +401,6 @@ impl RootNode {
 
     /// Flushes all remaining windows (end of stream).
     pub fn flush(&mut self) -> Vec<WindowResult> {
-        if matches!(self.strategy, Strategy::Sketch(_)) {
-            let all = self.summaries.drain_all();
-            return all
-                .into_iter()
-                .map(|(id, parts)| self.answer_summaries(id, parts))
-                .collect();
-        }
         let all = self.buffer.drain_all();
         all.into_iter()
             .map(|(id, stores)| self.answer(id, stores))
@@ -418,69 +417,18 @@ impl RootNode {
         }
     }
 
-    /// Answers one window from merged summaries — the sketch strategy's
-    /// counterpart of [`RootNode::answer`]. SUM/MEAN/COUNT come out of
-    /// the exact moment accumulators (variance 0), so `count_hat` is the
-    /// true window count and completeness is exact.
-    fn answer_summaries(&mut self, window: WindowId, parts: Vec<StratumSummaries>) -> WindowResult {
-        let mut parts = parts.into_iter();
-        // analysis: allow(P1, reason = "flush only drains windows that ingested at least one summary")
-        let mut merged = parts.next().expect("drained windows are never empty");
-        for part in parts {
-            merged.merge(&part);
-        }
-        let queries = self.queries.run_summaries(&merged);
-        let estimate = queries
-            .get(QuerySpec::from(self.primary))
-            .and_then(QueryValue::scalar)
-            .copied()
-            .unwrap_or_else(|| match self.primary {
-                Query::Sum => merged.sum_estimate(),
-                Query::Mean => merged.mean_estimate(),
-                Query::Count => merged.count_estimate(),
-            });
-        let per_stratum = queries
-            .per_stratum(self.per_stratum_spec())
-            .cloned()
-            .unwrap_or_else(|| match self.primary {
-                Query::Sum => merged.sum_per_stratum(),
-                Query::Mean => merged.mean_per_stratum(),
-                Query::Count => merged.count_per_stratum(),
-            });
-        // What the root actually holds for the window: retained sketch
-        // entries plus heavy-hitter counters.
-        let sampled_items = merged
-            .strata()
-            .values()
-            .map(|s| s.sketch.len())
-            .sum::<usize>()
-            + merged.heavy().entries().len();
-        let scheme = self.summaries.scheme();
-        let dropped_late = self.dropped_late - self.dropped_late_reported;
-        self.dropped_late_reported = self.dropped_late;
-        WindowResult {
-            window,
-            start_nanos: scheme.start_of(window),
-            end_nanos: scheme.end_of(window),
-            estimate,
-            per_stratum,
-            queries,
-            sampled_items,
-            count_hat: merged.count() as f64,
-            completeness: 1.0,
-            dropped_late,
-        }
-    }
-
     /// Answers one window from its `Θ` store, computing the per-stratum
     /// estimates once for every registered query and the result's own
     /// fields.
-    fn answer(&mut self, window: WindowId, stores: Vec<ThetaStore>) -> WindowResult {
-        // `theta_for` keeps exactly one store per window.
-        let mut theta = stores.into_iter().next().unwrap_or_default();
+    fn answer(&mut self, window: WindowId, open: Vec<OpenWindow>) -> WindowResult {
+        // `window_at` keeps exactly one per window.
+        let OpenWindow {
+            mut theta,
+            sketches,
+        } = open.into_iter().next().unwrap_or_default();
         self.rescale_for_inclusion(window, &mut theta);
         let per = theta.stratum_estimates();
-        let queries = self.queries.run_with(&theta, &per);
+        let queries = self.queries.run_with(&theta, &per, sketches.as_ref());
         // Reuse the registered answers for the result's primary fields;
         // only derive them separately when the set doesn't cover them.
         let estimate = queries
@@ -492,6 +440,19 @@ impl RootNode {
             .per_stratum(self.per_stratum_spec())
             .cloned()
             .unwrap_or_else(|| self.primary.answer_per_stratum(&per));
+        // What a sketch window holds is retained sketch entries plus
+        // heavy-hitter counters, not sampled items.
+        let sampled_items = match &sketches {
+            Some(merged) => {
+                merged
+                    .strata()
+                    .values()
+                    .map(|s| s.sketch.len())
+                    .sum::<usize>()
+                    + merged.heavy().entries().len()
+            }
+            None => per.values().map(|e| e.zeta as usize).sum(),
+        };
         let scheme = self.buffer.scheme();
         // Late drops are attributed to the result emitted after they
         // happened (their own window is already gone by definition).
@@ -504,7 +465,7 @@ impl RootNode {
             estimate,
             per_stratum,
             queries,
-            sampled_items: per.values().map(|e| e.zeta as usize).sum(),
+            sampled_items,
             count_hat: count_of(&per),
             completeness: 1.0,
             dropped_late,
@@ -520,6 +481,14 @@ impl RootNode {
     pub fn items_in(&self) -> u64 {
         self.items_in
     }
+}
+
+/// One open window at the root: its `Θ` store and, on a sketch root, the
+/// child summaries' sketches merged in arrival order.
+#[derive(Debug, Default)]
+struct OpenWindow {
+    theta: ThetaStore,
+    sketches: Option<StratumSummaries>,
 }
 
 /// A frame the root ingests, in either in-flight layout: the [`Batch`]
@@ -672,7 +641,7 @@ mod tests {
             }
             root.ingest_mut(&mut batch);
         }
-        let theta = &root.buffer.window_mut(100).expect("window 0 is open")[0];
+        let theta = &root.buffer.window_mut(100).expect("window 0 is open")[0].theta;
         assert_eq!(theta.rows().len(), frames as usize * strata);
         assert_eq!(
             theta.sampled_items(),
@@ -999,6 +968,129 @@ mod tests {
         let rest = root.flush();
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].estimate.value, 7.0);
+    }
+
+    #[test]
+    fn sketch_root_answers_every_query_kind_from_theta_rows() {
+        use crate::query::QuerySpec;
+        use approxiot_core::{Moments, SketchConfig, StratumSummaries};
+        let mut config = cfg(Strategy::sketch(), 1.0, 1.0);
+        config.queries = QuerySet::new()
+            .with(QuerySpec::Sum)
+            .with(QuerySpec::Mean)
+            .with(QuerySpec::Count)
+            .with(QuerySpec::Quantile(0.5))
+            .with(QuerySpec::TopK(2))
+            .with(QuerySpec::SumPerStratum)
+            .with(QuerySpec::MeanPerStratum)
+            .with(QuerySpec::CountPerStratum);
+        let mut root = RootNode::new(config).expect("valid");
+        // Three child summaries of window 0 over overlapping strata. The
+        // values round when summed, so summation order would show; the
+        // sketches are small enough to compact and evict.
+        let strata: [&[u32]; 3] = [&[0, 1], &[0, 1, 2], &[1, 3]];
+        let children: Vec<StratumSummaries> = strata
+            .iter()
+            .enumerate()
+            .map(|(c, strata)| {
+                let mut child = StratumSummaries::new(SketchConfig::new(16, 2), 5);
+                for i in 0..40 + 17 * c {
+                    let stratum = StratumId::new(strata[i % strata.len()]);
+                    let value = 0.1 * i as f64 - c as f64 / 3.0;
+                    child.observe(stratum, (c * 1000 + i) as u64, value);
+                }
+                child
+            })
+            .collect();
+        // The oracle: moments folded per stratum and sketches merged, in
+        // arrival order; one weight-1 row per stratum per child.
+        let mut oracle: BTreeMap<StratumId, Moments> = BTreeMap::new();
+        let mut merged = children[0].clone();
+        let mut rows = Vec::new();
+        for (c, child) in children.iter().enumerate() {
+            for (&stratum, section) in child.strata() {
+                oracle
+                    .entry(stratum)
+                    .and_modify(|m| m.merge(&section.moments))
+                    .or_insert(section.moments);
+                rows.push(ThetaRow {
+                    stratum,
+                    weight: 1.0,
+                    value_sum: section.moments.sum,
+                    n: section.moments.count,
+                    value_sq_sum: section.moments.sum_sq,
+                });
+            }
+            if c > 0 {
+                merged.merge(child);
+            }
+            root.ingest_summaries(vec![(0, child.clone())]);
+        }
+        let theta = &root.buffer.window_mut(0).expect("window 0 is open")[0].theta;
+        assert_eq!(theta.len(), children.len(), "one pair per child summary");
+        assert_eq!(theta.rows(), &rows[..], "one row per stratum per child");
+        assert_eq!(theta.rows().len(), 7);
+
+        let results = root.advance_watermark(SEC);
+        assert_eq!(results.len(), 1);
+        let r = &results[0];
+        let bits = |e: Option<&Estimate>| e.map(|e| e.value.to_bits());
+        let sum: f64 = oracle.values().map(|m| m.sum).sum();
+        let count = oracle.values().map(|m| m.count).sum::<u64>() as f64;
+        assert_eq!(bits(r.queries.sum()), Some(sum.to_bits()));
+        assert_eq!(r.estimate.value.to_bits(), sum.to_bits());
+        assert_eq!(bits(r.queries.count()), Some(count.to_bits()));
+        assert_eq!(r.count_hat.to_bits(), count.to_bits());
+        // MEAN* is Σφᵢ·(Sᵢ/ĉᵢ), which rounds differently from S/C.
+        let mean = r.queries.mean().expect("registered").value;
+        assert!((mean - sum / count).abs() <= 1e-12 * (sum / count).abs());
+        let per = |spec| r.queries.per_stratum(spec).expect("registered");
+        let (sums, means, counts) = (
+            per(QuerySpec::SumPerStratum),
+            per(QuerySpec::MeanPerStratum),
+            per(QuerySpec::CountPerStratum),
+        );
+        for map in [sums, means, counts] {
+            assert_eq!(
+                map.keys().collect::<Vec<_>>(),
+                oracle.keys().collect::<Vec<_>>()
+            );
+        }
+        for (stratum, m) in &oracle {
+            assert_eq!(sums[stratum].value.to_bits(), m.sum.to_bits());
+            assert_eq!(counts[stratum].value.to_bits(), (m.count as f64).to_bits());
+            let mean_i = m.sum / m.count as f64;
+            assert_eq!(means[stratum].value.to_bits(), mean_i.to_bits());
+        }
+        assert_eq!(&r.per_stratum, sums, "the primary query is SUM");
+        // Weight 1 makes ĉ = ζ, so every variance is exactly 0.
+        let mut variances = vec![r.estimate.variance];
+        for (_, value) in r.queries.iter() {
+            match value {
+                QueryValue::Scalar(e) => variances.push(e.variance),
+                QueryValue::PerStratum(map) => variances.extend(map.values().map(|e| e.variance)),
+                QueryValue::Quantile(_) | QueryValue::TopK(_) => {}
+            }
+        }
+        variances.extend(r.per_stratum.values().map(|e| e.variance));
+        assert_eq!(variances.len(), 1 + 3 + 3 * 4 + 4);
+        assert!(variances.iter().all(|&v| v == 0.0), "{variances:?}");
+        // Quantiles come from the KLL sketches, top-k from Space-Saving.
+        assert_eq!(
+            r.queries.quantile(0.5),
+            merged.quantile(0.5, Confidence::P95).as_ref()
+        );
+        assert_eq!(r.queries.top_k(2), Some(&merged.top_k(2)[..]));
+        // A sketch window holds retained sketch entries and heavy-hitter
+        // counters, not sampled items.
+        let held = merged
+            .strata()
+            .values()
+            .map(|s| s.sketch.len())
+            .sum::<usize>()
+            + merged.heavy().entries().len();
+        assert_eq!(r.sampled_items, held);
+        assert!(r.sampled_items < count as usize, "the sketches compacted");
     }
 
     #[test]
