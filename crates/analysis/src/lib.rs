@@ -229,7 +229,6 @@ impl Default for Config {
             ],
             d3_allow_files: &[
                 "crates/core/src/sampling/sharded.rs",
-                "crates/runtime/src/pool.rs",
                 "crates/runtime/src/node.rs",
             ],
             d3_seed_helpers: &[

@@ -558,8 +558,8 @@ fn discover(
 /// run-aware scan: one push per stratum *run*, then sort+dedup of the tiny
 /// list. For the per-source batches real pipelines carry, this is a single
 /// pass with zero allocations once `out` has warmed up — unlike per-item
-/// set insertions. Shared by [`Batch::strata`], the parallel sharded
-/// sampler and the stateful sampler's weight resolution.
+/// set insertions. Shared by [`Batch::strata`] and the stateful sampler's
+/// weight resolution.
 pub fn distinct_strata_into(items: &[StreamItem], out: &mut Vec<StratumId>) {
     out.clear();
     let mut last = None;

@@ -298,7 +298,7 @@ impl<'a> ColumnsView<'a> {
 /// (ascending) — the columnar twin of [`crate::distinct_strata_into`],
 /// with the same run-aware scan: one push per stratum *run*, then
 /// sort+dedup of the tiny list.
-pub fn distinct_strata_u32_into(strata: &[u32], out: &mut Vec<StratumId>) {
+pub(crate) fn distinct_strata_u32_into(strata: &[u32], out: &mut Vec<StratumId>) {
     out.clear();
     let mut last = None;
     for &s in strata {

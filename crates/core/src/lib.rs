@@ -44,17 +44,14 @@
 //!   in `tests/proptests.rs` pin the two paths to the same per-stratum
 //!   kept counts.
 //!
-//! The paper's §III-E parallelisation is [`ParallelShardedSampler`]:
-//! contiguous slice partitioning over `w` worker shards, one reusable
-//! [`WhsScratch`] and one deterministic `StdRng` (seed ⊕ shard index) per
-//! shard, sampled concurrently under `std::thread::scope` (inline when
-//! the host has a single CPU — per-shard RNG state makes the output
-//! identical either way). Each shard emits its own `(W_out, sample)`
-//! pair, which the root's Θ handling already accepts. The threaded
-//! pipeline runs the same design on `approxiot-runtime`'s persistent
-//! `WorkerPool` (long-lived channel-fed workers, bit-identical output via
-//! the shared [`shard_slice`]/[`shard_budget`] partitioning), keeping this
-//! type as the reference implementation.
+//! The paper's §III-E sharding is [`ShardedSampler`]: contiguous slice
+//! partitioning over `w` worker shards, one reusable [`WhsScratch`] and
+//! one deterministic `StdRng` (seed ⊕ shard index) per shard. Each shard
+//! emits its own `(W_out, sample)` pair, which the root's Θ handling
+//! already accepts. The shards run one after another on the caller's
+//! thread: the section fixes what each shard counts and emits, not which
+//! thread runs it, and on the measured 2-CPU host the edge-node threads
+//! already use every core.
 //!
 //! ## Data layout: `Batch` vs `ColumnarBatch`
 //!
@@ -73,7 +70,7 @@
 //!   `&[f64]` the compiler auto-vectorizes, Floyd/SRS selection gathers
 //!   survivors **by index** into column outputs
 //!   ([`WhsScratch::sample_columns_into`],
-//!   [`ParallelShardedSampler::sample_columns_with_weights`] with plain
+//!   [`ShardedSampler::sample_columns_with_weights`] with plain
 //!   `(start, end)` shard ranges via [`shard_bounds`]), and the wire
 //!   codec's columnar v2 frame encodes/decodes each column as one bulk
 //!   copy.
@@ -134,13 +131,13 @@ pub mod weight;
 
 pub use batch::{distinct_strata_into, Batch, StrataIndex};
 pub use budget::{AdaptiveController, BudgetError, CostFunction, FixedSize, SamplingBudget};
-pub use columns::{distinct_strata_u32_into, ColumnarBatch, ColumnsView};
+pub use columns::{ColumnarBatch, ColumnsView};
 pub use error::{accuracy_loss, Confidence, Estimate};
 pub use estimate::{StratumEstimate, ThetaRow, ThetaStore};
 pub use item::{Measure, StratumId, StreamItem};
 pub use sampling::allocation::{Allocation, SizingScratch};
 pub use sampling::reservoir::Reservoir;
-pub use sampling::sharded::{shard_bounds, shard_budget, shard_slice, ParallelShardedSampler};
+pub use sampling::sharded::{shard_bounds, shard_budget, shard_slice, ShardedSampler};
 pub use sampling::srs::{InvalidFractionError, SrsSampler};
 pub use sampling::whs::{whs_sample, WhsOutput, WhsSampler, WhsScratch};
 pub use summary::{

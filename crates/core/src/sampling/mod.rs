@@ -1,8 +1,7 @@
 //! Sampling algorithms: reservoirs, allocation policies, weighted
 //! hierarchical sampling (reference path and the zero-copy
-//! [`whs::WhsScratch`] hot path), §III-E sharding (sequential reference
-//! and the scoped-thread [`sharded::ParallelShardedSampler`]) and the SRS
-//! baseline.
+//! [`whs::WhsScratch`] hot path), §III-E sharding
+//! ([`sharded::ShardedSampler`]) and the SRS baseline.
 
 pub mod allocation;
 pub mod reservoir;

@@ -1,4 +1,4 @@
-//! Sharded (distributed) execution of the sampler — paper §III-E.
+//! Sharded execution of the sampler — paper §III-E.
 //!
 //! The paper's design extension for parallelisation: a sub-stream handled by
 //! a node is split over `w` worker shards. Each shard samples its portion
@@ -8,22 +8,17 @@
 //! multiple pairs per stratum (Equation 3 sums over pairs), no other part of
 //! the design changes — the whole point of the section.
 
-use crate::batch::Batch;
 use crate::columns::{ColumnarBatch, ColumnsView};
 use crate::item::StreamItem;
 use crate::sampling::allocation::Allocation;
 use crate::sampling::whs::{WhsOutput, WhsScratch};
-use crate::weight::{WeightMap, WeightStore};
+use crate::weight::WeightMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Shard `idx`'s reservoir budget: `total / workers`, with the remainder
 /// distributed one slot each to the lowest-indexed shards so the budgets
 /// sum exactly to `total`.
-///
-/// Public because the persistent `WorkerPool` in `approxiot-runtime` must
-/// split budgets **identically** to [`ParallelShardedSampler`] for its
-/// bit-identical-output guarantee to hold.
 pub fn shard_budget(total: usize, workers: usize, idx: usize) -> usize {
     total / workers + usize::from(idx < total % workers)
 }
@@ -32,19 +27,15 @@ pub fn shard_budget(total: usize, workers: usize, idx: usize) -> usize {
 /// `items.len() / workers` items, the remainder spread over the first
 /// shards. Slices index directly into the caller's buffer — no per-shard
 /// item vectors.
-///
-/// Public for the same reason as [`shard_budget`]: every execution engine
-/// of the §III-E design must partition identically or fixed-seed outputs
-/// diverge between engines.
 pub fn shard_slice(items: &[StreamItem], workers: usize, idx: usize) -> &[StreamItem] {
     let (start, end) = shard_bounds(items.len(), workers, idx);
     &items[start..end]
 }
 
 /// The `(start, end)` bounds [`shard_slice`] cuts for shard `idx` of
-/// `workers` over `n` items. Columnar shard jobs take these bounds
-/// directly over the column buffers ([`ColumnsView::range`]), so both
-/// layouts partition identically by construction.
+/// `workers` over `n` items. Columnar shards take these bounds directly
+/// over the column buffers ([`ColumnsView::range`]), so both layouts
+/// partition identically by construction.
 pub fn shard_bounds(n: usize, workers: usize, idx: usize) -> (usize, usize) {
     let base = n / workers;
     let extra = n % workers;
@@ -53,8 +44,9 @@ pub fn shard_bounds(n: usize, workers: usize, idx: usize) -> (usize, usize) {
     (start, start + len)
 }
 
-/// Truly parallel §III-E sharding: the node's sub-stream is split over `w`
-/// worker shards that sample **concurrently** on a scoped-thread pool.
+/// §III-E sharding: the node's sub-stream is split over `w` worker shards,
+/// each with its own reservoir budget, arrival counts and RNG. The shards
+/// run one after another on the caller's thread.
 ///
 /// * **Slice partitioning** — each shard samples a contiguous slice of the
 ///   input (no per-shard copies of the batch). The paper's analysis only
@@ -62,72 +54,49 @@ pub fn shard_bounds(n: usize, workers: usize, idx: usize) -> (usize, usize) {
 ///   admissible.
 /// * **Per-shard deterministic RNG** — shard `i` owns a `StdRng` seeded
 ///   `seed ^ i` at construction and advanced only by that shard, so a
-///   fixed `(seed, workers)` pair reproduces identical samples regardless
-///   of thread scheduling, batch sizes or how often the parallel path
-///   engages.
+///   fixed `(seed, workers)` pair reproduces identical samples.
 /// * **Per-shard reusable [`WhsScratch`]** — the zero-allocation hot-path
-///   kernel, one per worker, reused across batches.
-/// * **No `WeightMap` clones** — shards share the resolved input weights
-///   by reference across the scope.
+///   kernel, one per shard, reused across batches.
 /// * **Exact budget split** — remainder slots are distributed, so the
 ///   shard budgets always sum to the requested sample size.
 ///
-/// Each shard still emits its own `(W_out, items)` pair; the root's `Θ`
+/// Input weights arrive resolved: the carry-forward rule (Figure 3) is the
+/// caller's, so a node keeps one weight store whether it shards or not.
+///
+/// Each shard emits its own `(W_out, items)` pair; the root's `Θ`
 /// handling (Equation 3) sums over pairs, so downstream code is unchanged
-/// — the whole point of §III-E.
-///
-/// Small batches (fewer than [`ParallelShardedSampler::MIN_PARALLEL_ITEMS`]
-/// items) run the shards inline on the calling thread: identical output,
-/// no spawn overhead.
-///
-/// The worker scope is spawned **per batch**; on hosts where thread
-/// spawn+join (tens of µs per worker) is comparable to the per-batch
-/// sampling work, that overhead matters. The runtime crate's persistent
-/// `WorkerPool` amortises it with long-lived channel-fed workers and is
-/// what the threaded pipeline uses; it produces bit-identical output to
-/// this sampler (same [`shard_slice`]/[`shard_budget`] partitioning, same
-/// per-shard RNG discipline), which keeps this type as the reference
-/// implementation and property-test oracle.
+/// — the whole point of §III-E. The section fixes what each shard counts
+/// and emits, not which thread runs it: on the 2-CPU hosts this repo is
+/// measured on, the edge-node threads already keep every core busy, and
+/// shard threads only added handoffs (README, "Sharded nodes sample on
+/// the node thread").
 ///
 /// # Examples
 ///
 /// ```
-/// use approxiot_core::{Allocation, Batch, ParallelShardedSampler, StratumId, StreamItem};
+/// use approxiot_core::{Allocation, ShardedSampler, StratumId, StreamItem, WeightMap};
 ///
 /// let items: Vec<_> = (0..100).map(|i| StreamItem::new(StratumId::new(0), i as f64)).collect();
-/// let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, 4, 7);
-/// let outs = sampler.sample_batch(&Batch::from_items(items), 20);
+/// let mut sampler = ShardedSampler::new(Allocation::Uniform, 4, 7);
+/// let outs = sampler.sample_with_weights(&items, 20, &WeightMap::new());
 /// assert_eq!(outs.len(), 4);
 /// let total: usize = outs.iter().map(|o| o.sample.len()).sum();
 /// assert_eq!(total, 20);
 /// ```
 #[derive(Debug)]
-pub struct ParallelShardedSampler {
+pub struct ShardedSampler {
     allocation: Allocation,
-    store: WeightStore,
     shards: Vec<ShardState>,
-    /// Reusable buffer for the batch's distinct strata (weight
-    /// resolution).
-    strata_scratch: Vec<crate::item::StratumId>,
-    /// Spawn the worker scope for large batches. Defaults to whether the
-    /// machine has more than one logical CPU; override with
-    /// [`ParallelShardedSampler::set_threaded`]. Output is identical
-    /// either way — each shard's RNG belongs to the shard, not a thread.
-    threaded: bool,
 }
 
-/// One worker shard's private state, reused across batches.
+/// One shard's private state, reused across batches.
 #[derive(Debug)]
 struct ShardState {
     rng: StdRng,
     scratch: WhsScratch,
 }
 
-impl ParallelShardedSampler {
-    /// Batches smaller than this sample inline instead of spawning the
-    /// worker scope (thread startup would dominate the sampling work).
-    pub const MIN_PARALLEL_ITEMS: usize = 4096;
-
+impl ShardedSampler {
     /// Creates a sampler with `workers` shards. Shard `i` draws from a
     /// generator seeded `seed ^ i`.
     ///
@@ -138,31 +107,14 @@ impl ParallelShardedSampler {
         assert!(workers > 0, "workers must be positive");
         let shards = (0..workers as u64)
             .map(|i| ShardState {
-                // D3-allowlisted worker-lane seeding: the node seed fans
-                // out per shard with the documented `^ i` scheme.
+                // D3-allowlisted shard seeding: the node seed fans out per
+                // shard with the documented `^ i` scheme.
                 #[allow(clippy::disallowed_methods)]
                 rng: StdRng::seed_from_u64(seed ^ i),
                 scratch: WhsScratch::new(),
             })
             .collect();
-        let threaded = std::thread::available_parallelism()
-            .map(|n| n.get() > 1)
-            .unwrap_or(false);
-        ParallelShardedSampler {
-            allocation,
-            store: WeightStore::new(),
-            shards,
-            strata_scratch: Vec::new(),
-            threaded,
-        }
-    }
-
-    /// Forces the scoped-thread path on or off (on by default when the
-    /// machine has more than one logical CPU). Sampling output is
-    /// unaffected; this only trades thread-spawn overhead against
-    /// parallel speedup.
-    pub fn set_threaded(&mut self, threaded: bool) {
-        self.threaded = threaded;
+        ShardedSampler { allocation, shards }
     }
 
     /// Number of worker shards.
@@ -170,24 +122,8 @@ impl ParallelShardedSampler {
         self.shards.len()
     }
 
-    /// The allocation policy in use.
-    pub fn allocation(&self) -> Allocation {
-        self.allocation
-    }
-
-    /// Samples one batch across all shards, resolving missing input
-    /// weights via the carry-forward rule (like [`crate::WhsSampler`]); one
+    /// Samples `items` across all shards with resolved input weights; one
     /// [`WhsOutput`] per shard, in shard order.
-    pub fn sample_batch(&mut self, batch: &Batch, sample_size: usize) -> Vec<WhsOutput> {
-        let mut strata = std::mem::take(&mut self.strata_scratch);
-        crate::batch::distinct_strata_into(&batch.items, &mut strata);
-        let resolved = self.store.resolve(strata.iter().copied(), &batch.weights);
-        self.strata_scratch = strata;
-        self.sample_with_weights(&batch.items, sample_size, &resolved)
-    }
-
-    /// Samples `items` across all shards with already-resolved input
-    /// weights, shared by reference with every worker.
     pub fn sample_with_weights(
         &mut self,
         items: &[StreamItem],
@@ -196,69 +132,28 @@ impl ParallelShardedSampler {
     ) -> Vec<WhsOutput> {
         let workers = self.shards.len();
         let allocation = self.allocation;
-        if workers == 1 || !self.threaded || items.len() < Self::MIN_PARALLEL_ITEMS {
-            // Inline path: identical per-shard RNG/scratch usage, so the
-            // output matches the threaded path bit for bit.
-            return self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(idx, shard)| {
-                    shard.scratch.sample_slice(
-                        shard_slice(items, workers, idx),
-                        shard_budget(sample_size, workers, idx),
-                        w_in,
-                        allocation,
-                        &mut shard.rng,
-                    )
-                })
-                .collect();
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(idx, shard)| {
-                    let slice = shard_slice(items, workers, idx);
-                    let budget = shard_budget(sample_size, workers, idx);
-                    scope.spawn(move || {
-                        shard
-                            .scratch
-                            .sample_slice(slice, budget, w_in, allocation, &mut shard.rng)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        })
+        self.shards
+            .iter_mut()
+            .enumerate()
+            .map(|(idx, shard)| {
+                shard.scratch.sample_slice(
+                    shard_slice(items, workers, idx),
+                    shard_budget(sample_size, workers, idx),
+                    w_in,
+                    allocation,
+                    &mut shard.rng,
+                )
+            })
+            .collect()
     }
 
-    /// Samples one columnar batch across all shards, resolving missing
-    /// input weights via the carry-forward rule — the columnar twin of
-    /// [`ParallelShardedSampler::sample_batch`]. One output per shard, in
-    /// shard order, each carrying its `(W_out, sample)` pair.
-    pub fn sample_columns(
-        &mut self,
-        batch: &ColumnarBatch,
-        sample_size: usize,
-    ) -> Vec<ColumnarBatch> {
-        let mut strata = std::mem::take(&mut self.strata_scratch);
-        crate::columns::distinct_strata_u32_into(&batch.strata, &mut strata);
-        let resolved = self.store.resolve(strata.iter().copied(), &batch.weights);
-        self.strata_scratch = strata;
-        self.sample_columns_with_weights(batch.view(), sample_size, &resolved)
-    }
-
-    /// Samples a columnar view across all shards with already-resolved
-    /// input weights. Shard `idx` samples `input.range(start, end)` with
-    /// the [`shard_bounds`] cut — the same partition [`shard_slice`]
-    /// makes — with the same per-shard RNG and budget as
-    /// [`ParallelShardedSampler::sample_with_weights`], so for a fixed
-    /// seed the shard outputs are **bit-identical** to the AoS path
-    /// (pinned by tests).
+    /// Samples a columnar view across all shards with resolved input
+    /// weights. Shard `idx` samples `input.range(start, end)` with the
+    /// [`shard_bounds`] cut — the same partition [`shard_slice`] makes —
+    /// with the same per-shard RNG and budget as
+    /// [`ShardedSampler::sample_with_weights`], so for a fixed seed the
+    /// shard outputs are **bit-identical** to the AoS path (pinned by
+    /// tests).
     pub fn sample_columns_with_weights(
         &mut self,
         input: ColumnsView<'_>,
@@ -267,68 +162,30 @@ impl ParallelShardedSampler {
     ) -> Vec<ColumnarBatch> {
         let workers = self.shards.len();
         let allocation = self.allocation;
-        if workers == 1 || !self.threaded || input.len() < Self::MIN_PARALLEL_ITEMS {
-            // Inline path: identical per-shard RNG/scratch usage, so the
-            // output matches the threaded path bit for bit.
-            return self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(idx, shard)| {
-                    let (start, end) = shard_bounds(input.len(), workers, idx);
-                    let mut out = ColumnarBatch::new();
-                    shard.scratch.sample_columns_into(
-                        input.range(start, end),
-                        shard_budget(sample_size, workers, idx),
-                        w_in,
-                        allocation,
-                        &mut out,
-                        &mut shard.rng,
-                    );
-                    out
-                })
-                .collect();
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(idx, shard)| {
-                    let (start, end) = shard_bounds(input.len(), workers, idx);
-                    let view = input.range(start, end);
-                    let budget = shard_budget(sample_size, workers, idx);
-                    scope.spawn(move || {
-                        let mut out = ColumnarBatch::new();
-                        shard.scratch.sample_columns_into(
-                            view,
-                            budget,
-                            w_in,
-                            allocation,
-                            &mut out,
-                            &mut shard.rng,
-                        );
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        })
-    }
-
-    /// Forgets carried weights (between independent runs). Shard RNGs keep
-    /// advancing; rebuild the sampler to reproduce a run from its seed.
-    pub fn reset(&mut self) {
-        self.store.clear();
+        self.shards
+            .iter_mut()
+            .enumerate()
+            .map(|(idx, shard)| {
+                let (start, end) = shard_bounds(input.len(), workers, idx);
+                let mut out = ColumnarBatch::new();
+                shard.scratch.sample_columns_into(
+                    input.range(start, end),
+                    shard_budget(sample_size, workers, idx),
+                    w_in,
+                    allocation,
+                    &mut out,
+                    &mut shard.rng,
+                );
+                out
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Batch;
     use crate::estimate::ThetaStore;
     use crate::item::StratumId;
 
@@ -346,10 +203,15 @@ mod tests {
         Batch::from_items(items)
     }
 
+    /// Samples `batch` with its own weights as the resolved input weights.
+    fn sample(sampler: &mut ShardedSampler, batch: &Batch, size: usize) -> Vec<WhsOutput> {
+        sampler.sample_with_weights(&batch.items, size, &batch.weights)
+    }
+
     #[test]
     fn shard_budgets_are_local_fractions() {
-        let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, 4, 2);
-        let outs = sampler.sample_batch(&batch_of(&[(0, 400)]), 40);
+        let mut sampler = ShardedSampler::new(Allocation::Uniform, 4, 2);
+        let outs = sample(&mut sampler, &batch_of(&[(0, 400)]), 40);
         assert_eq!(outs.len(), 4);
         for out in &outs {
             assert_eq!(out.sample.len(), 10, "each shard keeps N/w items");
@@ -364,8 +226,8 @@ mod tests {
         // local weight — also for the small stratum the slices split
         // unevenly.
         let batch = batch_of(&[(0, 1_000), (1, 37)]);
-        let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, 3, 3);
-        let theta: ThetaStore = sampler.sample_batch(&batch, 120).into_iter().collect();
+        let mut sampler = ShardedSampler::new(Allocation::Uniform, 3, 3);
+        let theta: ThetaStore = sample(&mut sampler, &batch, 120).into_iter().collect();
         let est = theta.stratum_estimates();
         for (stratum, expected) in [(s(0), 1_000.0), (s(1), 37.0)] {
             let got = est[&stratum].count_hat;
@@ -380,8 +242,8 @@ mod tests {
     fn shards_preserve_input_weights() {
         let mut batch = batch_of(&[(0, 90)]);
         batch.weights.set(s(0), 2.0);
-        let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, 3, 4);
-        let outs = sampler.sample_batch(&batch, 30);
+        let mut sampler = ShardedSampler::new(Allocation::Uniform, 3, 4);
+        let outs = sample(&mut sampler, &batch, 30);
         assert_eq!(outs.len(), 3);
         for out in &outs {
             // 30 local items into 10 slots: w = 2 * 3 = 6.
@@ -393,8 +255,8 @@ mod tests {
     fn budget_remainder_is_not_lost() {
         // 10 budget over 3 workers: an integer-truncated split would give
         // 3+3+3 = 9 slots; the remainder split gives 4+3+3 = 10.
-        let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, 3, 6);
-        let outs = sampler.sample_batch(&batch_of(&[(0, 300)]), 10);
+        let mut sampler = ShardedSampler::new(Allocation::Uniform, 3, 6);
+        let outs = sample(&mut sampler, &batch_of(&[(0, 300)]), 10);
         let total: usize = outs.iter().map(|o| o.sample.len()).sum();
         assert_eq!(total, 10, "remainder slots distributed across shards");
         assert_eq!(outs[0].sample.len(), 4);
@@ -422,8 +284,8 @@ mod tests {
     #[test]
     fn parallel_sampler_matches_budget_and_reconstructs_counts() {
         let batch = batch_of(&[(0, 20_000), (1, 1_000)]);
-        let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, 8, 42);
-        let outs = sampler.sample_batch(&batch, 2_100);
+        let mut sampler = ShardedSampler::new(Allocation::Uniform, 8, 42);
+        let outs = sample(&mut sampler, &batch, 2_100);
         assert_eq!(outs.len(), 8);
         let total: usize = outs.iter().map(|o| o.sample.len()).sum();
         assert_eq!(total, 2_100, "budgets sum exactly to the request");
@@ -440,63 +302,72 @@ mod tests {
 
     #[test]
     fn parallel_sampler_is_deterministic_for_fixed_seed() {
-        // Threaded and inline execution must both reproduce exactly for a
-        // fixed seed — per-shard RNGs make the output independent of the
-        // thread schedule (and of whether threads are used at all).
+        // Per-shard RNGs seeded `seed ^ i`: a fixed seed reproduces the
+        // shard outputs exactly, a different seed diverges.
         for n in [100usize, 50_000] {
             let batch = batch_of(&[(0, n), (1, n / 2)]);
-            let run = |seed: u64, threaded: bool| {
-                let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, 4, seed);
-                sampler.set_threaded(threaded);
-                sampler.sample_batch(&batch, n / 5)
+            let run = |seed: u64| {
+                let mut sampler = ShardedSampler::new(Allocation::Uniform, 4, seed);
+                sample(&mut sampler, &batch, n / 5)
             };
-            let a = run(7, true);
-            let b = run(7, true);
-            assert_eq!(a, b, "fixed seed + workers reproduces samples (n = {n})");
-            let inline = run(7, false);
-            assert_eq!(a, inline, "inline path matches threaded path (n = {n})");
-            let c = run(8, true);
-            assert_ne!(a, c, "different seed diverges (n = {n})");
+            let a = run(7);
+            assert_eq!(
+                a,
+                run(7),
+                "fixed seed + workers reproduces samples (n = {n})"
+            );
+            assert_ne!(a, run(8), "different seed diverges (n = {n})");
         }
     }
 
     #[test]
     fn parallel_sampler_carries_weights_forward() {
-        let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, 2, 3);
-        let mut first = batch_of(&[(0, 8)]);
-        first.weights.set(s(0), 3.0);
-        sampler.sample_batch(&first, 8);
-        // Weightless follow-up: carried 3.0 must reach every shard.
-        let outs = sampler.sample_batch(&batch_of(&[(0, 8)]), 4);
+        // Carried weights arrive resolved in `w_in`, for a batch that
+        // carries none of its own: they must reach every shard, and
+        // strata missing from the map weigh 1.
+        let mut carried = WeightMap::new();
+        carried.set(s(0), 3.0);
+        // Strata interleaved, so both shards see both.
+        let items: Vec<_> = (0..16)
+            .map(|k| StreamItem::with_meta(s(k % 2), 1.0, u64::from(k), 0))
+            .collect();
+        let mut sampler = ShardedSampler::new(Allocation::Uniform, 2, 3);
+        let outs = sampler.sample_with_weights(&items, 8, &carried);
+        assert_eq!(outs.len(), 2);
+        for out in &outs {
+            // 4 local items of a stratum into 2 slots.
+            assert_eq!(out.weights.get(s(0)), 6.0, "3.0 carried into each shard");
+            assert_eq!(out.weights.get(s(1)), 2.0, "no carry: weight 1");
+        }
+        let theta: ThetaStore = outs.into_iter().collect();
+        let est = theta.stratum_estimates();
+        assert!((est[&s(0)].count_hat - 24.0).abs() < 1e-9);
+        assert!((est[&s(1)].count_hat - 8.0).abs() < 1e-9);
+        // The sampler keeps no weights of its own: the next call without
+        // a carry reconstructs the plain counts.
+        let outs = sampler.sample_with_weights(&items, 8, &WeightMap::new());
         let theta: ThetaStore = outs.into_iter().collect();
         assert!(
-            (theta.count_estimate() - 24.0).abs() < 1e-9,
-            "3.0 carried into both shards: {}",
+            (theta.count_estimate() - 16.0).abs() < 1e-9,
+            "nothing carried over between calls: {}",
             theta.count_estimate()
-        );
-        sampler.reset();
-        let outs = sampler.sample_batch(&batch_of(&[(0, 8)]), 4);
-        let theta: ThetaStore = outs.into_iter().collect();
-        assert!(
-            (theta.count_estimate() - 8.0).abs() < 1e-9,
-            "reset clears carry"
         );
     }
 
     #[test]
     fn columnar_shards_bit_identical_to_aos() {
-        // Small (inline) and large (threaded) batches, with carried
-        // weights: the columnar shard outputs must match the AoS shard
-        // outputs exactly, pair by pair.
+        // Small and large batches over two rounds, with input weights: the
+        // columnar shard outputs must match the AoS shard outputs exactly,
+        // pair by pair.
         for n in [100usize, 20_000] {
             let mut batch = batch_of(&[(0, n), (1, n / 2)]);
             batch.weights.set(s(0), 2.0);
             let cols = ColumnarBatch::from_batch(&batch);
-            let mut aos = ParallelShardedSampler::new(Allocation::Uniform, 4, 11);
-            let mut soa = ParallelShardedSampler::new(Allocation::Uniform, 4, 11);
+            let mut aos = ShardedSampler::new(Allocation::Uniform, 4, 11);
+            let mut soa = ShardedSampler::new(Allocation::Uniform, 4, 11);
             for round in 0..2 {
-                let a = aos.sample_batch(&batch, n / 5);
-                let b = soa.sample_columns(&cols, n / 5);
+                let a = sample(&mut aos, &batch, n / 5);
+                let b = soa.sample_columns_with_weights(cols.view(), n / 5, &cols.weights);
                 assert_eq!(a.len(), b.len());
                 for (shard_a, shard_b) in a.into_iter().zip(b) {
                     assert_eq!(
@@ -525,8 +396,8 @@ mod tests {
     #[test]
     fn parallel_one_worker_equals_whole_budget() {
         let batch = batch_of(&[(0, 100)]);
-        let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, 1, 1);
-        let outs = sampler.sample_batch(&batch, 10);
+        let mut sampler = ShardedSampler::new(Allocation::Uniform, 1, 1);
+        let outs = sample(&mut sampler, &batch, 10);
         assert_eq!(outs.len(), 1);
         assert_eq!(outs[0].sample.len(), 10);
         assert_eq!(outs[0].weights.get(s(0)), 10.0);
@@ -535,14 +406,38 @@ mod tests {
     #[test]
     #[should_panic(expected = "workers must be positive")]
     fn parallel_rejects_zero_workers() {
-        ParallelShardedSampler::new(Allocation::Uniform, 0, 0);
+        ShardedSampler::new(Allocation::Uniform, 0, 0);
     }
 
     #[test]
     fn uneven_item_count_distributes_remainder() {
-        let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, 3, 5);
-        let outs = sampler.sample_batch(&batch_of(&[(0, 10)]), 100);
+        let mut sampler = ShardedSampler::new(Allocation::Uniform, 3, 5);
+        let outs = sample(&mut sampler, &batch_of(&[(0, 10)]), 100);
         let total: usize = outs.iter().map(|o| o.sample.len()).sum();
         assert_eq!(total, 10, "budget exceeds items: everything survives");
+    }
+
+    #[test]
+    fn empty_and_tiny_batches_are_fine() {
+        // Both layouts: every shard still answers, with an empty pair.
+        let mut sampler = ShardedSampler::new(Allocation::Uniform, 4, 9);
+        let outs = sample(&mut sampler, &Batch::new(), 10);
+        assert_eq!(outs.len(), 4);
+        assert!(outs
+            .iter()
+            .all(|o| o.sample.is_empty() && o.weights.is_empty()));
+        let empty = ColumnarBatch::new();
+        let outs = sampler.sample_columns_with_weights(empty.view(), 10, &WeightMap::new());
+        assert_eq!(outs.len(), 4);
+        assert!(outs.iter().all(|o| o.is_empty() && o.weights.is_empty()));
+        // Fewer items than shards: trailing shards see empty slices.
+        let tiny = batch_of(&[(0, 2)]);
+        let outs = sample(&mut sampler, &tiny, 10);
+        let sizes: Vec<usize> = outs.iter().map(|o| o.sample.len()).collect();
+        assert_eq!(sizes, [1, 1, 0, 0]);
+        let cols = ColumnarBatch::from_batch(&tiny);
+        let outs = sampler.sample_columns_with_weights(cols.view(), 10, &cols.weights);
+        let sizes: Vec<usize> = outs.iter().map(ColumnarBatch::len).collect();
+        assert_eq!(sizes, [1, 1, 0, 0]);
     }
 }

@@ -115,12 +115,11 @@ pub fn whs_sample<R: Rng + ?Sized>(
 /// Reusable zero-allocation `WHSamp` kernel: the Algorithm 1 hot path over
 /// item slices.
 ///
-/// This is the engine behind [`WhsSampler`] and the parallel sharded
-/// sampler. It owns every buffer the per-batch loop needs — the
-/// [`StrataIndex`], the per-stratum size table and the selection-sampling
-/// scratch — so that in steady state a call to
-/// [`WhsScratch::sample_slice`] allocates only the returned output. Three
-/// changes versus the original [`whs_sample`] path:
+/// This is the engine behind [`WhsSampler`] and the sharded sampler. It
+/// owns every buffer the per-batch loop needs — the [`StrataIndex`], the
+/// per-stratum size table and the selection-sampling scratch — so that in
+/// steady state a call to [`WhsScratch::sample_slice`] allocates only the
+/// returned output. Three changes versus the original [`whs_sample`] path:
 ///
 /// 1. stratification builds contiguous ranges with a reusable
 ///    [`StrataIndex`] instead of a fresh `BTreeMap<_, Vec<_>>` of cloned

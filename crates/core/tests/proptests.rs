@@ -193,7 +193,7 @@ proptest! {
 // (Eq. 9), genuine subsets, uniform per-item selection, and bit-exact
 // determinism for a fixed (seed, workers) pair.
 
-use approxiot_core::{ParallelShardedSampler, StrataIndex, WhsScratch};
+use approxiot_core::{ShardedSampler, StrataIndex, WhsScratch};
 
 /// The first stratum id `StrataIndex` keeps out of its dense table (in
 /// its overflow map instead).
@@ -371,7 +371,7 @@ proptest! {
         }
     }
 
-    /// Eq. 9 across the parallel shards: the union of per-shard outputs
+    /// Eq. 9 across the shards: the union of per-shard outputs
     /// reconstructs every stratum count exactly.
     #[test]
     fn parallel_path_count_reconstruction(
@@ -379,12 +379,9 @@ proptest! {
         workers in 1usize..9,
         sample_size in 0usize..400,
         seed in 0u64..1000,
-        threaded in proptest::bool::ANY,
     ) {
-        let batch = Batch::from_items(items.clone());
-        let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, workers, seed);
-        sampler.set_threaded(threaded);
-        let outs = sampler.sample_batch(&batch, sample_size);
+        let mut sampler = ShardedSampler::new(Allocation::Uniform, workers, seed);
+        let outs = sampler.sample_with_weights(&items, sample_size, &WeightMap::new());
         prop_assert_eq!(outs.len(), workers);
         // Per (shard, stratum) pair the invariant must hold against that
         // shard's local arrivals — which we can't see from outside — but
@@ -416,8 +413,8 @@ proptest! {
         }
     }
 
-    /// Fixed (seed, workers) reproduces identical samples, threaded or
-    /// inline, across repeated constructions.
+    /// Fixed (seed, workers) reproduces identical samples across repeated
+    /// constructions.
     #[test]
     fn parallel_path_is_deterministic(
         items in arb_items(),
@@ -425,15 +422,11 @@ proptest! {
         sample_size in 1usize..400,
         seed in 0u64..1000,
     ) {
-        let batch = Batch::from_items(items);
-        let run = |threaded: bool| {
-            let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, workers, seed);
-            sampler.set_threaded(threaded);
-            sampler.sample_batch(&batch, sample_size)
+        let run = || {
+            let mut sampler = ShardedSampler::new(Allocation::Uniform, workers, seed);
+            sampler.sample_with_weights(&items, sample_size, &WeightMap::new())
         };
-        let threaded = run(true);
-        prop_assert_eq!(&threaded, &run(true));
-        prop_assert_eq!(&threaded, &run(false));
+        prop_assert_eq!(run(), run());
     }
 }
 
@@ -494,7 +487,7 @@ fn hot_path_selection_is_uniform() {
     }
 }
 
-/// Per-item selection uniformity through the parallel sharded path.
+/// Per-item selection uniformity through the sharded path.
 #[test]
 fn parallel_path_selection_is_uniform() {
     let n = 24u64;
@@ -503,13 +496,12 @@ fn parallel_path_selection_is_uniform() {
     let items: Vec<StreamItem> = (0..n)
         .map(|k| StreamItem::with_meta(StratumId::new(0), k as f64, k, 0))
         .collect();
-    let batch = Batch::from_items(items);
     let mut counts = vec![0u32; n as usize];
     // A fresh seed per trial: determinism is a feature, but uniformity is
     // a statement over seeds.
     for trial in 0..trials {
-        let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, 3, trial as u64);
-        for out in sampler.sample_batch(&batch, keep) {
+        let mut sampler = ShardedSampler::new(Allocation::Uniform, 3, trial as u64);
+        for out in sampler.sample_with_weights(&items, keep, &WeightMap::new()) {
             for kept in &out.sample {
                 counts[kept.seq as usize] += 1;
             }

@@ -2,11 +2,10 @@
 //! sampling strategy so the same pipeline can run ApproxIoT, the SRS
 //! baseline or the native (no sampling) execution.
 
-use crate::pool::WorkerPool;
 use crate::query::QuerySpec;
 use approxiot_core::{
-    Allocation, Batch, ColumnarBatch, CostFunction, SamplingBudget, SketchConfig, SrsSampler,
-    StratumSummaries, StreamItem, WhsSampler,
+    Allocation, Batch, ColumnarBatch, CostFunction, SamplingBudget, ShardedSampler, SketchConfig,
+    SrsSampler, StratumSummaries, StreamItem, WhsSampler,
 };
 use approxiot_streams::TumblingWindow;
 use rand::rngs::StdRng;
@@ -152,10 +151,10 @@ pub struct SamplingNode {
     budget: SamplingBudget,
     whs: WhsSampler,
     srs: Option<SrsSampler>,
-    /// §III-E parallel sharding engine, present when the node was built
-    /// with more than one worker and runs the WHS strategy: a persistent
-    /// [`WorkerPool`] whose shard threads live as long as the node.
-    parallel: Option<WorkerPool>,
+    /// §III-E shards, present when the node was built with more than one
+    /// worker and runs the WHS strategy. They sample on the node's own
+    /// thread, with input weights resolved through `whs`'s store.
+    shards: Option<ShardedSampler>,
     /// The summary path (`Some` only for sketch nodes): config, the
     /// topology-wide sketch seed, and the window-keyed accumulator that
     /// absorbed payloads merge into until [`SamplingNode::take_summaries`].
@@ -190,10 +189,12 @@ impl SamplingNode {
         SamplingNode::with_workers(strategy, fraction, seed, 1)
     }
 
-    /// Creates a node whose WHS sampling runs on `workers` parallel shards
-    /// (the paper's §III-E distributed execution). `workers == 1` is the
-    /// plain single-threaded node; non-WHS strategies ignore the worker
-    /// count (their samplers are per-item and already cheap).
+    /// Creates a node whose WHS sampling splits each batch over `workers`
+    /// shards (the paper's §III-E): each shard has its own reservoir
+    /// budget, arrival counts and RNG, and emits its own `(W_out, sample)`
+    /// pair. The shards run one after another on the calling thread.
+    /// `workers == 1` is the plain unsharded node; non-WHS strategies
+    /// ignore the worker count (their samplers are per-item).
     ///
     /// # Errors
     ///
@@ -220,14 +221,11 @@ impl SamplingNode {
             Strategy::Whs { allocation } => allocation,
             _ => Allocation::Uniform,
         };
-        let parallel = match strategy {
+        let shards = match strategy {
             Strategy::Whs { allocation } if workers > 1 => {
                 // Deterministic shard seeds derive from the node seed; the
                 // mixing constant keeps them disjoint from the node RNG.
-                // The pool seeds shard i with `seed ^ i` exactly like the
-                // scoped-thread sampler did, so fixed-seed pipeline output
-                // is unchanged by the engine swap.
-                Some(WorkerPool::new(allocation, workers, seed ^ 0x5A4D_BEEF))
+                Some(ShardedSampler::new(allocation, workers, seed ^ 0x5A4D_BEEF))
             }
             _ => None,
         };
@@ -244,7 +242,7 @@ impl SamplingNode {
             budget,
             whs: WhsSampler::new(allocation),
             srs,
-            parallel,
+            shards,
             sketch,
             // D3-allowlisted: `seed` comes from Topology::node_seed.
             #[allow(clippy::disallowed_methods)]
@@ -261,7 +259,7 @@ impl SamplingNode {
 
     /// Worker shards the node samples with (1 = unsharded).
     pub fn workers(&self) -> usize {
-        self.parallel.as_ref().map_or(1, WorkerPool::workers)
+        self.shards.as_ref().map_or(1, ShardedSampler::workers)
     }
 
     /// The node's sampling fraction.
@@ -317,23 +315,22 @@ impl SamplingNode {
         out
     }
 
-    /// Processes one batch on the node's persistent [`WorkerPool`]
-    /// (§III-E): one output batch per worker shard, sampled concurrently
-    /// on the pool's long-lived threads (no per-batch spawn).
+    /// Processes one batch on the node's §III-E shards: one output batch
+    /// per shard that kept an item, sampled on the calling thread.
     ///
     /// Falls back to a single [`SamplingNode::process_batch`] output when
     /// the node was built with one worker or runs a non-WHS strategy.
     /// Carried weights share the same store as the unsharded path, so the
     /// two entry points can be mixed freely.
     pub fn process_batch_parallel(&mut self, batch: &Batch) -> Vec<Batch> {
-        let Some(parallel) = self.parallel.as_mut() else {
+        let Some(shards) = self.shards.as_mut() else {
             return vec![self.process_batch(batch)];
         };
         self.items_in += batch.len() as u64;
         let size = self.budget.sample_size(batch.len());
         // Resolve carried weights through the node's single weight store.
         let resolved = self.whs.resolve_weights(batch);
-        let outs = parallel.sample_with_weights(&batch.items, size, &resolved);
+        let outs = shards.sample_with_weights(&batch.items, size, &resolved);
         outs.into_iter()
             .filter(|o| !o.sample.is_empty())
             .map(|o| {
@@ -414,22 +411,23 @@ impl SamplingNode {
         self.process_columns(batch)
     }
 
-    /// Processes one columnar batch on the node's persistent
-    /// [`WorkerPool`] (§III-E) — the columnar twin of
-    /// [`SamplingNode::process_batch_parallel`], with per-shard `(start,
-    /// end)` ranges over the columns instead of item sub-slices. Shard
-    /// outputs are bit-identical to the AoS path for the same logical
-    /// items; carried weights share the same store, so the entry points
-    /// can be mixed freely.
+    /// Processes one columnar batch on the node's §III-E shards — the
+    /// columnar twin of [`SamplingNode::process_batch_parallel`], with
+    /// per-shard `(start, end)` ranges over the columns instead of item
+    /// sub-slices, sampled on the calling thread. Shard outputs are
+    /// bit-identical to the AoS path for the same logical items; carried
+    /// weights share the same store, so the entry points can be mixed
+    /// freely. (The name predates running the shards inline; the sharded
+    /// benchmark workload calls it.)
     pub fn process_columns_parallel(&mut self, batch: &ColumnarBatch) -> Vec<ColumnarBatch> {
-        let Some(parallel) = self.parallel.as_mut() else {
+        let Some(shards) = self.shards.as_mut() else {
             return vec![self.process_columns(batch)];
         };
         self.items_in += batch.len() as u64;
         let size = self.budget.sample_size(batch.len());
         // Resolve carried weights through the node's single weight store.
         let resolved = self.whs.resolve_weights_columns(batch);
-        let outs = parallel.sample_columns_with_weights(batch.view(), size, &resolved);
+        let outs = shards.sample_columns_with_weights(batch.view(), size, &resolved);
         outs.into_iter()
             .filter(|o| !o.is_empty())
             .inspect(|o| {
@@ -722,7 +720,7 @@ mod sharded_tests {
     #[test]
     fn non_whs_strategies_fall_back_to_single_output() {
         let mut node = SamplingNode::with_workers(Strategy::Native, 1.0, 3, 4).expect("valid");
-        assert_eq!(node.workers(), 1, "no worker pool for per-item strategies");
+        assert_eq!(node.workers(), 1, "no shards for per-item strategies");
         let outs = node.process_batch_parallel(&batch(10));
         assert_eq!(outs.len(), 1);
         assert_eq!(outs[0].len(), 10);
@@ -770,7 +768,7 @@ mod sharded_tests {
 
     #[test]
     fn columnar_node_bit_identical_to_aos_node() {
-        // Every strategy, unsharded and parallel: processing the same
+        // Every strategy, unsharded and sharded: processing the same
         // logical batch through the columnar entries must reproduce the
         // AoS entries exactly.
         for strategy in [Strategy::whs(), Strategy::Srs, Strategy::Native] {
@@ -794,7 +792,7 @@ mod sharded_tests {
         let c = soa.process_columns_parallel(&cols);
         assert_eq!(a.len(), c.len());
         for (a, c) in a.into_iter().zip(c) {
-            assert_eq!(c.to_batch(), a, "parallel shard outputs diverged");
+            assert_eq!(c.to_batch(), a, "shard outputs diverged");
         }
     }
 
@@ -881,7 +879,7 @@ mod sharded_tests {
         first.weights.set(StratumId::new(0), 3.0);
         // Seen on the *unsharded* path...
         node.process_batch(&first);
-        // ...must carry into the parallel path.
+        // ...must carry into the sharded path.
         let outs = node.process_batch_parallel(&batch(8));
         let theta: ThetaStore = outs
             .into_iter()

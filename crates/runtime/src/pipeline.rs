@@ -90,12 +90,13 @@
 //! decoded ones (one node holds up to 11 strata). That is 3 allocations
 //! per frame at a leaf fed by sources and 4 at a node fed by samplers,
 //! pinned by `tests/alloc_budget.rs`; a native node allocates none.
-//! Sharded WHS nodes sample on a persistent [`crate::WorkerPool`] rather
-//! than a per-batch thread scope, with one fresh output per shard. The
-//! root samples every frame (under WHS or SRS) into one reused column set
-//! too. What it still allocates is its sampler's weight-map nodes per
-//! frame, each open window's growing rows, and a per-window split for a
-//! frame that straddles a window boundary.
+//! Sharded WHS nodes run their shards one after another on the edge
+//! thread, with one fresh output per shard: 14 allocations per source
+//! frame at a two-shard leaf, pinned by the same test. The root samples
+//! every frame (under WHS or SRS) into one reused column set too. What it
+//! still allocates is its sampler's weight-map nodes per frame, each open
+//! window's growing rows, and a per-window split for a frame that
+//! straddles a window boundary.
 //!
 //! Memory follows what is in flight, not the length of the run: every
 //! node subscribes before the first push, and a partition log drops a
@@ -755,8 +756,8 @@ struct EdgeParams {
     hop_delay: Duration,
     window: Duration,
     out_partition: u32,
-    /// Sample each batch on the node's §III-E parallel shard pool,
-    /// forwarding one batch per shard.
+    /// Sample each batch on the node's §III-E shards, forwarding one batch
+    /// per shard that kept an item.
     sharded: bool,
 }
 
@@ -922,7 +923,7 @@ impl NativeRelay<'_> {
 /// it, so a poisoned frame stops the node there, whatever its churn
 /// disposition — and sampled into **one** reused output
 /// ([`SamplingNode::process_columns_into`]); a sharded node samples the
-/// same input on its worker pool instead, one fresh output per shard.
+/// same input over its shards instead, one fresh output per shard.
 /// Each frame's sample is sized from that frame alone, so no edge node
 /// holds input across frames; only the root closes windows.
 ///
@@ -1344,7 +1345,6 @@ mod tests {
     fn thread_names_fit_what_linux_keeps() {
         let mut names = vec![ROOT_THREAD_NAME.to_string()];
         names.extend((0..10).flat_map(|l| (0..1000).map(move |j| edge_thread_name(l, j))));
-        names.extend((0..100_000).map(crate::pool::worker_thread_name));
         for name in &names {
             assert!(name.len() <= 15, "{name} is {} bytes", name.len());
         }
@@ -1369,7 +1369,7 @@ mod tests {
 
     #[test]
     fn sharded_whs_pipeline_reconstructs_counts() {
-        // §III-E end to end: every edge node samples on 4 parallel shards,
+        // §III-E end to end: every edge node samples over 4 shards,
         // emitting one (W_out, sample) batch per shard; the root must still
         // reconstruct the exact count from the union of pairs.
         let tree = fast_tree(Strategy::whs(), 0.2, 4, fast_edge().workers(4));

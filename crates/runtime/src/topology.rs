@@ -116,7 +116,9 @@ pub struct LayerSpec {
     pub nodes: usize,
     /// Per-layer strategy override (`None` = the topology default).
     pub strategy: Option<Strategy>,
-    /// §III-E worker shards per node (1 = sample on the node thread).
+    /// §III-E worker shards per node: each node emits up to `workers`
+    /// `(W_out, sample)` pairs per frame, one per shard (1 = unsharded).
+    /// The shards sample on the node's own thread.
     pub workers: usize,
     /// The link feeding this layer from the layer below (sources for the
     /// first layer).
@@ -140,7 +142,9 @@ impl LayerSpec {
         self
     }
 
-    /// Samples each node's batches on `workers` parallel shards.
+    /// Splits each node's batches over `workers` §III-E shards, each with
+    /// its own reservoir budget and arrival counts, so a node emits up to
+    /// `workers` `(W_out, sample)` pairs per frame.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self

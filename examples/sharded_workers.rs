@@ -2,7 +2,9 @@
 //! shards, each with a local reservoir of `N/w` slots and its own arrival
 //! counter — and the estimate still reconstructs exactly, because the
 //! root's Θ store was designed to accept multiple (weight, items) pairs
-//! per stratum from the start.
+//! per stratum from the start. The shards run one after another on the
+//! node's thread: §III-E fixes what each shard counts and emits, not
+//! which thread runs it.
 //!
 //! Exits non-zero unless the reconstructed count ĉ is within 1e-6 of the
 //! 200 000 input items for every worker count and for the topology run.
@@ -29,7 +31,7 @@ fn main() -> Result<ExitCode, approxiot::core::BudgetError> {
     let mut ok = true;
 
     println!(
-        "one sub-stream, {} items, sampled at 2% by w truly parallel workers:\n",
+        "one sub-stream, {} items, sampled at 2% over w shards:\n",
         batch.len()
     );
     println!(
@@ -37,8 +39,8 @@ fn main() -> Result<ExitCode, approxiot::core::BudgetError> {
         "workers", "pairs in Θ", "estimate", "ĉ", "loss %", "wall µs"
     );
     for workers in [1usize, 2, 4, 8, 16] {
-        // Each node samples its window on `workers` persistent pool shards
-        // with deterministic per-shard RNGs.
+        // The node splits its window over `workers` shards, each with its
+        // own budget, arrival counter and deterministic RNG.
         let mut node = SamplingNode::with_workers(Strategy::whs(), 0.02, 35, workers)?;
         let start = std::time::Instant::now();
         let outs = node.process_batch_parallel(&batch);
@@ -65,7 +67,7 @@ fn main() -> Result<ExitCode, approxiot::core::BudgetError> {
     println!("each shard's local counter feeds its local weight (paper §III-E).\n");
 
     // The same sharding, declared on the topology: every node of the
-    // first edge layer samples on 4 persistent worker shards, and the
+    // first edge layer splits its frames over 4 shards, and the
     // whole tree runs behind the driver (identically on either engine).
     let topology = Topology::builder()
         .sources(1)

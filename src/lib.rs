@@ -92,8 +92,8 @@ pub mod prelude {
     };
     pub use approxiot_core::{
         accuracy_loss, whs_sample, AdaptiveController, Allocation, Batch, Confidence, Estimate,
-        ParallelShardedSampler, Reservoir, SamplingBudget, SrsSampler, StrataIndex, StratumId,
-        StreamItem, ThetaStore, WeightMap, WhsOutput, WhsSampler, WhsScratch,
+        Reservoir, SamplingBudget, ShardedSampler, SrsSampler, StrataIndex, StratumId, StreamItem,
+        ThetaStore, WeightMap, WhsOutput, WhsSampler, WhsScratch,
     };
     pub use approxiot_mq::{BatchProducer, Broker, Consumer, StartOffset};
     pub use approxiot_net::{

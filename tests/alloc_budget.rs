@@ -23,6 +23,18 @@
 //!
 //! Polling, decoding into the reused input columns and sampling into the
 //! reused output columns allocate nothing.
+//!
+//! The same tree with two §III-E shards per leaf (`workers(2)`): the
+//! shards sample on the leaf's own thread, so their allocations are
+//! counted there too.
+//!
+//! * **sharded leaf**, one 512-item frame in, two sampled frames out: the
+//!   resolved input weights (one node), the vector of shard outputs (one),
+//!   and per shard a fresh output — four columns and one weight node —
+//!   and its forwarded payload (two × six) — **14**;
+//! * **mid** fed by sharded leaves: two leaf frames in per source frame,
+//!   each costing the four above — **8**.
+//!
 //! The same tree run native (no sampling) has a budget of **0** on both
 //! layers: a native node relays the payload it received.
 #![cfg(target_os = "linux")]
@@ -40,6 +52,12 @@ use std::time::Duration;
 const LEAF_BUDGET: f64 = 3.0;
 /// WHS mid-node allocations per source frame (see the module docs).
 const MID_BUDGET: f64 = 4.0;
+/// Allocations per source frame of a WHS leaf with two shards (see the
+/// module docs).
+const SHARDED_LEAF_BUDGET: f64 = 14.0;
+/// Allocations per source frame of a mid node fed by two-shard leaves
+/// (see the module docs).
+const SHARDED_MID_BUDGET: f64 = 8.0;
 /// Buffer growth that one run's backlog triggers and the other's does not
 /// (a doubling `Vec` or `VecDeque`) is a few allocations in thousands of
 /// frames.
@@ -167,8 +185,14 @@ fn input() -> Vec<Vec<Batch>> {
 }
 
 /// Edge-thread allocations `(leaf, mid)` of one closed-loop run of
-/// `intervals` intervals of the drains' tree under `strategy`.
-fn run(strategy: Strategy, input: &[Vec<Batch>], intervals: usize) -> (u64, u64) {
+/// `intervals` intervals of the drains' tree under `strategy`, with
+/// `leaf_workers` §III-E shards per leaf.
+fn run(
+    strategy: Strategy,
+    leaf_workers: usize,
+    input: &[Vec<Batch>],
+    intervals: usize,
+) -> (u64, u64) {
     let fraction = if strategy == Strategy::Native {
         1.0
     } else {
@@ -176,7 +200,7 @@ fn run(strategy: Strategy, input: &[Vec<Batch>], intervals: usize) -> (u64, u64)
     };
     let topology = Topology::builder()
         .sources(SOURCES)
-        .layer(LayerSpec::new(4))
+        .layer(LayerSpec::new(4).workers(leaf_workers))
         .layer(LayerSpec::new(2))
         .strategy(strategy)
         .overall_fraction(fraction)
@@ -212,15 +236,15 @@ fn run(strategy: Strategy, input: &[Vec<Batch>], intervals: usize) -> (u64, u64)
 
 /// Allocations `(leaf, mid)` per extra source frame, from runs of N and
 /// 2N intervals after a warm-up run.
-fn per_frame(strategy: Strategy, input: &[Vec<Batch>]) -> (f64, f64) {
-    run(strategy, input, N); // warm-up: lazy statics, first-touch paths
-    let (leaf_n, mid_n) = run(strategy, input, N);
-    let (leaf_2n, mid_2n) = run(strategy, input, 2 * N);
+fn per_frame(strategy: Strategy, leaf_workers: usize, input: &[Vec<Batch>]) -> (f64, f64) {
+    run(strategy, leaf_workers, input, N); // warm-up: lazy statics, first-touch paths
+    let (leaf_n, mid_n) = run(strategy, leaf_workers, input, N);
+    let (leaf_2n, mid_2n) = run(strategy, leaf_workers, input, 2 * N);
     let frames = (N * SOURCES) as f64;
     let leaf = (leaf_2n as f64 - leaf_n as f64) / frames;
     let mid = (mid_2n as f64 - mid_n as f64) / frames;
     eprintln!(
-        "{}: allocations per source frame: leaf {leaf:.3}, mid {mid:.3} \
+        "{} w{leaf_workers}: allocations per source frame: leaf {leaf:.3}, mid {mid:.3} \
          (runs of {N} / {} intervals: leaf {leaf_n} / {leaf_2n}, mid {mid_n} / {mid_2n})",
         strategy.label(),
         2 * N
@@ -233,12 +257,13 @@ fn per_frame(strategy: Strategy, input: &[Vec<Batch>]) -> (f64, f64) {
 #[test]
 fn warmed_edge_threads_allocate_within_budget_per_frame() {
     let input = input();
-    for (strategy, leaf_budget, mid_budget) in [
-        (Strategy::whs(), LEAF_BUDGET, MID_BUDGET),
-        (Strategy::Native, 0.0, 0.0),
+    for (strategy, leaf_workers, leaf_budget, mid_budget) in [
+        (Strategy::whs(), 1, LEAF_BUDGET, MID_BUDGET),
+        (Strategy::whs(), 2, SHARDED_LEAF_BUDGET, SHARDED_MID_BUDGET),
+        (Strategy::Native, 1, 0.0, 0.0),
     ] {
-        let (leaf, mid) = per_frame(strategy, &input);
-        let name = strategy.label();
+        let (leaf, mid) = per_frame(strategy, leaf_workers, &input);
+        let name = format!("{} w{leaf_workers}", strategy.label());
         assert!(
             (leaf - leaf_budget).abs() <= SLACK,
             "{name} leaves: {leaf:.3} allocations per source frame, budget {leaf_budget}"

@@ -118,9 +118,8 @@ fn asymmetric_four_layer_topology_is_engine_identical() {
 
 #[test]
 fn sharded_workers_stay_engine_identical() {
-    // §III-E parallel shards are deterministic too: each node's persistent
-    // worker pool derives per-shard RNGs from the node seed on both
-    // engines.
+    // §III-E shards are deterministic too: each node's sharded sampler
+    // derives per-shard RNGs from the node seed on both engines.
     let data = noisy_intervals(3, 5, 400);
     let sim = Driver::new(
         asymmetric_topology(0.2, 2),

@@ -229,7 +229,7 @@ proptest! {
         }
     }
 
-    /// PR-1 parallel sharding through the runtime node: the union of
+    /// §III-E sharding through the runtime node: the union of
     /// per-shard outputs reconstructs the total count, and a fixed seed
     /// reproduces the shard outputs exactly.
     #[test]
