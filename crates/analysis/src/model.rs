@@ -618,6 +618,16 @@ fn scan_structure(file: &str, lines: &[Stripped], in_test: &[bool]) -> Structure
             for (field, from) in field_init_pairs(code) {
                 s.binds.push(BindCand::FieldLit { field, from });
             }
+            // Shorthand inits (`rx,` on a line of its own) of a field
+            // declared above as a Sender/Receiver bind like `rx: rx`.
+            if let Some(field) = t.strip_suffix(',') {
+                if s.typed_fields.contains_key(field) {
+                    s.binds.push(BindCand::FieldLit {
+                        field: field.to_string(),
+                        from: field.to_string(),
+                    });
+                }
+            }
 
             // Free-fn calls with args, for endpoint-param binding.
             scan_calls(code, |at, name, _is_method| {
@@ -1116,14 +1126,17 @@ impl Builder<'_> {
             }
         }
 
-        // Channel operations and other blocking calls.
-        let mut ops: Vec<(usize, Role, &'static str)> = Vec::new();
+        // Channel operations and other blocking calls. `try_recv()` is a
+        // channel op that never blocks: it pairs with its channel but is
+        // no blocking call.
+        let mut ops: Vec<(usize, Role, Option<&'static str>)> = Vec::new();
         for (token, role, what) in [
-            (".send(", Role::Send, "channel send"),
-            (".send_timeout(", Role::Send, "channel send"),
-            (".recv()", Role::Recv, "channel recv"),
-            (".recv_timeout(", Role::Recv, "channel recv"),
-            (".recv_deadline(", Role::Recv, "channel recv"),
+            (".send(", Role::Send, Some("channel send")),
+            (".send_timeout(", Role::Send, Some("channel send")),
+            (".recv()", Role::Recv, Some("channel recv")),
+            (".recv_timeout(", Role::Recv, Some("channel recv")),
+            (".recv_deadline(", Role::Recv, Some("channel recv")),
+            (".try_recv()", Role::Recv, None),
         ] {
             let mut start = 0;
             while let Some(pos) = code[start..].find(token) {
@@ -1136,38 +1149,30 @@ impl Builder<'_> {
             let prefix = joined_prefix(self.lines, idx, at);
             let receiver = trailing_chain(&prefix);
             let binding = self.resolve_endpoint(&receiver, role);
-            match (role, binding) {
-                (_, Some(Binding::Chan(chan, _))) => {
-                    let bounded = self.channels.get(&chan).and_then(|c| c.bounded);
-                    self.top_ctx().chan_ops.push(ChanOp {
-                        chan: Some(chan),
-                        role,
-                        line: lineno,
-                        bounded,
-                    });
-                    self.top_ctx()
-                        .blocking
-                        .push(BlockingCall { line: lineno, what });
-                }
-                (_, Some(Binding::Typed(_))) => {
-                    self.top_ctx().chan_ops.push(ChanOp {
-                        chan: None,
-                        role,
-                        line: lineno,
-                        bounded: None,
-                    });
-                    self.top_ctx()
-                        .blocking
-                        .push(BlockingCall { line: lineno, what });
-                }
+            let chan = match (role, binding) {
+                (_, Some(Binding::Chan(chan, _))) => Some(Some(chan)),
+                (_, Some(Binding::Typed(_))) => Some(None),
                 // An unresolved `.recv()` is still almost surely a channel;
                 // an unresolved `.send(..)` could be anything — skip it.
-                (Role::Recv, _) => {
-                    self.top_ctx()
-                        .blocking
-                        .push(BlockingCall { line: lineno, what });
-                }
-                (Role::Send, _) => {}
+                (Role::Recv, _) => None,
+                (Role::Send, _) => continue,
+            };
+            if let Some(chan) = chan {
+                let bounded = chan
+                    .as_ref()
+                    .and_then(|c| self.channels.get(c))
+                    .and_then(|c| c.bounded);
+                self.top_ctx().chan_ops.push(ChanOp {
+                    chan,
+                    role,
+                    line: lineno,
+                    bounded,
+                });
+            }
+            if let Some(what) = what {
+                self.top_ctx()
+                    .blocking
+                    .push(BlockingCall { line: lineno, what });
             }
         }
         if code.contains("thread::sleep(") {

@@ -5,7 +5,7 @@
 //! `check_sources` as a one-file workspace.
 
 use approxiot_analysis::{
-    analyze_source, check_sources, Config, FileReport, Report, Rule, SourceSpec,
+    analyze_source, check_sources, workspace_model, Config, FileReport, Report, Rule, SourceSpec,
 };
 
 /// Analyze a fixture as if it were runtime library code (no allowlist
@@ -34,17 +34,19 @@ fn assert_fires_exactly(text: &str, rule: Rule) {
     );
 }
 
+/// The fixture as the one source file of a workspace.
+fn single_source(text: &str) -> [SourceSpec; 1] {
+    [SourceSpec {
+        krate: "runtime".to_string(),
+        rel_path: "crates/runtime/src/bad.rs".to_string(),
+        text: text.to_string(),
+    }]
+}
+
 /// Run the fixture through the workspace-level checker as a one-file
 /// workspace — the concurrency rules build their graphs there.
 fn check_single(text: &str) -> Report {
-    check_sources(
-        &Config::default(),
-        &[SourceSpec {
-            krate: "runtime".to_string(),
-            rel_path: "crates/runtime/src/bad.rs".to_string(),
-            text: text.to_string(),
-        }],
-    )
+    check_sources(&Config::default(), &single_source(text))
 }
 
 /// Assert the workspace-level check fires `rule` and nothing else, and
@@ -227,6 +229,19 @@ fn c3_fires_on_a_lock_held_across_sleep() {
     let msg = &messages[0];
     assert!(msg.contains("held across blocking sleep"), "{msg}");
     assert!(msg.contains("Gauge::value"), "{msg}");
+}
+
+#[test]
+fn try_recv_on_a_field_pairs_with_its_channel_and_never_blocks() {
+    let text = include_str!("fixtures/chan_try_recv_field.rs");
+    let report = check_single(text);
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    let edges = workspace_model(&single_source(text)).channel_edges();
+    assert_eq!(edges.len(), 1, "{edges:?}");
+    assert!(
+        edges[0].from_ctx.starts_with("Engine::new::spawn@") && edges[0].to_ctx == "Engine::drain",
+        "{edges:?}"
+    );
 }
 
 #[test]

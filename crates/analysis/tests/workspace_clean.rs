@@ -100,9 +100,10 @@ fn summary_table_lists_waivers_per_crate() {
 
 /// The concurrency rules (C1–C3) run on the live tree, not just on
 /// fixtures: the workspace model finds the pipeline's two unbounded
-/// channels, resolves the root thread's sends to their creation sites, and
-/// sees one lock taken both on the root thread and at `finish`. No live
-/// waiver is left to prove it.
+/// channels, resolves the root thread's sends to their creation sites,
+/// pairs them with the engine's `try_recv()` drains of its receiver
+/// fields, and sees one lock taken both on the root thread and at
+/// `finish`. No live waiver is left to prove it.
 #[test]
 fn concurrency_model_sees_the_live_pipeline() {
     let sources = load_sources(repo_root()).expect("load workspace sources");
@@ -160,6 +161,17 @@ fn concurrency_model_sees_the_live_pipeline() {
             && latency_lockers.contains(&"PipelineEngine::finish"),
         "the latency lock is shared by the root loop and finish: {latency_lockers:?}"
     );
+    let edges = ws.channel_edges();
+    assert!(
+        !edges.is_empty(),
+        "no live channel pairs a send with a recv"
+    );
+    for receiver in ["PipelineEngine::drain_results", "PipelineEngine::finish"] {
+        assert!(
+            edges.iter().any(|e| e.to_ctx == receiver),
+            "{receiver} drains no channel: {edges:?}"
+        );
+    }
     assert!(
         ws.lock_cycles().is_empty() && ws.channel_cycles().is_empty(),
         "the live tree has no lock or bounded-channel cycle"

@@ -6,8 +6,8 @@
 //! arrival counts costs, not thread scaling.
 
 use approxiot_core::{
-    whs_sample, Allocation, Batch, Reservoir, ShardedSampler, SrsSampler, StratumId, StreamItem,
-    ThetaStore, WeightMap, WhsSampler,
+    whs_sample, Allocation, Batch, ColumnarBatch, Reservoir, ShardedSampler, SrsSampler, StratumId,
+    StreamItem, ThetaStore, WeightMap, WhsSampler,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -133,15 +133,15 @@ fn bench_estimator(c: &mut Criterion) {
 }
 
 fn bench_codec(c: &mut Criterion) {
-    let input = batch(8, 1_000);
-    let frame = approxiot_mq::codec::encode_batch(&input);
+    let input = ColumnarBatch::from_batch(&batch(8, 1_000));
+    let frame = approxiot_mq::codec::encode_columns(&input);
     let mut group = c.benchmark_group("codec");
     group.throughput(Throughput::Bytes(frame.len() as u64));
     group.bench_function("encode", |b| {
-        b.iter(|| black_box(approxiot_mq::codec::encode_batch(black_box(&input))))
+        b.iter(|| black_box(approxiot_mq::codec::encode_columns(black_box(&input))))
     });
     group.bench_function("decode", |b| {
-        b.iter(|| black_box(approxiot_mq::codec::decode_batch(black_box(&frame)).expect("valid")))
+        b.iter(|| black_box(approxiot_mq::codec::decode_columns(black_box(&frame)).expect("valid")))
     });
     group.finish();
 }

@@ -64,7 +64,7 @@ impl Batch {
 
     /// Empties the batch (items and weights), keeping both allocations so
     /// the storage can be refilled — the recycling primitive behind the
-    /// wire codec's `decode_batch_into`.
+    /// wire codec's `decode_batch_any_into`.
     pub fn clear(&mut self) {
         self.items.clear();
         self.weights.clear();

@@ -25,7 +25,7 @@ pub const DEFAULT_RETENTION: usize = 1 << 20;
 /// let broker = Broker::new();
 /// broker.create_topic("edge-layer-1", 4)?;
 /// let topic = broker.topic("edge-layer-1")?;
-/// topic.append(ProducerRecord::new(&b"reading"[..]))?;
+/// topic.append_to(3, ProducerRecord::new(&b"reading"[..]))?;
 /// assert_eq!(topic.len(), 1);
 /// # Ok::<(), approxiot_mq::MqError>(())
 /// ```
@@ -122,7 +122,7 @@ mod tests {
         let a = broker.create_topic("a", 1).expect("create");
         let b = broker.create_topic("b", 1).expect("create");
         broker.close();
-        assert!(a.append(ProducerRecord::new(&b"x"[..])).is_err());
-        assert!(b.append(ProducerRecord::new(&b"x"[..])).is_err());
+        assert!(a.append_to(0, ProducerRecord::new(&b"x"[..])).is_err());
+        assert!(b.append_to(0, ProducerRecord::new(&b"x"[..])).is_err());
     }
 }

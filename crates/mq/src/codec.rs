@@ -5,21 +5,15 @@
 //! binary frame, so the network layer can meter *real* bytes on the wire
 //! for the bandwidth-saving experiment (Figure 7).
 //!
-//! Two frame versions share the magic number and the weights section
-//! (all integers little-endian):
+//! Two frame versions share the magic number (all integers
+//! little-endian): **v2** carries items, **v3** carries per-stratum
+//! summaries. Every decoder refuses the other version, an unknown one and
+//! the retired v1 item layout with a named [`MqError::Codec`], so a
+//! misrouted frame fails loudly instead of misparsing.
 //!
-//! **v1 — array-of-structs** (the original layout, still decodable):
-//!
-//! ```text
-//! magic     u16  = 0xA107
-//! version   u8   = 1
-//! weights   u32  count, then per entry: stratum u32, weight f64
-//! items     u32  count, then per entry: stratum u32, value f64,
-//!                                        seq u64, source_ts u64
-//! ```
-//!
-//! **v2 — columnar**: the body is four length-prefixed column runs, one
-//! per [`approxiot_core::ColumnarBatch`] column, in declaration order:
+//! **v2 — columnar items**: the weights section, then four
+//! length-prefixed column runs, one per [`approxiot_core::ColumnarBatch`]
+//! column, in declaration order:
 //!
 //! ```text
 //! magic     u16  = 0xA107
@@ -35,10 +29,14 @@
 //! little-endian, encode and decode on little-endian hosts are a handful
 //! of bulk `extend_from_slice`/`copy_from_slice` calls per frame instead
 //! of 28 bytes of per-item field writes (big-endian hosts fall back to
-//! per-element conversion). v2 costs 12 extra bytes per frame over v1 for
-//! the same items; the codecs reject each other's frames with named
-//! errors, and [`decode_batch_any_into`] dispatches on the version byte
-//! when either may arrive.
+//! per-element conversion).
+//!
+//! [`encoded_len`] is not a v2 size: it is the size of the retired v1
+//! layout (the same header and weights, then a `u32` item count and
+//! 28-byte interleaved items), 12 bytes under the v2 frame. `SimEngine`
+//! still bills item hops at that size, so its byte columns stay
+//! comparable with earlier runs until both engines are re-billed at the
+//! v2 size (ROADMAP item 15).
 //!
 //! **v3 — per-stratum summaries** (the sketch strategy's wire format):
 //! no items at all — the body is a sequence of windows, each holding
@@ -63,8 +61,7 @@
 //!
 //! A v3 frame's size is independent of the item count — that is the
 //! whole point: inner hops of a sketch topology ship `O(strata · k)`
-//! bytes per window however fast the sources run. The summary decoder
-//! rejects v1/v2 item frames with named errors and vice versa.
+//! bytes per window however fast the sources run.
 
 use crate::error::MqError;
 use approxiot_core::summary::stratum_sketch_seed;
@@ -75,7 +72,8 @@ use approxiot_core::{
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: u16 = 0xA107;
-const VERSION: u8 = 1;
+/// The retired AoS item layout: never encoded, refused by name.
+const VERSION_RETIRED: u8 = 1;
 const VERSION_COLUMNAR: u8 = 2;
 const VERSION_SUMMARY: u8 = 3;
 
@@ -86,85 +84,18 @@ const ITEM_ENTRY: usize = 4 + 8 + 8 + 8;
 /// Fixed header size.
 const HEADER: usize = 2 + 1;
 
-/// Returns the exact encoded size of a batch, without encoding it.
+/// Returns the size `batch` would take in the retired v1 item layout —
+/// 12 bytes under its v2 frame ([`encoded_len_v2`]) — without encoding
+/// anything. This is what `SimEngine` bills an item hop (see the module
+/// docs).
 pub fn encoded_len(batch: &Batch) -> usize {
     HEADER + 4 + batch.weights.len() * WEIGHT_ENTRY + 4 + batch.items.len() * ITEM_ENTRY
 }
 
-/// Encodes a batch into a wire frame.
-///
-/// # Examples
-///
-/// ```
-/// use approxiot_core::{Batch, StratumId, StreamItem};
-/// use approxiot_mq::codec::{decode_batch, encode_batch};
-///
-/// let batch = Batch::from_items(vec![StreamItem::new(StratumId::new(0), 1.5)]);
-/// let frame = encode_batch(&batch);
-/// let decoded = decode_batch(&frame)?;
-/// assert_eq!(decoded, batch);
-/// # Ok::<(), approxiot_mq::MqError>(())
-/// ```
-pub fn encode_batch(batch: &Batch) -> Bytes {
-    let mut buf = BytesMut::with_capacity(encoded_len(batch));
-    encode_batch_into(batch, &mut buf);
-    buf.freeze()
-}
-
-/// Encodes a batch into a caller-owned buffer, replacing its contents.
-///
-/// This is the steady-state entry point: the buffer is cleared (keeping
-/// its allocation) and exact room is reserved up front, so a loop that
-/// encodes same-sized batches through one reused `BytesMut` performs
-/// **zero allocations per frame** after the first. [`encode_batch`] is a
-/// thin wrapper for one-shot callers.
-pub fn encode_batch_into(batch: &Batch, buf: &mut BytesMut) {
-    buf.clear();
-    buf.reserve(encoded_len(batch));
-    buf.put_u16_le(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u32_le(batch.weights.len() as u32);
-    for (stratum, weight) in batch.weights.iter() {
-        buf.put_u32_le(stratum.index());
-        buf.put_f64_le(weight);
-    }
-    buf.put_u32_le(batch.items.len() as u32);
-    for item in &batch.items {
-        buf.put_u32_le(item.stratum.index());
-        buf.put_f64_le(item.value);
-        buf.put_u64_le(item.seq);
-        buf.put_u64_le(item.source_ts);
-    }
-}
-
-/// Decodes a wire frame back into a batch.
-///
-/// # Errors
-///
-/// Returns [`MqError::Codec`] on a bad magic number, unsupported version or
-/// truncated frame.
-pub fn decode_batch(frame: &[u8]) -> Result<Batch, MqError> {
-    let mut batch = Batch::new();
-    decode_batch_into(frame, &mut batch)?;
-    Ok(batch)
-}
-
-/// Decodes a wire frame into a caller-owned (typically recycled) batch,
-/// replacing its contents.
-///
-/// The batch is cleared first, keeping its item storage, so a loop that
-/// decodes every frame into one reused batch allocates nothing per frame
-/// once its capacity has warmed up. On error the batch is left cleared —
-/// never partially decoded.
-///
-/// # Errors
-///
-/// Returns [`MqError::Codec`] on a bad magic number, unsupported version,
-/// truncated/corrupted frame or trailing bytes; never panics, whatever
-/// the input bytes.
-pub fn decode_batch_into(frame: &[u8], batch: &mut Batch) -> Result<(), MqError> {
-    batch.clear();
-    let mut buf = frame;
+/// Takes a frame header off the front of `buf`: the magic number, then a
+/// version byte that must be `want`. Any other version is refused with an
+/// error naming it.
+fn take_header(buf: &mut &[u8], want: u8) -> Result<(), MqError> {
     if buf.remaining() < HEADER {
         return Err(MqError::Codec("frame shorter than header".into()));
     }
@@ -173,59 +104,30 @@ pub fn decode_batch_into(frame: &[u8], batch: &mut Batch) -> Result<(), MqError>
         return Err(MqError::Codec(format!("bad magic 0x{magic:04X}")));
     }
     let version = buf.get_u8();
-    if version == VERSION_COLUMNAR {
-        return Err(MqError::Codec(
-            "columnar v2 frame in the v1 item decoder (use decode_columns or decode_batch_any)"
-                .into(),
-        ));
+    if version == want {
+        return Ok(());
     }
-    if version == VERSION_SUMMARY {
-        return Err(MqError::Codec(
-            "summary v3 frame in the v1 item decoder (use decode_summaries)".into(),
-        ));
-    }
-    if version != VERSION {
-        return Err(MqError::Codec(format!("unsupported version {version}")));
-    }
-    if let Err(err) = take_weights(&mut buf, |s, w| {
-        batch.weights.set(s, w);
-    }) {
-        batch.weights.clear();
-        return Err(err);
-    }
-    if buf.remaining() < 4 {
-        batch.weights.clear();
-        return Err(MqError::Codec("truncated item count".into()));
-    }
-    let item_count = buf.get_u32_le() as usize;
-    if buf.remaining() != item_count * ITEM_ENTRY {
-        let failure = if buf.remaining() < item_count * ITEM_ENTRY {
-            "truncated item entries".to_string()
-        } else {
-            format!(
-                "{} trailing bytes",
-                buf.remaining() - item_count * ITEM_ENTRY
-            )
-        };
-        batch.weights.clear();
-        return Err(MqError::Codec(failure));
-    }
-    batch.items.reserve(item_count);
-    for _ in 0..item_count {
-        let stratum = StratumId::new(buf.get_u32_le());
-        let value = buf.get_f64_le();
-        let seq = buf.get_u64_le();
-        let source_ts = buf.get_u64_le();
-        batch
-            .items
-            .push(StreamItem::with_meta(stratum, value, seq, source_ts));
-    }
-    Ok(())
+    let decoder = if want == VERSION_SUMMARY {
+        "summary"
+    } else {
+        "item"
+    };
+    Err(MqError::Codec(match version {
+        VERSION_RETIRED => {
+            format!("retired AoS v1 frame in the {decoder} decoder (items travel as v2 frames)")
+        }
+        VERSION_COLUMNAR => {
+            format!("columnar v2 frame in the {decoder} decoder (use decode_columns)")
+        }
+        VERSION_SUMMARY => {
+            format!("summary v3 frame in the {decoder} decoder (use decode_summaries)")
+        }
+        version => format!("unsupported version {version}"),
+    }))
 }
 
-/// Takes the shared weights section (count + entries) off the front of
-/// `buf`, validating each weight like v1 always has and handing every
-/// valid entry to `weight`.
+/// Takes the weights section (count + entries) off the front of `buf`,
+/// validating each weight and handing every valid entry to `weight`.
 fn take_weights(buf: &mut &[u8], mut weight: impl FnMut(StratumId, f64)) -> Result<(), MqError> {
     if buf.remaining() < 4 {
         return Err(MqError::Codec("truncated weight count".into()));
@@ -488,13 +390,9 @@ pub fn decode_columns(frame: &[u8]) -> Result<ColumnarBatch, MqError> {
 }
 
 /// Decodes a v2 wire frame into a caller-owned (typically recycled)
-/// columnar batch, replacing its contents — the columnar twin of
-/// [`decode_batch_into`], with each column landing as one bulk copy. On
-/// error the batch is left cleared, never partially decoded.
-///
-/// A **v1** frame is rejected with a named error (`"AoS v1 frame in the
-/// columnar decoder"`); use [`decode_batch_into`] or sniff with
-/// [`frame_version`] when either version may arrive.
+/// columnar batch, replacing its contents, with each column landing as
+/// one bulk copy. On error the batch is left cleared, never partially
+/// decoded.
 ///
 /// # Errors
 ///
@@ -512,7 +410,7 @@ pub fn decode_columns_into(frame: &[u8], batch: &mut ColumnarBatch) -> Result<()
 fn decode_columns_inner(frame: &[u8], batch: &mut ColumnarBatch) -> Result<(), MqError> {
     batch.clear();
     let mut buf = frame;
-    take_v2_header(&mut buf)?;
+    take_header(&mut buf, VERSION_COLUMNAR)?;
     let runs = take_v2_body(&mut buf, |s, w| {
         batch.weights.set(s, w);
     })?;
@@ -550,30 +448,8 @@ fn decode_columns_inner(frame: &[u8], batch: &mut ColumnarBatch) -> Result<(), M
 /// same [`MqError::Codec`] message; never panics, whatever the input.
 pub fn frame_items(frame: &[u8]) -> Result<usize, MqError> {
     let mut buf = frame;
-    take_v2_header(&mut buf)?;
+    take_header(&mut buf, VERSION_COLUMNAR)?;
     Ok(take_v2_body(&mut buf, |_, _| {})?.n)
-}
-
-/// Takes a v2 header off the front of `buf`: magic, then the version
-/// byte, with v1 and v3 frames rejected by name.
-fn take_v2_header(buf: &mut &[u8]) -> Result<(), MqError> {
-    if buf.remaining() < HEADER {
-        return Err(MqError::Codec("frame shorter than header".into()));
-    }
-    let magic = buf.get_u16_le();
-    if magic != MAGIC {
-        return Err(MqError::Codec(format!("bad magic 0x{magic:04X}")));
-    }
-    match buf.get_u8() {
-        VERSION_COLUMNAR => Ok(()),
-        VERSION => Err(MqError::Codec(
-            "AoS v1 frame in the columnar decoder (use decode_batch or decode_batch_any)".into(),
-        )),
-        VERSION_SUMMARY => Err(MqError::Codec(
-            "summary v3 frame in the columnar decoder (use decode_summaries)".into(),
-        )),
-        version => Err(MqError::Codec(format!("unsupported version {version}"))),
-    }
 }
 
 /// The four column runs of a structurally valid v2 body, borrowed from
@@ -619,53 +495,28 @@ fn take_v2_body<'a>(
     })
 }
 
-/// Reads the version byte of a frame after checking the magic number —
-/// for dispatch points that accept both frame versions.
+/// Decodes a v2 wire frame into an AoS batch, replacing its contents:
+/// the column runs are read with strided per-item reconstruction (no
+/// intermediate columnar allocation). For consumers that want a
+/// [`Batch`]; the name dates from when it also accepted the retired v1
+/// layout, which it now refuses by name like every decoder.
 ///
 /// # Errors
 ///
-/// Returns [`MqError::Codec`] when the frame is shorter than a header or
-/// carries the wrong magic (the version byte itself is not validated).
-pub fn frame_version(frame: &[u8]) -> Result<u8, MqError> {
-    if frame.len() < HEADER {
-        return Err(MqError::Codec("frame shorter than header".into()));
-    }
-    let magic = u16::from_le_bytes([frame[0], frame[1]]);
-    if magic != MAGIC {
-        return Err(MqError::Codec(format!("bad magic 0x{magic:04X}")));
-    }
-    Ok(frame[2])
-}
-
-/// Decodes a frame of **either** version into an AoS batch: v1 frames go
-/// through [`decode_batch_into`]; v2 frames are read column-run by
-/// column-run with strided per-item reconstruction (no intermediate
-/// columnar allocation). Used by aggregation points (the root) that may
-/// receive both layouts.
-///
-/// # Errors
-///
-/// Returns [`MqError::Codec`] on a bad magic number, unsupported version
-/// or corrupted frame; on error the batch is left cleared.
+/// Returns [`MqError::Codec`] exactly when [`decode_columns_into`] would
+/// on the same bytes; on error the batch is left cleared.
 pub fn decode_batch_any_into(frame: &[u8], batch: &mut Batch) -> Result<(), MqError> {
-    match frame_version(frame) {
-        Ok(VERSION_COLUMNAR) => {
-            let result = decode_v2_into_batch(frame, batch);
-            if result.is_err() {
-                batch.clear();
-            }
-            result
-        }
-        // v1, v3 (rejected by name — a summary frame has no item
-        // payload), unknown versions, and header errors all get the v1
-        // decoder's clearing behaviour and named errors.
-        _ => decode_batch_into(frame, batch),
+    let result = decode_v2_into_batch(frame, batch);
+    if result.is_err() {
+        batch.clear();
     }
+    result
 }
 
 fn decode_v2_into_batch(frame: &[u8], batch: &mut Batch) -> Result<(), MqError> {
     batch.clear();
-    let mut buf = &frame[HEADER..]; // magic + version validated by the caller
+    let mut buf = frame;
+    take_header(&mut buf, VERSION_COLUMNAR)?;
     let runs = take_v2_body(&mut buf, |s, w| {
         batch.weights.set(s, w);
     })?;
@@ -716,36 +567,26 @@ pub fn encoded_len_summaries(windows: &[(u64, StratumSummaries)]) -> usize {
     len
 }
 
-/// Encodes per-window summaries into a v3 wire frame. `config` and
-/// `seed` are frame-wide (they are topology-wide in practice); every
-/// window's summaries must carry the same pair.
+/// Encodes per-window summaries into a v3 wire frame in a caller-owned
+/// buffer, replacing its contents — zero allocations per frame once the
+/// buffer has warmed up. `config` and `seed` are frame-wide (they are
+/// topology-wide in practice); every window's summaries must carry the
+/// same pair.
 ///
 /// # Examples
 ///
 /// ```
 /// use approxiot_core::{SketchConfig, StratumId, StratumSummaries};
-/// use approxiot_mq::codec::{decode_summaries, encode_summaries};
+/// use approxiot_mq::codec::{decode_summaries, encode_summaries_into};
 ///
 /// let config = SketchConfig::default();
 /// let mut summaries = StratumSummaries::new(config, 42);
 /// summaries.observe(StratumId::new(0), 1, 2.5);
-/// let frame = encode_summaries(config, 42, &[(0, summaries.clone())]);
+/// let mut frame = bytes::BytesMut::new();
+/// encode_summaries_into(config, 42, &[(0, summaries.clone())], &mut frame);
 /// assert_eq!(decode_summaries(&frame)?, vec![(0, summaries)]);
 /// # Ok::<(), approxiot_mq::MqError>(())
 /// ```
-pub fn encode_summaries(
-    config: SketchConfig,
-    seed: u64,
-    windows: &[(u64, StratumSummaries)],
-) -> Bytes {
-    let mut buf = BytesMut::with_capacity(encoded_len_summaries(windows));
-    encode_summaries_into(config, seed, windows, &mut buf);
-    buf.freeze()
-}
-
-/// Encodes per-window summaries into a caller-owned buffer, replacing
-/// its contents — the steady-state entry point, zero allocations per
-/// frame once the buffer has warmed up.
 pub fn encode_summaries_into(
     config: SketchConfig,
     seed: u64,
@@ -793,27 +634,18 @@ pub fn encode_summaries_into(
 /// # Errors
 ///
 /// Returns [`MqError::Codec`] on a bad magic number, wrong or
-/// unsupported version, or truncated/corrupted frame.
+/// unsupported version (an item frame is refused by name),
+/// truncated/corrupted frame, non-finite summary statistics or trailing
+/// bytes; never panics, whatever the input bytes.
 pub fn decode_summaries(frame: &[u8]) -> Result<Vec<(u64, StratumSummaries)>, MqError> {
     let mut windows = Vec::new();
     decode_summaries_into(frame, &mut windows)?;
     Ok(windows)
 }
 
-/// Decodes a v3 wire frame into a caller-owned vector, replacing its
-/// contents. On error the vector is left cleared — never partially
-/// decoded.
-///
-/// A **v1** or **v2** item frame is rejected with a named error; use
-/// [`frame_version`] to sniff when item and summary frames may both
-/// arrive on one channel.
-///
-/// # Errors
-///
-/// Returns [`MqError::Codec`] on a bad magic number, wrong or
-/// unsupported version, truncated/corrupted frame, non-finite summary
-/// statistics or trailing bytes; never panics, whatever the input bytes.
-pub fn decode_summaries_into(
+/// Decodes a v3 wire frame into `out`, replacing its contents. On error
+/// the vector is left cleared — never partially decoded.
+fn decode_summaries_into(
     frame: &[u8],
     out: &mut Vec<(u64, StratumSummaries)>,
 ) -> Result<(), MqError> {
@@ -830,28 +662,7 @@ fn decode_summaries_inner(
 ) -> Result<(), MqError> {
     out.clear();
     let mut buf = frame;
-    if buf.remaining() < HEADER {
-        return Err(MqError::Codec("frame shorter than header".into()));
-    }
-    let magic = buf.get_u16_le();
-    if magic != MAGIC {
-        return Err(MqError::Codec(format!("bad magic 0x{magic:04X}")));
-    }
-    let version = buf.get_u8();
-    if version == VERSION {
-        return Err(MqError::Codec(
-            "AoS v1 frame in the summary decoder (use decode_batch or decode_batch_any)".into(),
-        ));
-    }
-    if version == VERSION_COLUMNAR {
-        return Err(MqError::Codec(
-            "columnar v2 frame in the summary decoder (use decode_columns or decode_batch_any)"
-                .into(),
-        ));
-    }
-    if version != VERSION_SUMMARY {
-        return Err(MqError::Codec(format!("unsupported version {version}")));
-    }
+    take_header(&mut buf, VERSION_SUMMARY)?;
     if buf.remaining() < SUMMARY_FIXED {
         return Err(MqError::Codec("truncated summary header".into()));
     }
@@ -971,26 +782,6 @@ mod tests {
     use super::*;
     use approxiot_core::WeightMap;
 
-    #[test]
-    fn frame_items_counts_without_decoding() {
-        let cols = ColumnarBatch::from_batch(&sample_batch());
-        let frame = encode_columns(&cols);
-        assert_eq!(frame_items(&frame).expect("v2 frame"), 3);
-        assert_eq!(frame_items(&encode_columns(&ColumnarBatch::new())), Ok(0));
-        // Same refusals, same messages, as the decoder.
-        for bad in [
-            &encode_batch(&sample_batch())[..],
-            &encode_summaries(SAMPLE_CONFIG, SAMPLE_SEED, &sample_summaries())[..],
-            &frame[..frame.len() - 8],
-            &[0xFF, 0xFF, 2][..],
-        ] {
-            assert_eq!(
-                frame_items(bad).unwrap_err(),
-                decode_columns(bad).unwrap_err()
-            );
-        }
-    }
-
     fn sample_batch() -> Batch {
         let mut weights = WeightMap::new();
         weights.set(StratumId::new(0), 1.5);
@@ -1005,99 +796,159 @@ mod tests {
         )
     }
 
+    /// `batch` as a v2 frame, through the AoS entry point.
+    fn v2_frame(batch: &Batch) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        encode_batch_v2_into(batch, &mut buf);
+        buf.to_vec()
+    }
+
+    /// `batch` in the retired v1 layout, as an old sender wrote it:
+    /// header, weights, then a `u32` count and 28-byte interleaved items.
+    fn retired_v1_frame(batch: &Batch) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        buf.put_u16_le(MAGIC);
+        buf.put_u8(VERSION_RETIRED);
+        buf.put_u32_le(batch.weights.len() as u32);
+        for (stratum, weight) in batch.weights.iter() {
+            buf.put_u32_le(stratum.index());
+            buf.put_f64_le(weight);
+        }
+        buf.put_u32_le(batch.items.len() as u32);
+        for item in &batch.items {
+            buf.put_u32_le(item.stratum.index());
+            buf.put_f64_le(item.value);
+            buf.put_u64_le(item.seq);
+            buf.put_u64_le(item.source_ts);
+        }
+        buf.to_vec()
+    }
+
+    /// Every item decoder's error on `frame`, all of which must agree.
+    fn item_decode_error(frame: &[u8]) -> MqError {
+        let mut batch = sample_batch();
+        let any = decode_batch_any_into(frame, &mut batch).unwrap_err();
+        assert!(batch.is_empty(), "failed decode leaves the batch cleared");
+        let columns = decode_columns(frame).unwrap_err();
+        assert_eq!(any, columns);
+        assert_eq!(frame_items(frame).unwrap_err(), columns);
+        columns
+    }
+
+    #[test]
+    fn frame_items_counts_without_decoding() {
+        let cols = ColumnarBatch::from_batch(&sample_batch());
+        let frame = encode_columns(&cols);
+        assert_eq!(frame_items(&frame).expect("v2 frame"), 3);
+        assert_eq!(frame_items(&encode_columns(&ColumnarBatch::new())), Ok(0));
+        // Same refusals, same messages, as the decoder.
+        for bad in [
+            &retired_v1_frame(&sample_batch())[..],
+            &summary_frame(SAMPLE_CONFIG, SAMPLE_SEED, &sample_summaries())[..],
+            &frame[..frame.len() - 8],
+            &[0xFF, 0xFF, 2][..],
+        ] {
+            assert_eq!(
+                frame_items(bad).unwrap_err(),
+                decode_columns(bad).unwrap_err()
+            );
+        }
+    }
+
     #[test]
     fn roundtrip_preserves_batch() {
         let batch = sample_batch();
-        let frame = encode_batch(&batch);
-        assert_eq!(frame.len(), encoded_len(&batch));
-        let decoded = decode_batch(&frame).expect("decodes");
+        let frame = v2_frame(&batch);
+        assert_eq!(frame.len(), encoded_len_v2(&batch));
+        let mut decoded = Batch::new();
+        decode_batch_any_into(&frame, &mut decoded).expect("decodes");
         assert_eq!(decoded, batch);
     }
 
     #[test]
     fn roundtrip_empty_batch() {
         let batch = Batch::new();
-        let decoded = decode_batch(&encode_batch(&batch)).expect("decodes");
+        let mut decoded = sample_batch();
+        decode_batch_any_into(&v2_frame(&batch), &mut decoded).expect("decodes");
         assert_eq!(decoded, batch);
+        assert_eq!(encoded_len_v2(&batch), HEADER + 4 + 16);
         assert_eq!(encoded_len(&batch), HEADER + 8);
     }
 
     #[test]
     fn rejects_bad_magic() {
-        let mut frame = encode_batch(&sample_batch()).to_vec();
+        let mut frame = v2_frame(&sample_batch());
         frame[0] ^= 0xFF;
-        assert!(matches!(decode_batch(&frame), Err(MqError::Codec(_))));
+        assert!(item_decode_error(&frame).to_string().contains("bad magic"));
+        assert!(matches!(decode_summaries(&frame), Err(MqError::Codec(_))));
     }
 
     #[test]
     fn rejects_bad_version() {
-        let mut frame = encode_batch(&sample_batch()).to_vec();
+        let mut frame = v2_frame(&sample_batch());
         frame[2] = 99;
-        let err = decode_batch(&frame).unwrap_err();
-        assert!(err.to_string().contains("version"));
+        let err = item_decode_error(&frame);
+        assert!(err.to_string().contains("unsupported version 99"), "{err}");
+        let err = decode_summaries(&frame).unwrap_err();
+        assert!(err.to_string().contains("unsupported version 99"), "{err}");
     }
 
     #[test]
     fn rejects_truncation_at_every_length() {
-        let frame = encode_batch(&sample_batch());
+        let frame = v2_frame(&sample_batch());
         for len in 0..frame.len() {
-            assert!(
-                decode_batch(&frame[..len]).is_err(),
-                "truncated frame of {len} bytes must not decode"
-            );
+            item_decode_error(&frame[..len]);
         }
     }
 
     #[test]
     fn rejects_trailing_bytes() {
-        let mut frame = encode_batch(&sample_batch()).to_vec();
+        let mut frame = v2_frame(&sample_batch());
         frame.push(0);
-        let err = decode_batch(&frame).unwrap_err();
-        assert!(err.to_string().contains("trailing"));
+        assert!(item_decode_error(&frame).to_string().contains("trailing"));
     }
 
     #[test]
     fn rejects_invalid_weight() {
-        // Hand-craft a frame with weight 0.5 (< 1).
-        let mut buf = BytesMut::new();
-        buf.put_u16_le(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u32_le(1);
-        buf.put_u32_le(7);
-        buf.put_f64_le(0.5);
-        buf.put_u32_le(0);
-        let err = decode_batch(&buf).unwrap_err();
-        assert!(err.to_string().contains("invalid weight"));
+        let mut frame = v2_frame(&sample_batch());
+        // The first weight entry's value sits after the header, the
+        // weight count and its stratum id.
+        let at = HEADER + 4 + 4;
+        frame[at..at + 8].copy_from_slice(&0.5f64.to_le_bytes());
+        let err = item_decode_error(&frame);
+        assert!(err.to_string().contains("invalid weight"), "{err}");
     }
 
     #[test]
     fn encode_into_reuses_buffer_without_growth() {
         let batch = sample_batch();
+        let cols = ColumnarBatch::from_batch(&batch);
         let mut buf = BytesMut::new();
-        encode_batch_into(&batch, &mut buf);
-        assert_eq!(
-            &buf[..],
-            &encode_batch(&batch)[..],
-            "same bytes as one-shot"
-        );
+        encode_batch_v2_into(&batch, &mut buf);
         let warm = buf.capacity();
         for _ in 0..100 {
-            encode_batch_into(&batch, &mut buf);
+            encode_batch_v2_into(&batch, &mut buf);
+            assert_eq!(
+                &buf[..],
+                &encode_columns(&cols)[..],
+                "same bytes as one-shot"
+            );
+            encode_columns_into(&cols, &mut buf);
         }
         assert_eq!(buf.capacity(), warm, "steady state: no per-frame growth");
-        assert_eq!(buf.len(), encoded_len(&batch));
+        assert_eq!(buf.len(), encoded_len_columns(&cols));
     }
 
     #[test]
     fn decode_into_refills_recycled_batch_without_growth() {
         let batch = sample_batch();
-        let frame = encode_batch(&batch);
+        let frame = v2_frame(&batch);
         let mut recycled = Batch::new();
-        decode_batch_into(&frame, &mut recycled).expect("decodes");
+        decode_batch_any_into(&frame, &mut recycled).expect("decodes");
         assert_eq!(recycled, batch);
         let warm = recycled.items.capacity();
         for _ in 0..100 {
-            decode_batch_into(&frame, &mut recycled).expect("decodes");
+            decode_batch_any_into(&frame, &mut recycled).expect("decodes");
         }
         assert_eq!(recycled, batch);
         assert_eq!(recycled.items.capacity(), warm, "item storage reused");
@@ -1106,7 +957,7 @@ mod tests {
     #[test]
     fn decode_into_clears_stale_contents_on_error() {
         let mut stale = sample_batch();
-        let err = decode_batch_into(&[0xFF, 0xFF, 1], &mut stale).unwrap_err();
+        let err = decode_batch_any_into(&[0xFF, 0xFF, 2], &mut stale).unwrap_err();
         assert!(matches!(err, MqError::Codec(_)));
         assert!(stale.is_empty(), "failed decode must not leave stale items");
         assert!(stale.weights.is_empty());
@@ -1143,29 +994,20 @@ mod tests {
     #[test]
     fn encode_batch_v2_matches_columnar_encode() {
         let batch = sample_batch();
-        let mut from_aos = BytesMut::new();
-        encode_batch_v2_into(&batch, &mut from_aos);
         let from_cols = encode_columns(&ColumnarBatch::from_batch(&batch));
-        assert_eq!(&from_aos[..], &from_cols[..], "byte-identical encodings");
-        assert_eq!(from_aos.len(), encoded_len_v2(&batch));
-    }
-
-    #[test]
-    fn v1_decoder_rejects_v2_frame_with_named_error() {
-        let frame = encode_columns(&ColumnarBatch::from_batch(&sample_batch()));
-        let err = decode_batch(&frame).unwrap_err();
-        assert!(
-            err.to_string().contains("columnar v2 frame"),
-            "unexpected error: {err}"
+        assert_eq!(
+            &v2_frame(&batch)[..],
+            &from_cols[..],
+            "byte-identical encodings"
         );
+        assert_eq!(from_cols.len(), encoded_len_v2(&batch));
     }
 
     #[test]
     fn v2_decoder_rejects_v1_frame_with_named_error() {
-        let frame = encode_batch(&sample_batch());
-        let err = decode_columns(&frame).unwrap_err();
+        let err = item_decode_error(&retired_v1_frame(&sample_batch()));
         assert!(
-            err.to_string().contains("AoS v1 frame"),
+            err.to_string().contains("retired AoS v1 frame"),
             "unexpected error: {err}"
         );
     }
@@ -1251,36 +1093,22 @@ mod tests {
     }
 
     #[test]
-    fn frame_version_sniffs_both_versions() {
-        let batch = sample_batch();
-        assert_eq!(frame_version(&encode_batch(&batch)).expect("v1"), VERSION);
-        let cols = ColumnarBatch::from_batch(&batch);
-        assert_eq!(
-            frame_version(&encode_columns(&cols)).expect("v2"),
-            VERSION_COLUMNAR
-        );
-        assert!(frame_version(&[0xA1]).is_err());
-        assert!(frame_version(&[0x00, 0x00, 1]).is_err());
-    }
-
-    #[test]
-    fn decode_any_accepts_both_versions() {
+    fn decode_any_accepts_only_v2() {
         let batch = sample_batch();
         let mut out = Batch::new();
-        decode_batch_any_into(&encode_batch(&batch), &mut out).expect("v1 decodes");
+        decode_batch_any_into(&v2_frame(&batch), &mut out).expect("v2 decodes");
         assert_eq!(out, batch);
-        let mut buf = BytesMut::new();
-        encode_batch_v2_into(&batch, &mut buf);
-        decode_batch_any_into(&buf, &mut out).expect("v2 decodes");
-        assert_eq!(out, batch, "v2 round-trips through the any-decoder");
+        let err = decode_batch_any_into(&retired_v1_frame(&batch), &mut out).unwrap_err();
+        assert!(err.to_string().contains("retired AoS v1 frame"), "{err}");
+        assert!(out.is_empty(), "failed decode leaves the batch cleared");
         let err = decode_batch_any_into(&[0xA1], &mut out).unwrap_err();
         assert!(err.to_string().contains("shorter than header"));
-        assert!(out.is_empty(), "failed decode leaves the batch cleared");
     }
 
     #[test]
     fn v2_costs_twelve_extra_bytes_over_v1() {
         let batch = sample_batch();
+        assert_eq!(retired_v1_frame(&batch).len(), encoded_len(&batch));
         assert_eq!(encoded_len_v2(&batch), encoded_len(&batch) + 12);
         assert_eq!(
             encoded_len_columns(&ColumnarBatch::from_batch(&batch)),
@@ -1303,10 +1131,20 @@ mod tests {
         vec![(0, w0), (3, w1)]
     }
 
+    fn summary_frame(
+        config: SketchConfig,
+        seed: u64,
+        windows: &[(u64, StratumSummaries)],
+    ) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        encode_summaries_into(config, seed, windows, &mut buf);
+        buf.to_vec()
+    }
+
     #[test]
     fn v3_roundtrip_preserves_summaries() {
         let windows = sample_summaries();
-        let frame = encode_summaries(SAMPLE_CONFIG, SAMPLE_SEED, &windows);
+        let frame = summary_frame(SAMPLE_CONFIG, SAMPLE_SEED, &windows);
         assert_eq!(frame.len(), encoded_len_summaries(&windows));
         assert_eq!(frame[2], VERSION_SUMMARY);
         assert_eq!(decode_summaries(&frame).expect("decodes"), windows);
@@ -1314,7 +1152,7 @@ mod tests {
 
     #[test]
     fn v3_roundtrip_empty_frame() {
-        let frame = encode_summaries(SAMPLE_CONFIG, SAMPLE_SEED, &[]);
+        let frame = summary_frame(SAMPLE_CONFIG, SAMPLE_SEED, &[]);
         assert_eq!(frame.len(), HEADER + SUMMARY_FIXED);
         assert_eq!(decode_summaries(&frame).expect("decodes"), vec![]);
     }
@@ -1327,7 +1165,7 @@ mod tests {
             summaries.observe(StratumId::new(0), i, 2.0);
         }
         let windows = vec![(9, summaries)];
-        let frame = encode_summaries(config, 1, &windows);
+        let frame = summary_frame(config, 1, &windows);
         let decoded = decode_summaries(&frame).expect("decodes");
         assert_eq!(decoded, windows);
         assert_eq!(decoded[0].1.count(), 50);
@@ -1335,7 +1173,7 @@ mod tests {
 
     #[test]
     fn v3_rejects_truncation_at_every_length() {
-        let frame = encode_summaries(SAMPLE_CONFIG, SAMPLE_SEED, &sample_summaries());
+        let frame = summary_frame(SAMPLE_CONFIG, SAMPLE_SEED, &sample_summaries());
         for len in 0..frame.len() {
             assert!(
                 decode_summaries(&frame[..len]).is_err(),
@@ -1346,7 +1184,7 @@ mod tests {
 
     #[test]
     fn v3_rejects_trailing_bytes() {
-        let mut frame = encode_summaries(SAMPLE_CONFIG, SAMPLE_SEED, &sample_summaries()).to_vec();
+        let mut frame = summary_frame(SAMPLE_CONFIG, SAMPLE_SEED, &sample_summaries());
         frame.push(0);
         let err = decode_summaries(&frame).unwrap_err();
         assert!(err.to_string().contains("trailing"));
@@ -1376,7 +1214,7 @@ mod tests {
     #[test]
     fn v3_rejects_section_length_mismatch() {
         // A section that claims more sketch entries than its length holds.
-        let mut frame = encode_summaries(SAMPLE_CONFIG, SAMPLE_SEED, &sample_summaries()).to_vec();
+        let mut frame = summary_frame(SAMPLE_CONFIG, SAMPLE_SEED, &sample_summaries());
         // The first section's sketch entry count sits after the length
         // prefix (4) + stratum (4) + moments (24) + level (4) + observed
         // (8); window header starts after HEADER + SUMMARY_FIXED.
@@ -1391,9 +1229,9 @@ mod tests {
 
     #[test]
     fn v3_decoder_rejects_v1_and_v2_frames_with_named_errors() {
-        let err = decode_summaries(&encode_batch(&sample_batch())).unwrap_err();
+        let err = decode_summaries(&retired_v1_frame(&sample_batch())).unwrap_err();
         assert!(
-            err.to_string().contains("AoS v1 frame"),
+            err.to_string().contains("retired AoS v1 frame"),
             "unexpected error: {err}"
         );
         let frame = encode_columns(&ColumnarBatch::from_batch(&sample_batch()));
@@ -1406,24 +1244,12 @@ mod tests {
 
     #[test]
     fn item_decoders_reject_v3_frame_with_named_errors() {
-        let frame = encode_summaries(SAMPLE_CONFIG, SAMPLE_SEED, &sample_summaries());
-        let err = decode_batch(&frame).unwrap_err();
+        let frame = summary_frame(SAMPLE_CONFIG, SAMPLE_SEED, &sample_summaries());
+        let err = item_decode_error(&frame);
         assert!(
             err.to_string().contains("summary v3 frame"),
             "unexpected error: {err}"
         );
-        let err = decode_columns(&frame).unwrap_err();
-        assert!(
-            err.to_string().contains("summary v3 frame"),
-            "unexpected error: {err}"
-        );
-        let mut out = Batch::new();
-        let err = decode_batch_any_into(&frame, &mut out).unwrap_err();
-        assert!(
-            err.to_string().contains("summary v3 frame"),
-            "unexpected error: {err}"
-        );
-        assert!(out.is_empty(), "failed decode leaves the batch cleared");
     }
 
     #[test]
@@ -1435,12 +1261,6 @@ mod tests {
             stale.is_empty(),
             "failed decode must not leave stale windows"
         );
-    }
-
-    #[test]
-    fn frame_version_sniffs_v3() {
-        let frame = encode_summaries(SAMPLE_CONFIG, SAMPLE_SEED, &sample_summaries());
-        assert_eq!(frame_version(&frame).expect("v3"), VERSION_SUMMARY);
     }
 
     #[test]

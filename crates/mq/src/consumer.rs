@@ -1,10 +1,8 @@
 //! Consumers: offset-tracked, multi-partition subscription with decode.
 
-use crate::codec::decode_batch;
 use crate::error::MqError;
 use crate::record::Record;
 use crate::topic::Topic;
-use approxiot_core::Batch;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -43,7 +41,8 @@ pub enum StartOffset {
 /// let broker = Broker::new();
 /// let topic = broker.create_topic("t", 2)?;
 /// let producer = BatchProducer::new(topic.clone());
-/// producer.send(&Batch::from_items(vec![StreamItem::new(StratumId::new(0), 1.0)]))?;
+/// let batch = Batch::from_items(vec![StreamItem::new(StratumId::new(0), 1.0)]);
+/// producer.send_v2_to(1, &batch, 0)?;
 ///
 /// let mut consumer = Consumer::subscribe_all(topic, StartOffset::Earliest);
 /// let records = consumer.poll(10, Duration::from_millis(10))?;
@@ -97,11 +96,6 @@ impl Consumer {
     /// The topic this consumer reads.
     pub fn topic(&self) -> &Arc<Topic> {
         &self.topic
-    }
-
-    /// The partitions assigned to this consumer.
-    pub fn assignment(&self) -> Vec<u32> {
-        self.offsets.keys().copied().collect()
     }
 
     /// Current position (next offset) for a partition, if assigned.
@@ -216,28 +210,6 @@ impl Consumer {
         Ok(taken)
     }
 
-    /// Polls and decodes records into [`Batch`]es (codec errors abort the
-    /// poll).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MqError::Closed`] when drained-and-closed, or
-    /// [`MqError::Codec`] on a corrupt frame.
-    pub fn poll_batches(
-        &mut self,
-        max: usize,
-        timeout: Duration,
-    ) -> Result<Vec<(Record, Batch)>, MqError> {
-        let records = self.poll(max, timeout)?;
-        records
-            .into_iter()
-            .map(|r| {
-                let batch = decode_batch(&r.value)?;
-                Ok((r, batch))
-            })
-            .collect()
-    }
-
     /// Total records between current positions and each log end (consumer
     /// lag).
     pub fn lag(&self) -> u64 {
@@ -267,12 +239,18 @@ impl Drop for Consumer {
 mod tests {
     use super::*;
     use crate::broker::Broker;
+    use crate::codec::decode_columns;
     use crate::producer::BatchProducer;
-    use approxiot_core::{StratumId, StreamItem};
+    use approxiot_core::{Batch, StratumId, StreamItem};
     use std::thread;
 
     fn batch(value: f64) -> Batch {
         Batch::from_items(vec![StreamItem::new(StratumId::new(0), value)])
+    }
+
+    /// Publishes a one-item frame carrying `value` to partition 0.
+    fn send(producer: &BatchProducer, value: f64) {
+        producer.send_v2_to(0, &batch(value), 0).expect("send");
     }
 
     fn setup(partitions: u32) -> (Broker, Arc<Topic>, BatchProducer) {
@@ -285,8 +263,8 @@ mod tests {
     #[test]
     fn consumes_from_earliest() {
         let (_b, topic, producer) = setup(1);
-        producer.send(&batch(1.0)).expect("send");
-        producer.send(&batch(2.0)).expect("send");
+        send(&producer, 1.0);
+        send(&producer, 2.0);
         let mut consumer = Consumer::subscribe_all(topic, StartOffset::Earliest);
         let got = consumer.poll(10, Duration::ZERO).expect("poll");
         assert_eq!(got.len(), 2);
@@ -297,20 +275,22 @@ mod tests {
     #[test]
     fn latest_skips_history() {
         let (_b, topic, producer) = setup(1);
-        producer.send(&batch(1.0)).expect("send");
+        send(&producer, 1.0);
         let mut consumer = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Latest);
         assert!(consumer.poll(10, Duration::ZERO).expect("poll").is_empty());
-        producer.send(&batch(2.0)).expect("send");
-        let got = consumer.poll_batches(10, Duration::ZERO).expect("poll");
+        send(&producer, 2.0);
+        let got = consumer.poll(10, Duration::ZERO).expect("poll");
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].1.items[0].value, 2.0);
+        assert_eq!(decode_columns(&got[0].value).expect("v2").values, [2.0]);
     }
 
     #[test]
     fn poll_round_robins_partitions() {
         let (_b, topic, producer) = setup(2);
         for i in 0..4 {
-            producer.send_to(i % 2, &batch(i as f64), 0).expect("send");
+            producer
+                .send_v2_to(i % 2, &batch(i as f64), 0)
+                .expect("send");
         }
         let mut consumer = Consumer::subscribe_all(topic, StartOffset::Earliest);
         let got = consumer.poll(10, Duration::ZERO).expect("poll");
@@ -331,7 +311,7 @@ mod tests {
         assert_eq!(consumer.poll_into(&mut buf, 10, Duration::ZERO), Ok(0));
         let waker = thread::spawn(move || {
             thread::sleep(Duration::from_millis(20));
-            producer.send_to(0, &batch(9.0), 0).expect("send");
+            producer.send_v2_to(0, &batch(9.0), 0).expect("send");
         });
         let start = std::time::Instant::now();
         let got = consumer
@@ -351,7 +331,7 @@ mod tests {
     fn poll_into_reuses_buffer_and_replaces_contents() {
         let (_b, topic, producer) = setup(1);
         for i in 0..8 {
-            producer.send(&batch(i as f64)).expect("send");
+            send(&producer, i as f64);
         }
         let mut consumer = Consumer::subscribe_all(topic, StartOffset::Earliest);
         let mut buf = Vec::new();
@@ -371,7 +351,7 @@ mod tests {
         let mut consumer = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
         let waker = thread::spawn(move || {
             thread::sleep(Duration::from_millis(20));
-            producer.send(&batch(9.0)).expect("send");
+            send(&producer, 9.0);
         });
         let got = consumer.poll(10, Duration::from_secs(5)).expect("poll");
         assert_eq!(got.len(), 1);
@@ -381,7 +361,7 @@ mod tests {
     #[test]
     fn closed_and_drained_reports_closed() {
         let (broker, topic, producer) = setup(2);
-        producer.send_to(0, &batch(1.0), 0).expect("send");
+        producer.send_v2_to(0, &batch(1.0), 0).expect("send");
         broker.close();
         let mut consumer = Consumer::subscribe_all(topic, StartOffset::Earliest);
         // Drain the remaining record first.
@@ -402,7 +382,7 @@ mod tests {
         let producer = BatchProducer::new(Arc::clone(&topic));
         let mut consumer = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
         for i in 0..10 {
-            producer.send(&batch(i as f64)).expect("send");
+            send(&producer, i as f64);
         }
         // Offsets 0..8 were truncated; consumer transparently resumes at 8.
         let got = consumer.poll(10, Duration::ZERO).expect("poll");
@@ -416,7 +396,7 @@ mod tests {
         let mut fast = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
         let mut slow = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
         for i in 0..10 {
-            producer.send(&batch(i as f64)).expect("send");
+            send(&producer, i as f64);
         }
         assert_eq!(fast.poll(10, Duration::ZERO).expect("poll").len(), 10);
         assert_eq!(slow.poll(4, Duration::ZERO).expect("poll").len(), 4);
@@ -439,7 +419,7 @@ mod tests {
         let mut live = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
         let stalled = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
         for i in 0..5 {
-            producer.send(&batch(i as f64)).expect("send");
+            send(&producer, i as f64);
         }
         assert_eq!(live.poll(10, Duration::ZERO).expect("poll").len(), 5);
         assert!(live.poll(10, Duration::ZERO).expect("poll").is_empty());
@@ -462,8 +442,8 @@ mod tests {
         // Partition 0 has a subscriber, partition 1 has none.
         let mut consumer = Consumer::subscribe(Arc::clone(&topic), &[0], StartOffset::Earliest);
         for i in 0..5 {
-            producer.send_to(0, &batch(i as f64), 0).expect("send");
-            producer.send_to(1, &batch(i as f64), 0).expect("send");
+            producer.send_v2_to(0, &batch(i as f64), 0).expect("send");
+            producer.send_v2_to(1, &batch(i as f64), 0).expect("send");
             consumer.poll(10, Duration::ZERO).expect("poll");
         }
         let unread = &topic.partitions()[1];
@@ -486,7 +466,7 @@ mod tests {
         let (_b, topic, producer) = setup(1);
         let mut first = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
         for i in 0..6 {
-            producer.send(&batch(i as f64)).expect("send");
+            send(&producer, i as f64);
         }
         assert_eq!(first.poll(4, Duration::ZERO).expect("poll").len(), 4);
         assert_eq!(first.poll(1, Duration::ZERO).expect("poll").len(), 1);
@@ -501,22 +481,25 @@ mod tests {
     fn handed_out_records_outlive_the_log_entry() {
         let (_b, topic, producer) = setup(1);
         let mut consumer = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
-        producer.send(&batch(42.0)).expect("send");
+        send(&producer, 42.0);
         let kept = consumer.poll(10, Duration::ZERO).expect("poll");
         assert!(consumer.poll(10, Duration::ZERO).expect("poll").is_empty());
         assert!(topic.is_empty(), "the log has dropped the record");
-        let decoded = decode_batch(&kept[0].value).expect("payload still readable");
-        assert_eq!(decoded.items[0].value, 42.0);
+        let decoded = decode_columns(&kept[0].value).expect("payload still readable");
+        assert_eq!(decoded.values, [42.0]);
     }
 
     #[test]
     fn subscription_subset() {
         let (_b, topic, producer) = setup(3);
-        producer.send_to(0, &batch(0.0), 0).expect("send");
-        producer.send_to(1, &batch(1.0), 0).expect("send");
-        producer.send_to(2, &batch(2.0), 0).expect("send");
+        producer.send_v2_to(0, &batch(0.0), 0).expect("send");
+        producer.send_v2_to(1, &batch(1.0), 0).expect("send");
+        producer.send_v2_to(2, &batch(2.0), 0).expect("send");
         let mut consumer = Consumer::subscribe(topic, &[1], StartOffset::Earliest);
-        assert_eq!(consumer.assignment(), vec![1]);
+        assert_eq!(
+            (consumer.position(0), consumer.position(1)),
+            (None, Some(0))
+        );
         let got = consumer.poll(10, Duration::ZERO).expect("poll");
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].partition, 1);
@@ -526,8 +509,8 @@ mod tests {
     fn lag_counts_unread_records() {
         let (_b, topic, producer) = setup(1);
         let consumer = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
-        producer.send(&batch(1.0)).expect("send");
-        producer.send(&batch(2.0)).expect("send");
+        send(&producer, 1.0);
+        send(&producer, 2.0);
         assert_eq!(consumer.lag(), 2);
     }
 }

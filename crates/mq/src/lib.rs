@@ -24,24 +24,31 @@
 //!    back-pressure: a producer that outruns its readers queues without
 //!    bound up to that cap.
 //! 4. **A wire format** so the network layer can meter real bytes for the
-//!    bandwidth-saving experiment (Figure 7).
+//!    bandwidth-saving experiment (Figure 7): v2 columnar frames for items
+//!    and v3 frames for per-stratum summaries ([`codec`]).
 //!
 //! ## Example
 //!
 //! ```
-//! use approxiot_core::{Batch, StratumId, StreamItem};
+//! use approxiot_core::{ColumnarBatch, StratumId, StreamItem};
+//! use approxiot_mq::codec::decode_columns_into;
 //! use approxiot_mq::{BatchProducer, Broker, Consumer, StartOffset};
 //! use std::time::Duration;
 //!
 //! let broker = Broker::new();
 //! let topic = broker.create_topic("edge-layer-1", 4)?;
 //!
+//! // Each sender owns a partition of its layer's topic.
 //! let producer = BatchProducer::new(topic.clone());
-//! producer.send(&Batch::from_items(vec![StreamItem::new(StratumId::new(0), 21.5)]))?;
+//! let mut frame = ColumnarBatch::new();
+//! frame.push(StreamItem::new(StratumId::new(0), 21.5));
+//! producer.send_columns_to(2, &frame, 0)?;
 //!
 //! let mut consumer = Consumer::subscribe_all(topic, StartOffset::Earliest);
-//! let batches = consumer.poll_batches(16, Duration::from_millis(10))?;
-//! assert_eq!(batches[0].1.items[0].value, 21.5);
+//! let records = consumer.poll(16, Duration::from_millis(10))?;
+//! let mut received = ColumnarBatch::new();
+//! decode_columns_into(&records[0].value, &mut received)?;
+//! assert_eq!(received.values, [21.5]);
 //! # Ok::<(), approxiot_mq::MqError>(())
 //! ```
 

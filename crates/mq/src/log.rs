@@ -233,11 +233,6 @@ impl PartitionLog {
         self.state.lock().closed = true;
         self.appended.notify_all();
     }
-
-    /// Returns `true` once the log is closed.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
-    }
 }
 
 #[cfg(test)]
@@ -338,7 +333,6 @@ mod tests {
             log.read_from(1, 10, Duration::from_secs(5)).unwrap_err(),
             MqError::Closed
         );
-        assert!(log.is_closed());
     }
 
     #[test]

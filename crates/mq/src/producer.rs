@@ -1,8 +1,7 @@
 //! Producers: typed convenience handles for publishing batches.
 
 use crate::codec::{
-    encode_batch_into, encode_batch_v2_into, encode_batch_v2_stamped_into, encode_columns_into,
-    encode_summaries_into,
+    encode_batch_v2_into, encode_batch_v2_stamped_into, encode_columns_into, encode_summaries_into,
 };
 use crate::error::MqError;
 use crate::record::ProducerRecord;
@@ -13,15 +12,17 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Publishes [`Batch`]es to a topic, encoding them with the wire codec and
-/// metering bytes produced (for the bandwidth experiments).
+/// Publishes batches to partitions of a topic, encoding them with the wire
+/// codec and metering bytes produced (for the bandwidth experiments).
+/// Every send names its partition: each sender in a topology owns one
+/// partition of its layer's topic.
 ///
-/// Encoding runs through a producer-owned scratch buffer
-/// ([`crate::codec::encode_batch_into`]), so the only per-send allocation
-/// is the shared immutable payload handed to the partition — which the
-/// partition frees again once its readers have polled past it (see
-/// [`crate::PartitionLog`]). The scratch itself never shrinks and stops
-/// growing once it has seen the largest frame the producer sends.
+/// Encoding runs through a producer-owned scratch buffer, so the only
+/// per-send allocation is the shared immutable payload handed to the
+/// partition — which the partition frees again once its readers have
+/// polled past it (see [`crate::PartitionLog`]). The scratch itself never
+/// shrinks and stops growing once it has seen the largest frame the
+/// producer sends.
 ///
 /// # Examples
 ///
@@ -32,7 +33,8 @@ use std::sync::Arc;
 /// let broker = Broker::new();
 /// let topic = broker.create_topic("layer-1", 1)?;
 /// let producer = BatchProducer::new(topic);
-/// producer.send(&Batch::from_items(vec![StreamItem::new(StratumId::new(0), 1.0)]))?;
+/// let batch = Batch::from_items(vec![StreamItem::new(StratumId::new(0), 1.0)]);
+/// producer.send_v2_to(0, &batch, 0)?;
 /// assert!(producer.bytes_sent() > 0);
 /// # Ok::<(), approxiot_mq::MqError>(())
 /// ```
@@ -45,7 +47,6 @@ pub struct BatchProducer {
     scratch: Mutex<BytesMut>,
     bytes_sent: AtomicU64,
     batches_sent: AtomicU64,
-    items_sent: AtomicU64,
 }
 
 impl BatchProducer {
@@ -56,7 +57,6 @@ impl BatchProducer {
             scratch: Mutex::new(BytesMut::new()),
             bytes_sent: AtomicU64::new(0),
             batches_sent: AtomicU64::new(0),
-            items_sent: AtomicU64::new(0),
         }
     }
 
@@ -68,29 +68,23 @@ impl BatchProducer {
         Bytes::copy_from_slice(&scratch)
     }
 
-    /// The one send body: meters `value` as one frame of `items` items and
-    /// appends it to `partition` (`None` = the topic's next round-robin
-    /// partition).
+    /// The one send body: meters `value` as one frame and appends it to
+    /// `partition`.
     fn send_frame(
         &self,
-        partition: Option<u32>,
-        items: u64,
+        partition: u32,
         timestamp: u64,
         value: Bytes,
     ) -> Result<(u32, u64), MqError> {
         self.bytes_sent
             .fetch_add(value.len() as u64, Ordering::Relaxed);
         self.batches_sent.fetch_add(1, Ordering::Relaxed);
-        self.items_sent.fetch_add(items, Ordering::Relaxed);
         let record = ProducerRecord {
             key: None,
             value,
             timestamp,
         };
-        match partition {
-            Some(partition) => self.topic.append_to(partition, record),
-            None => self.topic.append(record),
-        }
+        self.topic.append_to(partition, record)
     }
 
     /// The topic this producer publishes to.
@@ -98,44 +92,8 @@ impl BatchProducer {
         &self.topic
     }
 
-    /// Encodes and publishes one batch, returning `(partition, offset)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MqError::Closed`] once the topic is closed.
-    pub fn send(&self, batch: &Batch) -> Result<(u32, u64), MqError> {
-        self.send_at(batch, 0)
-    }
-
-    /// Publishes a batch stamped with an event timestamp (nanoseconds).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MqError::Closed`] once the topic is closed.
-    pub fn send_at(&self, batch: &Batch, timestamp: u64) -> Result<(u32, u64), MqError> {
-        let value = self.encode(|buf| encode_batch_into(batch, buf));
-        self.send_frame(None, batch.len() as u64, timestamp, value)
-    }
-
-    /// Publishes to a specific partition (used when each source owns a
-    /// partition).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MqError::PartitionOutOfRange`] or [`MqError::Closed`].
-    pub fn send_to(
-        &self,
-        partition: u32,
-        batch: &Batch,
-        timestamp: u64,
-    ) -> Result<(u32, u64), MqError> {
-        let value = self.encode(|buf| encode_batch_into(batch, buf));
-        self.send_frame(Some(partition), batch.len() as u64, timestamp, value)
-    }
-
     /// Publishes a columnar batch to a specific partition as a **v2**
-    /// frame — same scratch reuse and metering as [`Self::send_to`], with
-    /// the encode reduced to four bulk column copies.
+    /// frame, the encode reduced to four bulk column copies.
     ///
     /// # Errors
     ///
@@ -147,14 +105,14 @@ impl BatchProducer {
         timestamp: u64,
     ) -> Result<(u32, u64), MqError> {
         let value = self.encode(|buf| encode_columns_into(batch, buf));
-        self.send_frame(Some(partition), batch.len() as u64, timestamp, value)
+        self.send_frame(partition, timestamp, value)
     }
 
     /// Publishes an already-encoded frame to a specific partition as is:
     /// the record shares `value`'s allocation (a refcount bump — no
     /// encode, no copy) and is metered exactly as the encode-send that
-    /// produced those bytes would have been, as one frame of `items`
-    /// items. This is how a native node forwards what it received.
+    /// produced those bytes would have been. This is how a native node
+    /// forwards what it received.
     ///
     /// # Errors
     ///
@@ -163,10 +121,9 @@ impl BatchProducer {
         &self,
         partition: u32,
         value: Bytes,
-        items: usize,
         timestamp: u64,
     ) -> Result<(u32, u64), MqError> {
-        self.send_frame(Some(partition), items as u64, timestamp, value)
+        self.send_frame(partition, timestamp, value)
     }
 
     /// Publishes an **AoS** batch to a specific partition as a **v2**
@@ -183,7 +140,7 @@ impl BatchProducer {
         timestamp: u64,
     ) -> Result<(u32, u64), MqError> {
         let value = self.encode(|buf| encode_batch_v2_into(batch, buf));
-        self.send_frame(Some(partition), batch.len() as u64, timestamp, value)
+        self.send_frame(partition, timestamp, value)
     }
 
     /// [`Self::send_v2_to`] with every item's `source_ts` written as
@@ -203,14 +160,12 @@ impl BatchProducer {
         timestamp: u64,
     ) -> Result<(u32, u64), MqError> {
         let value = self.encode(|buf| encode_batch_v2_stamped_into(batch, source_ts, buf));
-        self.send_frame(Some(partition), batch.len() as u64, timestamp, value)
+        self.send_frame(partition, timestamp, value)
     }
 
     /// Publishes per-window stratum summaries to a specific partition as
     /// a **v3** summary frame — one frame per sketch node per interval,
     /// with the same scratch reuse and byte metering as the item senders.
-    /// Items-sent counts the summaries' exact observed item counts, so
-    /// the meter stays comparable across strategies.
     ///
     /// # Errors
     ///
@@ -223,9 +178,8 @@ impl BatchProducer {
         windows: &[(u64, StratumSummaries)],
         timestamp: u64,
     ) -> Result<(u32, u64), MqError> {
-        let items = windows.iter().map(|(_, s)| s.count()).sum();
         let value = self.encode(|buf| encode_summaries_into(config, seed, windows, buf));
-        self.send_frame(Some(partition), items, timestamp, value)
+        self.send_frame(partition, timestamp, value)
     }
 
     /// Total encoded bytes published.
@@ -236,11 +190,6 @@ impl BatchProducer {
     /// Total batches published.
     pub fn batches_sent(&self) -> u64 {
         self.batches_sent.load(Ordering::Relaxed)
-    }
-
-    /// Total items published (pre-encoding count).
-    pub fn items_sent(&self) -> u64 {
-        self.items_sent.load(Ordering::Relaxed)
     }
 }
 
@@ -258,14 +207,17 @@ mod tests {
 
     #[test]
     fn send_meters_bytes_and_counts() {
+        use crate::codec::encoded_len_v2;
         let broker = Broker::new();
         let topic = broker.create_topic("t", 1).expect("create");
         let producer = BatchProducer::new(topic);
-        producer.send(&batch(3)).expect("send");
-        producer.send(&batch(5)).expect("send");
+        producer.send_v2_to(0, &batch(3), 0).expect("send");
+        producer.send_v2_to(0, &batch(5), 0).expect("send");
         assert_eq!(producer.batches_sent(), 2);
-        assert_eq!(producer.items_sent(), 8);
-        assert!(producer.bytes_sent() > 0);
+        assert_eq!(
+            producer.bytes_sent(),
+            (encoded_len_v2(&batch(3)) + encoded_len_v2(&batch(5))) as u64
+        );
     }
 
     #[test]
@@ -273,9 +225,9 @@ mod tests {
         let broker = Broker::new();
         let topic = broker.create_topic("t", 1).expect("create");
         let producer = BatchProducer::new(topic);
-        producer.send(&batch(10)).expect("send");
+        producer.send_v2_to(0, &batch(10), 0).expect("send");
         let after_small = producer.bytes_sent();
-        producer.send(&batch(100)).expect("send");
+        producer.send_v2_to(0, &batch(100), 0).expect("send");
         let big = producer.bytes_sent() - after_small;
         assert!(
             big > after_small,
@@ -288,10 +240,10 @@ mod tests {
         let broker = Broker::new();
         let topic = broker.create_topic("t", 1).expect("create");
         let producer = BatchProducer::new(topic);
-        producer.send(&batch(100)).expect("send");
+        producer.send_v2_to(0, &batch(100), 0).expect("send");
         let warm = producer.scratch.lock().capacity();
         for _ in 0..50 {
-            producer.send(&batch(100)).expect("send");
+            producer.send_v2_to(0, &batch(100), 0).expect("send");
         }
         assert_eq!(
             producer.scratch.lock().capacity(),
@@ -299,7 +251,7 @@ mod tests {
             "steady state: the encode buffer is reused, not regrown"
         );
         // Smaller frames reuse the same buffer too.
-        producer.send(&batch(1)).expect("send");
+        producer.send_v2_to(0, &batch(1), 0).expect("send");
         assert_eq!(producer.scratch.lock().capacity(), warm);
     }
 
@@ -308,10 +260,13 @@ mod tests {
         let broker = Broker::new();
         let topic = broker.create_topic("t", 3).expect("create");
         let producer = BatchProducer::new(Arc::clone(&topic));
-        let (p, _) = producer.send_to(2, &batch(1), 7).expect("send");
+        let (p, _) = producer.send_v2_to(2, &batch(1), 7).expect("send");
         assert_eq!(p, 2);
         assert_eq!(topic.partition(2).expect("partition").len(), 1);
-        assert!(producer.send_to(9, &batch(1), 0).is_err());
+        assert!(producer.send_v2_to(9, &batch(1), 0).is_err());
+        assert!(producer
+            .send_columns_to(3, &ColumnarBatch::from_batch(&batch(1)), 0)
+            .is_err());
     }
 
     #[test]
@@ -324,7 +279,6 @@ mod tests {
         let (p, _) = producer.send_columns_to(1, &cols, 3).expect("send");
         assert_eq!(p, 1);
         assert_eq!(producer.batches_sent(), 1);
-        assert_eq!(producer.items_sent(), 4);
         assert_eq!(producer.bytes_sent(), encoded_len_columns(&cols) as u64);
         let record = topic
             .partition(1)
@@ -350,9 +304,7 @@ mod tests {
             .pop()
             .expect("one record");
         let relay = BatchProducer::new(Arc::clone(&output));
-        let (p, _) = relay
-            .relay_to(1, received.value.clone(), cols.len(), 8)
-            .expect("relay");
+        let (p, _) = relay.relay_to(1, received.value.clone(), 8).expect("relay");
         assert_eq!(p, 1);
         let relayed = output.partitions()[1]
             .read_from(0, 1, std::time::Duration::ZERO)
@@ -366,12 +318,8 @@ mod tests {
         );
         assert_eq!(relayed.timestamp, 8, "the record metadata is re-stamped");
         assert_eq!(
-            (relay.bytes_sent(), relay.batches_sent(), relay.items_sent()),
-            (
-                encoder.bytes_sent(),
-                encoder.batches_sent(),
-                encoder.items_sent()
-            ),
+            (relay.bytes_sent(), relay.batches_sent()),
+            (encoder.bytes_sent(), encoder.batches_sent()),
         );
     }
 
@@ -405,7 +353,6 @@ mod tests {
         producer
             .send_v2_stamped_to(0, &batch(3), 77, 99)
             .expect("send");
-        assert_eq!(producer.items_sent(), 3);
         let record = topic.partitions()[0]
             .read_from(0, 1, std::time::Duration::ZERO)
             .expect("read")
@@ -435,7 +382,6 @@ mod tests {
             .expect("send");
         assert_eq!(p, 1);
         assert_eq!(producer.batches_sent(), 1);
-        assert_eq!(producer.items_sent(), 12, "exact observed count");
         assert_eq!(
             producer.bytes_sent(),
             encoded_len_summaries(&windows) as u64
@@ -457,6 +403,9 @@ mod tests {
         let topic = broker.create_topic("t", 1).expect("create");
         let producer = BatchProducer::new(topic);
         broker.close();
-        assert!(matches!(producer.send(&batch(1)), Err(MqError::Closed)));
+        assert!(matches!(
+            producer.send_v2_to(0, &batch(1), 0),
+            Err(MqError::Closed)
+        ));
     }
 }

@@ -15,26 +15,18 @@ pub struct Record {
     pub offset: u64,
     /// Producer-supplied event time (nanoseconds).
     pub timestamp: u64,
-    /// Optional partitioning key.
+    /// The producer's key, if any, as it was appended.
     pub key: Option<Bytes>,
     /// The payload.
     pub value: Bytes,
-}
-
-impl Record {
-    /// Total payload size in bytes (key + value), used by the network layer
-    /// for bytes-on-wire accounting.
-    pub fn payload_len(&self) -> usize {
-        self.key.as_ref().map_or(0, |k| k.len()) + self.value.len()
-    }
 }
 
 /// A record as handed to the broker by a producer (before offset
 /// assignment).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ProducerRecord {
-    /// Optional partitioning key; records with the same key land in the
-    /// same partition.
+    /// Optional key, stored with the record. It does not choose the
+    /// partition: the producer names that ([`crate::Topic::append_to`]).
     pub key: Option<Bytes>,
     /// The payload.
     pub value: Bytes,
@@ -52,7 +44,7 @@ impl ProducerRecord {
         }
     }
 
-    /// Sets the partitioning key.
+    /// Sets the key.
     pub fn with_key(mut self, key: impl Into<Bytes>) -> Self {
         self.key = Some(key.into());
         self
@@ -77,19 +69,5 @@ mod tests {
         assert_eq!(r.key.as_deref(), Some(&b"k"[..]));
         assert_eq!(r.value.as_ref(), b"payload");
         assert_eq!(r.timestamp, 42);
-    }
-
-    #[test]
-    fn payload_len_counts_key_and_value() {
-        let rec = Record {
-            partition: 0,
-            offset: 0,
-            timestamp: 0,
-            key: Some(Bytes::from_static(b"ab")),
-            value: Bytes::from_static(b"cdef"),
-        };
-        assert_eq!(rec.payload_len(), 6);
-        let no_key = Record { key: None, ..rec };
-        assert_eq!(no_key.payload_len(), 4);
     }
 }

@@ -1,17 +1,16 @@
-//! Topics: named groups of partitions; keyless records rotate through them.
+//! Topics: named groups of partitions, each written by index.
 
 use crate::error::MqError;
 use crate::log::PartitionLog;
 use crate::record::{ProducerRecord, Record};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A named, partitioned log.
+/// A named, partitioned log. Every append names its partition: each
+/// sender in a topology owns one partition of its layer's topic.
 #[derive(Debug)]
 pub struct Topic {
     name: String,
     partitions: Vec<Arc<PartitionLog>>,
-    round_robin: AtomicU64,
 }
 
 impl Topic {
@@ -28,7 +27,6 @@ impl Topic {
             partitions: (0..partitions)
                 .map(|i| Arc::new(PartitionLog::new(i, retention)))
                 .collect(),
-            round_robin: AtomicU64::new(0),
         }
     }
 
@@ -68,28 +66,8 @@ impl Topic {
         &self.partitions
     }
 
-    /// Chooses the partition for a record: keyed records hash their key,
-    /// keyless records rotate through the partitions.
-    pub fn partition_for(&self, record: &ProducerRecord) -> u32 {
-        let n = self.partitions.len() as u64;
-        match &record.key {
-            Some(key) => (fnv1a(key) % n) as u32,
-            None => (self.round_robin.fetch_add(1, Ordering::Relaxed) % n) as u32,
-        }
-    }
-
-    /// Appends a producer record to its chosen partition, returning
+    /// Appends a producer record to `partition`, returning
     /// `(partition, offset)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MqError::Closed`] after the topic is closed.
-    pub fn append(&self, record: ProducerRecord) -> Result<(u32, u64), MqError> {
-        let partition = self.partition_for(&record);
-        self.append_to(partition, record)
-    }
-
-    /// Appends to an explicit partition.
     ///
     /// # Errors
     ///
@@ -123,17 +101,6 @@ impl Topic {
     }
 }
 
-/// FNV-1a hash for key partitioning (stable across runs, unlike `std`'s
-/// randomly seeded hasher — tests and reproductions need determinism).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,27 +110,6 @@ mod tests {
     #[should_panic(expected = "at least one partition")]
     fn zero_partitions_rejected() {
         Topic::new("t", 0, usize::MAX);
-    }
-
-    #[test]
-    fn round_robin_spreads_records() {
-        let topic = Topic::new("t", 3, usize::MAX);
-        let mut hit = [0usize; 3];
-        for _ in 0..9 {
-            let (p, _) = topic
-                .append(ProducerRecord::new(&b"x"[..]))
-                .expect("append");
-            hit[p as usize] += 1;
-        }
-        assert_eq!(hit, [3, 3, 3]);
-    }
-
-    #[test]
-    fn keyed_records_are_stable() {
-        let topic = Topic::new("t", 4, usize::MAX);
-        let p1 = topic.partition_for(&ProducerRecord::new(&b"v"[..]).with_key(&b"sensor-7"[..]));
-        let p2 = topic.partition_for(&ProducerRecord::new(&b"w"[..]).with_key(&b"sensor-7"[..]));
-        assert_eq!(p1, p2, "same key, same partition");
     }
 
     #[test]
@@ -181,14 +127,16 @@ mod tests {
 
     #[test]
     fn append_then_read_roundtrip() {
-        let topic = Topic::new("t", 1, usize::MAX);
-        let (p, o) = topic
-            .append(ProducerRecord::new(&b"hello"[..]).with_timestamp(5))
-            .expect("append");
-        assert_eq!((p, o), (0, 0));
-        let log = topic.partition(0).expect("partition");
+        let topic = Topic::new("t", 2, usize::MAX);
+        let record = ProducerRecord::new(&b"hello"[..])
+            .with_key(&b"sensor-7"[..])
+            .with_timestamp(5);
+        let (p, o) = topic.append_to(1, record).expect("append");
+        assert_eq!((p, o), (1, 0));
+        let log = topic.partition(1).expect("partition");
         let got = log.read_from(0, 10, Duration::ZERO).expect("read");
         assert_eq!(got[0].value.as_ref(), b"hello");
+        assert_eq!(got[0].key.as_deref(), Some(&b"sensor-7"[..]));
         assert_eq!(got[0].timestamp, 5);
         assert_eq!(topic.len(), 1);
         assert!(!topic.is_empty());
@@ -199,14 +147,8 @@ mod tests {
         let topic = Topic::new("t", 2, usize::MAX);
         topic.close();
         assert!(matches!(
-            topic.append(ProducerRecord::new(&b"x"[..])),
+            topic.append_to(1, ProducerRecord::new(&b"x"[..])),
             Err(MqError::Closed)
         ));
-    }
-
-    #[test]
-    fn fnv_is_deterministic() {
-        assert_eq!(fnv1a(b"abc"), fnv1a(b"abc"));
-        assert_ne!(fnv1a(b"abc"), fnv1a(b"abd"));
     }
 }

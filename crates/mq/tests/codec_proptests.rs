@@ -1,36 +1,39 @@
-//! Fuzz-style property tests for the columnar v2 wire frame.
+//! Fuzz-style property tests for the v2 item and v3 summary wire frames.
 //!
-//! Four invariants pin the codec against the v1 path:
+//! Four invariants pin the item codec:
 //!
-//! 1. **Cross-layout equality** — the same logical batch encoded as an AoS
-//!    v1 frame and as a columnar v2 frame decodes to identical contents,
-//!    whichever decoder (layout-specific or version-sniffing) reads it.
+//! 1. **Entry-point equality** — the same logical batch encoded through
+//!    the columnar and the AoS entry points gives the same bytes, and
+//!    every decoder reads it back to the same contents.
 //! 2. **Prefix rejection** — every strict prefix of a valid v2 frame fails
 //!    to decode; there are no partial reads.
 //! 3. **No panics on garbage** — arbitrary bytes never panic any decoder;
 //!    they either decode (vanishingly unlikely) or return an error.
-//! 4. **Cross-version rejection** — the v1 decoder names the v2 frame it
-//!    refuses, and vice versa, so misrouted frames fail loudly rather than
-//!    silently misparse.
+//! 4. **Cross-version rejection** — every decoder names the frame version
+//!    it refuses, the retired v1 item layout included, so misrouted or
+//!    stale frames fail loudly rather than silently misparse.
 //!
 //! The same invariants extend to the v3 summary frame: round-trip over
 //! arbitrary observation multisets, every-prefix rejection, garbage never
-//! panics, and three-way cross-version rejection by name.
+//! panics, and cross-version rejection by name.
 //!
 //! Two more hold up the native relay, which forwards a received v2 frame
 //! without decoding it: `frame_items` accepts and refuses exactly the
 //! bytes `decode_columns` does (counting the same items), and the v2
 //! encoding is canonical — decoding an encoder-produced frame and
 //! encoding the result gives back the same bytes.
+//!
+//! `tests/proptests.rs` holds the rest of the v2 robustness properties:
+//! rejection at every prefix length, bit-flip corruption, arbitrary
+//! bytes, and recycled buffers matching the one-shot paths.
 
 use approxiot_core::{
     Batch, ColumnarBatch, SketchConfig, StratumId, StratumSummaries, StreamItem, WeightMap,
 };
 use approxiot_mq::codec::{
-    decode_batch, decode_batch_any_into, decode_batch_into, decode_columns, decode_columns_into,
-    decode_summaries, decode_summaries_into, encode_batch, encode_batch_v2_into,
-    encode_batch_v2_stamped_into, encode_columns, encode_columns_into, encode_summaries,
-    encoded_len_columns, encoded_len_summaries, encoded_len_v2, frame_items,
+    decode_batch_any_into, decode_columns, decode_columns_into, decode_summaries,
+    encode_batch_v2_into, encode_batch_v2_stamped_into, encode_columns, encode_columns_into,
+    encode_summaries_into, encoded_len_columns, encoded_len_summaries, encoded_len_v2, frame_items,
 };
 use approxiot_mq::MqError;
 use bytes::BytesMut;
@@ -91,6 +94,13 @@ fn counts_agree(bytes: &[u8]) {
     prop_assert_eq!(frame_items(bytes), decoded, "on {:?}", bytes);
 }
 
+/// `windows` as a v3 frame.
+fn summary_frame(config: SketchConfig, seed: u64, windows: &[(u64, StratumSummaries)]) -> Vec<u8> {
+    let mut buf = BytesMut::new();
+    encode_summaries_into(config, seed, windows, &mut buf);
+    buf.to_vec()
+}
+
 /// Window summaries built from an arbitrary observation multiset under a
 /// small arbitrary config.
 fn arb_summaries() -> impl Strategy<Value = (SketchConfig, u64, Vec<(u64, StratumSummaries)>)> {
@@ -122,33 +132,23 @@ fn arb_summaries() -> impl Strategy<Value = (SketchConfig, u64, Vec<(u64, Stratu
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// v1 and v2 frames of the same batch decode to equal contents, via
-    /// every decoder entry point, and the v2 length prediction holds.
+    /// The columnar and AoS entry points encode the same v2 bytes, the
+    /// length predictions hold, and both decoders read the frame back.
     #[test]
-    fn v2_roundtrip_matches_v1(batch in arb_batch()) {
-        let v1 = encode_batch(&batch);
+    fn v2_roundtrip_matches_every_decoder(batch in arb_batch()) {
         let columns = ColumnarBatch::from_batch(&batch);
         let v2 = encode_columns(&columns);
         prop_assert_eq!(v2.len(), encoded_len_columns(&columns));
         prop_assert_eq!(v2.len(), encoded_len_v2(&batch));
 
-        // The AoS entry point emits the same bytes as the columnar one.
         let mut buf = BytesMut::new();
         encode_batch_v2_into(&batch, &mut buf);
         prop_assert_eq!(&buf[..], &v2[..]);
 
-        // Layout-specific decoders agree across layouts.
-        let from_v1 = decode_batch(&v1).expect("well-formed v1 frame");
-        let from_v2 = decode_columns(&v2).expect("well-formed v2 frame");
-        prop_assert_eq!(&from_v2.to_batch(), &from_v1);
-        prop_assert_eq!(&from_v1, &batch);
-
-        // The version-sniffing decoder accepts both and agrees too.
-        let mut any = Batch::new();
-        decode_batch_any_into(&v1, &mut any).expect("v1 via any");
-        prop_assert_eq!(&any, &batch);
-        decode_batch_any_into(&v2, &mut any).expect("v2 via any");
-        prop_assert_eq!(&any, &batch);
+        prop_assert_eq!(&decode_columns(&v2).expect("well-formed v2 frame"), &columns);
+        let mut aos = Batch::new();
+        decode_batch_any_into(&v2, &mut aos).expect("well-formed v2 frame");
+        prop_assert_eq!(&aos, &batch);
     }
 
     /// The stamped encoder is byte-identical to clone → stamp → encode,
@@ -198,10 +198,8 @@ proptest! {
         let mut columns = ColumnarBatch::new();
         let _ = decode_columns_into(&bytes, &mut columns);
         let mut batch = Batch::new();
-        let _ = decode_batch_into(&bytes, &mut batch);
         let _ = decode_batch_any_into(&bytes, &mut batch);
-        let mut windows = Vec::new();
-        let _ = decode_summaries_into(&bytes, &mut windows);
+        let _ = decode_summaries(&bytes);
     }
 
     /// On arbitrary bytes, and on arbitrary bytes behind a v2 header,
@@ -274,8 +272,7 @@ proptest! {
     ) {
         let mut frame = vec![0x07, 0xA1, version];
         frame.extend_from_slice(&bytes);
-        let mut windows = Vec::new();
-        let _ = decode_summaries_into(&frame, &mut windows);
+        let _ = decode_summaries(&frame);
         let mut batch = Batch::new();
         let _ = decode_batch_any_into(&frame, &mut batch);
     }
@@ -285,22 +282,19 @@ proptest! {
     #[test]
     fn v3_roundtrip_preserves_summaries(arb in arb_summaries()) {
         let (config, seed, windows) = arb;
-        let frame = encode_summaries(config, seed, &windows);
+        let frame = summary_frame(config, seed, &windows);
         prop_assert_eq!(frame.len(), encoded_len_summaries(&windows));
         let decoded = decode_summaries(&frame).expect("well-formed v3 frame");
         prop_assert_eq!(decoded, windows);
     }
 
-    /// Every strict prefix of a v3 frame is rejected, and the recycled
-    /// output vector comes back empty after the failure.
+    /// Every strict prefix of a v3 frame is rejected.
     #[test]
     fn v3_rejects_every_prefix(arb in arb_summaries(), cut in 0usize..4096) {
         let (config, seed, windows) = arb;
-        let frame = encode_summaries(config, seed, &windows);
+        let frame = summary_frame(config, seed, &windows);
         let len = cut % frame.len(); // frame is never empty (header + counts)
-        let mut out = windows.clone(); // stale contents
-        prop_assert!(decode_summaries_into(&frame[..len], &mut out).is_err());
-        prop_assert!(out.is_empty(), "failed decode must clear the output");
+        prop_assert!(decode_summaries(&frame[..len]).is_err());
     }
 
     /// Misrouted v3 frames are rejected by name from every item decoder,
@@ -308,39 +302,49 @@ proptest! {
     #[test]
     fn v3_cross_version_frames_rejected_by_name(batch in arb_batch(), arb in arb_summaries()) {
         let (config, seed, windows) = arb;
-        let v3 = encode_summaries(config, seed, &windows);
+        let v3 = summary_frame(config, seed, &windows);
 
         let mut aos = Batch::new();
-        let err = decode_batch_into(&v3, &mut aos).expect_err("v3 into v1 decoder");
-        prop_assert!(err.to_string().contains("summary v3 frame"), "got: {err}");
         let err = decode_batch_any_into(&v3, &mut aos).expect_err("v3 into any-decoder");
         prop_assert!(err.to_string().contains("summary v3 frame"), "got: {err}");
         let mut columns = ColumnarBatch::new();
         let err = decode_columns_into(&v3, &mut columns).expect_err("v3 into columnar");
         prop_assert!(err.to_string().contains("summary v3 frame"), "got: {err}");
+        let err = frame_items(&v3).expect_err("v3 into frame_items");
+        prop_assert!(err.to_string().contains("summary v3 frame"), "got: {err}");
 
-        let err = decode_summaries(&encode_batch(&batch)).expect_err("v1 into summary decoder");
-        prop_assert!(err.to_string().contains("AoS v1 frame"), "got: {err}");
         let v2 = encode_columns(&ColumnarBatch::from_batch(&batch));
         let err = decode_summaries(&v2).expect_err("v2 into summary decoder");
         prop_assert!(err.to_string().contains("columnar v2 frame"), "got: {err}");
     }
 
-    /// Misrouted frames are rejected with an error naming the other
-    /// version, for any batch shape.
+    /// A frame whose version byte is 1 — the retired AoS item layout — is
+    /// refused by every decoder with a `MqError::Codec` naming it, whatever
+    /// follows the header, and the recycled outputs come back cleared.
     #[test]
-    fn cross_version_frames_rejected_by_name(batch in arb_batch()) {
-        let v1 = encode_batch(&batch);
-        let v2 = encode_columns(&ColumnarBatch::from_batch(&batch));
-
-        let mut columns = ColumnarBatch::from_batch(&batch);
-        let err = decode_columns_into(&v1, &mut columns).expect_err("v1 into columnar");
-        prop_assert!(err.to_string().contains("AoS v1 frame"), "got: {err}");
-        prop_assert!(columns.is_empty());
-
-        let mut aos = Batch::new();
-        let err = decode_batch_into(&v2, &mut aos).expect_err("v2 into v1 decoder");
-        prop_assert!(err.to_string().contains("columnar v2 frame"), "got: {err}");
-        prop_assert!(aos.is_empty());
+    fn cross_version_frames_rejected_by_name(
+        batch in arb_batch(),
+        body in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        let mut relabelled = encode_columns(&ColumnarBatch::from_batch(&batch)).to_vec();
+        relabelled[2] = 1;
+        let mut stamped = vec![0x07, 0xA1, 1];
+        stamped.extend_from_slice(&body);
+        for v1 in [relabelled, stamped] {
+            let mut columns = ColumnarBatch::from_batch(&batch);
+            let mut aos = batch.clone();
+            let errors = [
+                decode_columns_into(&v1, &mut columns).expect_err("v1 into columnar"),
+                decode_batch_any_into(&v1, &mut aos).expect_err("v1 into the AoS decoder"),
+                frame_items(&v1).expect_err("v1 into frame_items"),
+                decode_summaries(&v1).expect_err("v1 into the summary decoder"),
+            ];
+            for err in errors {
+                let named = matches!(&err, MqError::Codec(m) if m.contains("retired AoS v1 frame"));
+                prop_assert!(named, "got: {err:?}");
+            }
+            prop_assert!(columns.is_empty() && columns.weights.is_empty());
+            prop_assert!(aos.is_empty() && aos.weights.is_empty());
+        }
     }
 }

@@ -1,9 +1,16 @@
-//! Property-based tests on the broker's log, codec and partitioning invariants.
+//! Property-based tests on the broker's log, codec and retention invariants.
+//!
+//! The codec properties run on the v2 item frame through both of its
+//! decoders: `decode_columns{,_into}` for columnar consumers and
+//! `decode_batch_any_into` for AoS ones.
 
-use approxiot_core::{Batch, StratumId, StreamItem, WeightMap};
-use approxiot_mq::codec::{decode_batch, encode_batch, encoded_len};
-use approxiot_mq::{Broker, Consumer, PartitionLog, ProducerRecord, StartOffset};
-use bytes::Bytes;
+use approxiot_core::{Batch, ColumnarBatch, StratumId, StreamItem, WeightMap};
+use approxiot_mq::codec::{
+    decode_batch_any_into, decode_columns, decode_columns_into, encode_batch_v2_into,
+    encode_columns, encoded_len_columns, encoded_len_v2,
+};
+use approxiot_mq::{Broker, Consumer, MqError, PartitionLog, ProducerRecord, StartOffset};
+use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -27,6 +34,32 @@ fn arb_batch() -> impl Strategy<Value = Batch> {
         })
 }
 
+/// `batch` as a v2 frame, through the AoS entry point.
+fn v2_frame(batch: &Batch) -> Vec<u8> {
+    let mut buf = BytesMut::new();
+    encode_batch_v2_into(batch, &mut buf);
+    buf.to_vec()
+}
+
+/// Decodes `frame` through both item decoders, checks that they agree
+/// and that any error is a codec error, and returns the columnar result.
+fn decode_both(frame: &[u8]) -> Result<ColumnarBatch, MqError> {
+    let columns = decode_columns(frame);
+    let mut aos = Batch::new();
+    let any = decode_batch_any_into(frame, &mut aos);
+    match &columns {
+        Ok(c) => {
+            assert_eq!(any, Ok(()));
+            assert_eq!(c.to_batch(), aos);
+        }
+        Err(e) => {
+            assert!(matches!(e, MqError::Codec(_)), "non-codec error: {e}");
+            assert_eq!(any.as_ref(), Err(e));
+        }
+    }
+    columns
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -34,37 +67,39 @@ proptest! {
     /// predicted length matches the frame.
     #[test]
     fn codec_roundtrip_and_length(batch in arb_batch()) {
-        let frame = encode_batch(&batch);
-        prop_assert_eq!(frame.len(), encoded_len(&batch));
-        let decoded = decode_batch(&frame).expect("well-formed frame");
-        prop_assert_eq!(decoded, batch);
+        let frame = v2_frame(&batch);
+        prop_assert_eq!(frame.len(), encoded_len_v2(&batch));
+        let decoded = decode_both(&frame).expect("well-formed frame");
+        prop_assert_eq!(&decoded, &ColumnarBatch::from_batch(&batch));
+        prop_assert_eq!(decoded.to_batch(), batch);
     }
 
     /// Every truncation of a valid frame fails to decode (no partial reads).
     #[test]
     fn codec_rejects_all_truncations(batch in arb_batch(), cut in 0usize..100) {
-        let frame = encode_batch(&batch);
-        if frame.is_empty() {
-            return Ok(());
-        }
-        let len = cut % frame.len();
-        prop_assert!(decode_batch(&frame[..len]).is_err());
+        let frame = v2_frame(&batch);
+        let len = cut % frame.len(); // frame is never empty (header + counts)
+        prop_assert!(decode_both(&frame[..len]).is_err());
     }
 
     /// The buffer-reusing codec paths agree with the one-shot ones: a
-    /// recycled `BytesMut` encodes the same bytes, and a recycled `Batch`
-    /// decodes to the same contents — including when the buffers carry
-    /// stale state from a previous (differently sized) frame.
+    /// recycled `BytesMut` encodes the same bytes, and a recycled batch
+    /// (columnar or AoS) decodes to the same contents — including when
+    /// the buffers carry stale state from a previous (differently sized)
+    /// frame.
     #[test]
     fn codec_reuse_paths_match_one_shot(first in arb_batch(), second in arb_batch()) {
-        let mut buf = bytes::BytesMut::new();
-        let mut recycled = Batch::new();
+        let mut buf = BytesMut::new();
+        let mut columns = ColumnarBatch::new();
+        let mut aos = Batch::new();
         for batch in [&first, &second] {
-            approxiot_mq::codec::encode_batch_into(batch, &mut buf);
-            prop_assert_eq!(&buf[..], &encode_batch(batch)[..]);
-            prop_assert_eq!(buf.len(), encoded_len(batch));
-            approxiot_mq::codec::decode_batch_into(&buf, &mut recycled).expect("well-formed");
-            prop_assert_eq!(&recycled, batch);
+            encode_batch_v2_into(batch, &mut buf);
+            let one_shot = encode_columns(&ColumnarBatch::from_batch(batch));
+            prop_assert_eq!(&buf[..], &one_shot[..]);
+            decode_columns_into(&buf, &mut columns).expect("well-formed");
+            prop_assert_eq!(&columns, &decode_columns(&one_shot).expect("well-formed"));
+            decode_batch_any_into(&buf, &mut aos).expect("well-formed");
+            prop_assert_eq!(&aos, batch);
         }
     }
 
@@ -73,56 +108,49 @@ proptest! {
     /// partially decoded.
     #[test]
     fn codec_rejects_every_prefix_length(batch in arb_batch()) {
-        let frame = encode_batch(&batch);
-        let mut recycled = Batch::new();
+        let frame = v2_frame(&batch);
+        let mut columns = ColumnarBatch::new();
+        let mut aos = Batch::new();
         for len in 0..frame.len() {
+            columns.fill_from_batch(&batch);
             prop_assert!(
-                approxiot_mq::codec::decode_batch_into(&frame[..len], &mut recycled).is_err(),
+                decode_columns_into(&frame[..len], &mut columns).is_err(),
                 "prefix of {len} bytes must not decode"
             );
-            prop_assert!(recycled.is_empty(), "failed decode left items behind");
-            prop_assert!(recycled.weights.is_empty(), "failed decode left weights behind");
+            prop_assert!(columns.is_empty(), "failed decode left items behind");
+            prop_assert!(columns.weights.is_empty(), "failed decode left weights behind");
+            aos.clone_from(&batch);
+            prop_assert!(decode_batch_any_into(&frame[..len], &mut aos).is_err());
+            prop_assert!(aos.is_empty() && aos.weights.is_empty());
         }
     }
 
-    /// Corrupting any single byte of a valid frame never panics the
-    /// decoder: it either errs gracefully with `MqError::Codec` (or an
-    /// equally graceful non-codec error is impossible here) or decodes to
-    /// some batch whose re-encoding is consistent with the frame length.
+    /// Corrupting any single byte of a valid frame never panics either
+    /// decoder: both err with the same `MqError::Codec`, or both decode to
+    /// some batch whose re-encoding round-trips.
     #[test]
     fn codec_corruption_never_panics(batch in arb_batch(), pos in 0usize..2000, flip in 1u8..=255) {
-        let mut frame = encode_batch(&batch).to_vec();
-        if frame.is_empty() {
-            return Ok(());
-        }
+        let mut frame = v2_frame(&batch);
         let pos = pos % frame.len();
         frame[pos] ^= flip;
-        match decode_batch(&frame) {
-            Err(approxiot_mq::MqError::Codec(_)) => {}
-            Err(e) => prop_assert!(false, "corruption surfaced a non-codec error: {e}"),
-            Ok(decoded) => {
-                // A flipped byte can still be a valid frame (e.g. a value
-                // byte changed, or two weight entries' strata collided and
-                // merged), so the re-encoding can only shrink — and must
-                // itself round-trip cleanly.
-                prop_assert!(encoded_len(&decoded) <= frame.len());
-                let reencoded = encode_batch(&decoded);
-                prop_assert_eq!(decode_batch(&reencoded).expect("re-encode decodes"), decoded);
-            }
+        if let Ok(decoded) = decode_both(&frame) {
+            // A flipped byte can still be a valid frame (e.g. a value
+            // byte changed, or two weight entries' strata collided and
+            // merged), so the re-encoding can only shrink — and must
+            // itself round-trip cleanly.
+            prop_assert!(encoded_len_columns(&decoded) <= frame.len());
+            let reencoded = encode_columns(&decoded);
+            prop_assert_eq!(decode_columns(&reencoded).expect("re-encode decodes"), decoded);
         }
     }
 
-    /// Feeding the decoder arbitrary bytes never panics.
+    /// Feeding the decoders arbitrary bytes never panics.
     #[test]
     fn codec_survives_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        match decode_batch(&bytes) {
-            Ok(decoded) => {
-                prop_assert!(encoded_len(&decoded) <= bytes.len());
-                let reencoded = encode_batch(&decoded);
-                prop_assert_eq!(decode_batch(&reencoded).expect("re-encode decodes"), decoded);
-            }
-            Err(approxiot_mq::MqError::Codec(_)) => {}
-            Err(e) => prop_assert!(false, "unexpected error class: {e}"),
+        if let Ok(decoded) = decode_both(&bytes) {
+            prop_assert!(encoded_len_columns(&decoded) <= bytes.len());
+            let reencoded = encode_columns(&decoded);
+            prop_assert_eq!(decode_columns(&reencoded).expect("re-encode decodes"), decoded);
         }
     }
 
@@ -156,7 +184,7 @@ proptest! {
                 }
                 prop_assert!(records.len() <= max);
             }
-            Err(approxiot_mq::MqError::OffsetOutOfRange { earliest, .. }) => {
+            Err(MqError::OffsetOutOfRange { earliest, .. }) => {
                 prop_assert!(read_from < earliest);
             }
             Err(e) => prop_assert!(false, "unexpected error {e}"),
@@ -181,7 +209,7 @@ proptest! {
             match kind {
                 0 | 1 => {
                     for _ in 0..amount {
-                        topic.append(ProducerRecord::new(&b"x"[..])).expect("append");
+                        topic.append_to(0, ProducerRecord::new(&b"x"[..])).expect("append");
                     }
                 }
                 2 if readers.len() < 4 => {
@@ -210,17 +238,5 @@ proptest! {
             }
             prop_assert_eq!(log.len() as u64, log.latest_offset() - log.earliest_offset());
         }
-    }
-
-    /// Keyed records always map to a valid partition, deterministically.
-    #[test]
-    fn keyed_partitioning_is_stable(key in proptest::collection::vec(any::<u8>(), 0..32), partitions in 1u32..32) {
-        let broker = Broker::new();
-        let topic = broker.create_topic("t", partitions).expect("create");
-        let record = ProducerRecord::new(&b"v"[..]).with_key(key.clone());
-        let p1 = topic.partition_for(&record);
-        let p2 = topic.partition_for(&ProducerRecord::new(&b"other"[..]).with_key(key));
-        prop_assert!(p1 < partitions);
-        prop_assert_eq!(p1, p2);
     }
 }

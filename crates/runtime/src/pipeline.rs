@@ -63,11 +63,10 @@
 //! [`SamplingNode::process_columns_parallel`]) and forwards with
 //! [`BatchProducer::send_columns_to`]; the root decodes into one reused
 //! column set and condenses the columns into its `Θ` rows
-//! ([`RootNode::ingest_columns`]). Nothing sends v1 item frames. Sampling
-//! output and the root's rows are bit-identical to the array-of-structs
-//! path (pinned by kernel-, node- and root-level parity tests), so
-//! fixed-seed estimates are unchanged — only the per-item traversal cost
-//! drops.
+//! ([`RootNode::ingest_columns`]). Sampling output and the root's rows
+//! are bit-identical to the array-of-structs path (pinned by kernel-,
+//! node- and root-level parity tests), so fixed-seed estimates are
+//! unchanged — only the per-item traversal cost drops.
 //!
 //! **Native nodes never touch the items.** A native edge node forwards
 //! each received record's payload to its parent topic unchanged
@@ -798,7 +797,7 @@ impl EdgeChurn {
 /// injector, then the link limiter (charged the frame's length), then the
 /// relay. [`frame_items`] makes every structural check a decode would, so
 /// a poisoned stream still stops the node, and supplies the item count
-/// the injector and the producer meter.
+/// the injector meters.
 struct NativeRelay<'a> {
     producer: &'a BatchProducer,
     limiter: Option<RateLimiter>,
@@ -899,12 +898,7 @@ impl NativeRelay<'_> {
                 l.acquire(frame.record.value.len() as u64);
             }
             producer
-                .relay_to(
-                    partition,
-                    frame.record.value.clone(),
-                    frame.items,
-                    stamp(extra),
-                )
+                .relay_to(partition, frame.record.value.clone(), stamp(extra))
                 .is_ok()
         };
         match self.injector {
@@ -1600,8 +1594,7 @@ mod tests {
         poisoned.pop();
         feed.send_columns_to(0, &frame, 0).expect("open");
         feed.send_columns_to(0, &frame, 0).expect("open");
-        feed.relay_to(0, poisoned.into(), frame.len(), 0)
-            .expect("open");
+        feed.relay_to(0, poisoned.into(), 0).expect("open");
         feed.send_columns_to(0, &frame, 0).expect("open");
         let (leaf, done) = spawn_whs_leaf(&input, &output, churn);
         let stopped = done.recv_timeout(Duration::from_secs(10));

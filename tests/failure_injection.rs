@@ -2,6 +2,7 @@
 //! of the pipeline misbehave — slow links, dropped batches, bursty strata,
 //! topic retention pressure.
 
+use approxiot::core::ColumnarBatch;
 use approxiot::mq::{codec, Broker, MqError};
 use approxiot::prelude::*;
 use rand::rngs::StdRng;
@@ -122,7 +123,7 @@ fn slow_consumer_survives_retention_truncation() {
     let mut consumer = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
     for i in 0..100 {
         let batch = Batch::from_items(vec![StreamItem::new(StratumId::new(0), i as f64)]);
-        producer.send(&batch).expect("send");
+        producer.send_v2_to(0, &batch, 0).expect("send");
     }
     let records = consumer.poll(100, Duration::ZERO).expect("poll recovers");
     assert!(!records.is_empty());
@@ -134,13 +135,13 @@ fn slow_consumer_survives_retention_truncation() {
 #[test]
 fn corrupt_frames_are_rejected() {
     let batch = Batch::from_items(vec![StreamItem::new(StratumId::new(0), 1.0)]);
-    let mut frame = codec::encode_batch(&batch).to_vec();
+    let mut frame = codec::encode_columns(&ColumnarBatch::from_batch(&batch)).to_vec();
     frame[10] ^= 0xFF;
     // Either a codec error or (if the flip hit a value byte) a decode that
     // differs — never a panic. Truncation must always error.
-    let _ = codec::decode_batch(&frame);
+    let _ = codec::decode_columns(&frame);
     assert!(matches!(
-        codec::decode_batch(&frame[..frame.len() - 1]),
+        codec::decode_columns(&frame[..frame.len() - 1]),
         Err(MqError::Codec(_))
     ));
 }

@@ -144,8 +144,10 @@ proptest! {
         for s in batch.strata() {
             weighted.weights.set(s, w);
         }
-        let frame = approxiot::mq::codec::encode_batch(&weighted);
-        let decoded = approxiot::mq::codec::decode_batch(&frame).expect("well-formed frame");
+        let columns = approxiot::core::ColumnarBatch::from_batch(&weighted);
+        let frame = approxiot::mq::codec::encode_columns(&columns);
+        let mut decoded = Batch::new();
+        approxiot::mq::codec::decode_batch_any_into(&frame, &mut decoded).expect("well-formed frame");
         prop_assert_eq!(decoded, weighted);
     }
 
