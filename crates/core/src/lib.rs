@@ -70,7 +70,7 @@
 //!   `&[f64]` the compiler auto-vectorizes, Floyd/SRS selection gathers
 //!   survivors **by index** into column outputs
 //!   ([`WhsScratch::sample_columns_into`],
-//!   [`ShardedSampler::sample_columns_with_weights`] with plain
+//!   [`ShardedSampler::sample_columns_with_weights_into`] with plain
 //!   `(start, end)` shard ranges via [`shard_bounds`]), and the wire
 //!   codec's columnar v2 frame encodes/decodes each column as one bulk
 //!   copy.

@@ -148,37 +148,36 @@ impl ShardedSampler {
     }
 
     /// Samples a columnar view across all shards with resolved input
-    /// weights. Shard `idx` samples `input.range(start, end)` with the
-    /// [`shard_bounds`] cut — the same partition [`shard_slice`] makes —
-    /// with the same per-shard RNG and budget as
-    /// [`ShardedSampler::sample_with_weights`], so for a fixed seed the
-    /// shard outputs are **bit-identical** to the AoS path (pinned by
-    /// tests).
-    pub fn sample_columns_with_weights(
+    /// weights, into caller-owned outputs: `outs` is resized to one batch
+    /// per shard and shard `idx` overwrites `outs[idx]` with its sample of
+    /// `input.range(start, end)`, whatever it held, keeping its storage.
+    /// The range is the [`shard_bounds`] cut — the same partition
+    /// [`shard_slice`] makes — and each shard draws with the same RNG and
+    /// budget as [`ShardedSampler::sample_with_weights`], so for a fixed
+    /// seed the shard outputs are **bit-identical** to the AoS path
+    /// (pinned by tests). A caller that passes the same `outs` every frame
+    /// allocates no output columns once they have grown to the frame size.
+    pub fn sample_columns_with_weights_into(
         &mut self,
         input: ColumnsView<'_>,
         sample_size: usize,
         w_in: &WeightMap,
-    ) -> Vec<ColumnarBatch> {
+        outs: &mut Vec<ColumnarBatch>,
+    ) {
         let workers = self.shards.len();
         let allocation = self.allocation;
-        self.shards
-            .iter_mut()
-            .enumerate()
-            .map(|(idx, shard)| {
-                let (start, end) = shard_bounds(input.len(), workers, idx);
-                let mut out = ColumnarBatch::new();
-                shard.scratch.sample_columns_into(
-                    input.range(start, end),
-                    shard_budget(sample_size, workers, idx),
-                    w_in,
-                    allocation,
-                    &mut out,
-                    &mut shard.rng,
-                );
-                out
-            })
-            .collect()
+        outs.resize_with(workers, ColumnarBatch::new);
+        for (idx, (shard, out)) in self.shards.iter_mut().zip(outs.iter_mut()).enumerate() {
+            let (start, end) = shard_bounds(input.len(), workers, idx);
+            shard.scratch.sample_columns_into(
+                input.range(start, end),
+                shard_budget(sample_size, workers, idx),
+                w_in,
+                allocation,
+                out,
+                &mut shard.rng,
+            );
+        }
     }
 }
 
@@ -206,6 +205,18 @@ mod tests {
     /// Samples `batch` with its own weights as the resolved input weights.
     fn sample(sampler: &mut ShardedSampler, batch: &Batch, size: usize) -> Vec<WhsOutput> {
         sampler.sample_with_weights(&batch.items, size, &batch.weights)
+    }
+
+    /// Samples `cols` with its own weights as the resolved input weights,
+    /// into fresh outputs.
+    fn sample_columns(
+        sampler: &mut ShardedSampler,
+        cols: &ColumnarBatch,
+        size: usize,
+    ) -> Vec<ColumnarBatch> {
+        let mut outs = Vec::new();
+        sampler.sample_columns_with_weights_into(cols.view(), size, &cols.weights, &mut outs);
+        outs
     }
 
     #[test]
@@ -367,7 +378,7 @@ mod tests {
             let mut soa = ShardedSampler::new(Allocation::Uniform, 4, 11);
             for round in 0..2 {
                 let a = sample(&mut aos, &batch, n / 5);
-                let b = soa.sample_columns_with_weights(cols.view(), n / 5, &cols.weights);
+                let b = sample_columns(&mut soa, &cols, n / 5);
                 assert_eq!(a.len(), b.len());
                 for (shard_a, shard_b) in a.into_iter().zip(b) {
                     assert_eq!(
@@ -377,6 +388,26 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn reused_shard_outputs_match_fresh_ones() {
+        // One `outs` vector across frames that grow and shrink, with and
+        // without carried weights: every frame's shard outputs equal a
+        // same-seeded sampler's freshly allocated ones.
+        let mut fresh = ShardedSampler::new(Allocation::Uniform, 3, 8);
+        let mut reusing = ShardedSampler::new(Allocation::Uniform, 3, 8);
+        let mut outs = Vec::new();
+        for (round, n) in [600usize, 40, 2, 900, 0, 75].into_iter().enumerate() {
+            let mut batch = batch_of(&[(0, n), (1, n / 3), (2, 5)]);
+            if round % 2 == 1 {
+                batch.weights.set(s(1), 4.0);
+            }
+            let cols = ColumnarBatch::from_batch(&batch);
+            let expected = sample_columns(&mut fresh, &cols, n / 4);
+            reusing.sample_columns_with_weights_into(cols.view(), n / 4, &cols.weights, &mut outs);
+            assert_eq!(outs, expected, "round {round}, n = {n}");
         }
     }
 
@@ -427,7 +458,7 @@ mod tests {
             .iter()
             .all(|o| o.sample.is_empty() && o.weights.is_empty()));
         let empty = ColumnarBatch::new();
-        let outs = sampler.sample_columns_with_weights(empty.view(), 10, &WeightMap::new());
+        let outs = sample_columns(&mut sampler, &empty, 10);
         assert_eq!(outs.len(), 4);
         assert!(outs.iter().all(|o| o.is_empty() && o.weights.is_empty()));
         // Fewer items than shards: trailing shards see empty slices.
@@ -436,7 +467,7 @@ mod tests {
         let sizes: Vec<usize> = outs.iter().map(|o| o.sample.len()).collect();
         assert_eq!(sizes, [1, 1, 0, 0]);
         let cols = ColumnarBatch::from_batch(&tiny);
-        let outs = sampler.sample_columns_with_weights(cols.view(), 10, &cols.weights);
+        let outs = sample_columns(&mut sampler, &cols, 10);
         let sizes: Vec<usize> = outs.iter().map(ColumnarBatch::len).collect();
         assert_eq!(sizes, [1, 1, 0, 0]);
     }

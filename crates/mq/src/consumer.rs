@@ -98,6 +98,11 @@ impl Consumer {
         &self.topic
     }
 
+    /// The assigned partitions, in ascending order.
+    pub fn assignment(&self) -> impl Iterator<Item = u32> + '_ {
+        self.partitions.iter().map(|&(partition, _)| partition)
+    }
+
     /// Current position (next offset) for a partition, if assigned.
     pub fn position(&self, partition: u32) -> Option<u64> {
         self.offsets.get(&partition).copied()
@@ -297,6 +302,61 @@ mod tests {
         assert_eq!(got.len(), 4);
         let p0 = got.iter().filter(|r| r.partition == 0).count();
         assert_eq!(p0, 2);
+    }
+
+    #[test]
+    fn watermarks_arrive_with_their_records_in_offset_order() {
+        let (_b, topic, producer) = setup(2);
+        let frame = |v: f64| approxiot_core::ColumnarBatch::from_batch(&batch(v));
+        // Each partition's sender raises its watermark as it sends.
+        for k in 0..4u64 {
+            for p in 0..2u32 {
+                let watermark = 100 * u64::from(p) + 10 * k;
+                producer
+                    .send_columns_to(p, &frame(k as f64), 0, watermark)
+                    .expect("send");
+            }
+        }
+        let mut consumer = Consumer::subscribe_all(Arc::clone(&topic), StartOffset::Earliest);
+        assert_eq!(consumer.assignment().collect::<Vec<_>>(), [0, 1]);
+        let mut buf = Vec::new();
+        let mut seen: BTreeMap<u32, Vec<(u64, u64, f64)>> = BTreeMap::new();
+        let mut last = None;
+        while consumer
+            .poll_into(&mut buf, 3, Duration::ZERO)
+            .expect("poll")
+            > 0
+        {
+            last = buf.last().cloned();
+            for record in &buf {
+                let value = decode_columns(&record.value).expect("v2").values[0];
+                seen.entry(record.partition).or_default().push((
+                    record.offset,
+                    record.watermark,
+                    value,
+                ));
+            }
+        }
+        for p in 0..2u64 {
+            let expected: Vec<(u64, u64, f64)> =
+                (0..4u64).map(|k| (k, 100 * p + 10 * k, k as f64)).collect();
+            assert_eq!(seen[&(p as u32)], expected, "partition {p}");
+        }
+        // A relayed record carries the relayer's watermark, not the one
+        // it arrived with.
+        let out = Broker::new().create_topic("out", 1).expect("create");
+        let relay = BatchProducer::new(Arc::clone(&out));
+        let original = last.expect("records were delivered");
+        let sent_with = seen[&original.partition][original.offset as usize].1;
+        assert_eq!(original.watermark, sent_with);
+        relay
+            .relay_to(0, original.value.clone(), 0, 7)
+            .expect("relay");
+        let relayed = Consumer::subscribe_all(out, StartOffset::Earliest)
+            .poll(1, Duration::ZERO)
+            .expect("poll");
+        assert_eq!(relayed[0].watermark, 7);
+        assert_eq!(relayed[0].value, original.value);
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! let producer = BatchProducer::new(topic.clone());
 //! let mut frame = ColumnarBatch::new();
 //! frame.push(StreamItem::new(StratumId::new(0), 21.5));
-//! producer.send_columns_to(2, &frame, 0)?;
+//! producer.send_columns_to(2, &frame, 0, 0)?;
 //!
 //! let mut consumer = Consumer::subscribe_all(topic, StartOffset::Earliest);
 //! let records = consumer.poll(16, Duration::from_millis(10))?;

@@ -249,6 +249,7 @@ mod tests {
             timestamp: n as u64,
             key: None,
             value: Bytes::copy_from_slice(&[n]),
+            watermark: 0,
         }
     }
 

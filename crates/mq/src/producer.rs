@@ -69,11 +69,12 @@ impl BatchProducer {
     }
 
     /// The one send body: meters `value` as one frame and appends it to
-    /// `partition`.
+    /// `partition` with the record metadata `timestamp` and `watermark`.
     fn send_frame(
         &self,
         partition: u32,
         timestamp: u64,
+        watermark: u64,
         value: Bytes,
     ) -> Result<(u32, u64), MqError> {
         self.bytes_sent
@@ -84,7 +85,8 @@ impl BatchProducer {
             value,
             timestamp,
         };
-        self.topic.append_to(partition, record)
+        self.topic
+            .append_with_watermark(partition, record, watermark)
     }
 
     /// The topic this producer publishes to.
@@ -93,7 +95,9 @@ impl BatchProducer {
     }
 
     /// Publishes a columnar batch to a specific partition as a **v2**
-    /// frame, the encode reduced to four bulk column copies.
+    /// frame, the encode reduced to four bulk column copies. The record
+    /// carries the sender's low `watermark` ([`crate::Record::watermark`];
+    /// 0 promises nothing).
     ///
     /// # Errors
     ///
@@ -103,16 +107,19 @@ impl BatchProducer {
         partition: u32,
         batch: &ColumnarBatch,
         timestamp: u64,
+        watermark: u64,
     ) -> Result<(u32, u64), MqError> {
         let value = self.encode(|buf| encode_columns_into(batch, buf));
-        self.send_frame(partition, timestamp, value)
+        self.send_frame(partition, timestamp, watermark, value)
     }
 
     /// Publishes an already-encoded frame to a specific partition as is:
     /// the record shares `value`'s allocation (a refcount bump — no
     /// encode, no copy) and is metered exactly as the encode-send that
     /// produced those bytes would have been. This is how a native node
-    /// forwards what it received.
+    /// forwards what it received. The record metadata is the relayer's
+    /// own: `timestamp` and its low `watermark`, not the original
+    /// sender's.
     ///
     /// # Errors
     ///
@@ -122,8 +129,9 @@ impl BatchProducer {
         partition: u32,
         value: Bytes,
         timestamp: u64,
+        watermark: u64,
     ) -> Result<(u32, u64), MqError> {
-        self.send_frame(partition, timestamp, value)
+        self.send_frame(partition, timestamp, watermark, value)
     }
 
     /// Publishes an **AoS** batch to a specific partition as a **v2**
@@ -140,7 +148,7 @@ impl BatchProducer {
         timestamp: u64,
     ) -> Result<(u32, u64), MqError> {
         let value = self.encode(|buf| encode_batch_v2_into(batch, buf));
-        self.send_frame(partition, timestamp, value)
+        self.send_frame(partition, timestamp, 0, value)
     }
 
     /// [`Self::send_v2_to`] with every item's `source_ts` written as
@@ -148,6 +156,9 @@ impl BatchProducer {
     /// the wall-clock source path, which stamps items with their send
     /// time as it encodes them. The record's own `timestamp` is separate:
     /// a jittered frame is held longer without its items looking younger.
+    /// Every item carries `source_ts`, so that is the record's low
+    /// watermark ([`crate::Record::watermark`]) — a sender whose
+    /// `source_ts` never decreases keeps the promise it makes.
     ///
     /// # Errors
     ///
@@ -160,7 +171,7 @@ impl BatchProducer {
         timestamp: u64,
     ) -> Result<(u32, u64), MqError> {
         let value = self.encode(|buf| encode_batch_v2_stamped_into(batch, source_ts, buf));
-        self.send_frame(partition, timestamp, value)
+        self.send_frame(partition, timestamp, source_ts, value)
     }
 
     /// Publishes per-window stratum summaries to a specific partition as
@@ -179,7 +190,7 @@ impl BatchProducer {
         timestamp: u64,
     ) -> Result<(u32, u64), MqError> {
         let value = self.encode(|buf| encode_summaries_into(config, seed, windows, buf));
-        self.send_frame(partition, timestamp, value)
+        self.send_frame(partition, timestamp, 0, value)
     }
 
     /// Total encoded bytes published.
@@ -265,7 +276,7 @@ mod tests {
         assert_eq!(topic.partition(2).expect("partition").len(), 1);
         assert!(producer.send_v2_to(9, &batch(1), 0).is_err());
         assert!(producer
-            .send_columns_to(3, &ColumnarBatch::from_batch(&batch(1)), 0)
+            .send_columns_to(3, &ColumnarBatch::from_batch(&batch(1)), 0, 0)
             .is_err());
     }
 
@@ -276,7 +287,7 @@ mod tests {
         let topic = broker.create_topic("t", 2).expect("create");
         let producer = BatchProducer::new(Arc::clone(&topic));
         let cols = ColumnarBatch::from_batch(&batch(4));
-        let (p, _) = producer.send_columns_to(1, &cols, 3).expect("send");
+        let (p, _) = producer.send_columns_to(1, &cols, 3, 0).expect("send");
         assert_eq!(p, 1);
         assert_eq!(producer.batches_sent(), 1);
         assert_eq!(producer.bytes_sent(), encoded_len_columns(&cols) as u64);
@@ -297,14 +308,17 @@ mod tests {
         let output = broker.create_topic("out", 2).expect("create");
         let cols = ColumnarBatch::from_batch(&batch(5));
         let encoder = BatchProducer::new(Arc::clone(&input));
-        encoder.send_columns_to(0, &cols, 3).expect("send");
+        encoder.send_columns_to(0, &cols, 3, 2).expect("send");
         let received = input.partitions()[0]
             .read_from(0, 1, std::time::Duration::ZERO)
             .expect("read")
             .pop()
             .expect("one record");
+        assert_eq!(received.watermark, 2);
         let relay = BatchProducer::new(Arc::clone(&output));
-        let (p, _) = relay.relay_to(1, received.value.clone(), 8).expect("relay");
+        let (p, _) = relay
+            .relay_to(1, received.value.clone(), 8, 5)
+            .expect("relay");
         assert_eq!(p, 1);
         let relayed = output.partitions()[1]
             .read_from(0, 1, std::time::Duration::ZERO)
@@ -316,7 +330,11 @@ mod tests {
             received.value.as_ptr(),
             "same allocation, not a copy"
         );
-        assert_eq!(relayed.timestamp, 8, "the record metadata is re-stamped");
+        assert_eq!(
+            (relayed.timestamp, relayed.watermark),
+            (8, 5),
+            "the record metadata is the relayer's, not the original sender's"
+        );
         assert_eq!(
             (relay.bytes_sent(), relay.batches_sent()),
             (encoder.bytes_sent(), encoder.batches_sent()),
@@ -331,7 +349,7 @@ mod tests {
         let aos = batch(6);
         producer.send_v2_to(0, &aos, 0).expect("send aos as v2");
         producer
-            .send_columns_to(0, &ColumnarBatch::from_batch(&aos), 0)
+            .send_columns_to(0, &ColumnarBatch::from_batch(&aos), 0, 0)
             .expect("send columns");
         let records = topic
             .partition(0)
@@ -359,6 +377,7 @@ mod tests {
             .pop()
             .expect("one record");
         assert_eq!(record.timestamp, 99, "the record keeps its own timestamp");
+        assert_eq!(record.watermark, 77, "every item is at the source time");
         assert_eq!(producer.bytes_sent(), record.value.len() as u64);
         let columns = decode_columns(&record.value).expect("v2 frame");
         assert_eq!(columns.source_ts, vec![77; 3]);

@@ -6,7 +6,8 @@ use bytes::Bytes;
 ///
 /// `offset` is assigned by the partition at append time and is strictly
 /// increasing; `timestamp` is the producer-supplied event time in
-/// nanoseconds.
+/// nanoseconds; `watermark` is the sender's low watermark when it sent
+/// the record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Partition the record lives in.
@@ -19,6 +20,13 @@ pub struct Record {
     pub key: Option<Bytes>,
     /// The payload.
     pub value: Bytes,
+    /// The sender's event-time low watermark, in nanoseconds: its promise
+    /// that nothing it sends to this partition after this record carries
+    /// an event time below it. Metadata only, like `timestamp` — it is
+    /// not part of the payload, so it adds no wire bytes. 0 promises
+    /// nothing; [`crate::Topic::append_to`] stores 0, and
+    /// [`crate::Topic::append_with_watermark`] sets it.
+    pub watermark: u64,
 }
 
 /// A record as handed to the broker by a producer (before offset

@@ -73,12 +73,29 @@ impl Topic {
     ///
     /// Returns [`MqError::PartitionOutOfRange`] or [`MqError::Closed`].
     pub fn append_to(&self, partition: u32, record: ProducerRecord) -> Result<(u32, u64), MqError> {
+        self.append_with_watermark(partition, record, 0)
+    }
+
+    /// [`Topic::append_to`] with the sender's low `watermark` stored in
+    /// the record's metadata ([`Record::watermark`]): it is delivered with
+    /// this record, in offset order, and costs no payload bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MqError::PartitionOutOfRange`] or [`MqError::Closed`].
+    pub fn append_with_watermark(
+        &self,
+        partition: u32,
+        record: ProducerRecord,
+        watermark: u64,
+    ) -> Result<(u32, u64), MqError> {
         let offset = self.log(partition)?.append(Record {
             partition,
             offset: 0,
             timestamp: record.timestamp,
             key: record.key,
             value: record.value,
+            watermark,
         })?;
         Ok((partition, offset))
     }

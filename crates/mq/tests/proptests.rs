@@ -171,6 +171,7 @@ proptest! {
                 timestamp: i as u64,
                 key: None,
                 value: Bytes::from(vec![i as u8]),
+                watermark: 0,
             }).expect("append");
             prop_assert_eq!(offset, i as u64);
         }

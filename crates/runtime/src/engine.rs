@@ -735,8 +735,10 @@ impl Driver {
 
     /// Drains the window results that became available since the last
     /// poll. On the sim engine a window closes once an event at/past its
-    /// end was pushed; the wall-clock pipeline closes windows as its
-    /// watermark advances; the deterministic pipeline reports everything
+    /// end was pushed; the wall-clock pipeline closes a window once every
+    /// child's in-band watermark has passed its end (or, waiting on a
+    /// silent child, once wall time passes it by the tree's delay plus the
+    /// allowed lateness); the deterministic pipeline reports everything
     /// at [`Driver::finish`].
     pub fn poll(&mut self) -> Vec<WindowResult> {
         self.engine.poll()

@@ -23,6 +23,19 @@
 //!   order over the real wire path, so fixed-seed runs produce identical
 //!   estimates on both engines.
 //!
+//! ## When the wall-clock root answers
+//!
+//! Every record of the wall-clock pipeline carries an event-time low
+//! watermark in its metadata ([`approxiot_mq::Record::watermark`], no
+//! payload bytes): each source frame its send time, each edge node the
+//! minimum of what its children last sent. The root answers a window as
+//! soon as the minimum over its children has passed the window's end,
+//! which no jitter, reordering or duplication can turn into a late item.
+//! A child that falls silent stops that minimum; the root then closes on
+//! wall time, once `now − 2 × total delay` passes the window's end plus
+//! `Topology::builder().allowed_lateness(..)`, and counts what the child
+//! sends for the window afterwards in `dropped_late`.
+//!
 //! ## Fault injection
 //!
 //! Every hop's [`LinkSpec`] can carry an
@@ -34,9 +47,7 @@
 //! [`Topology::delivery_factor`] (Horvitz–Thompson, keeping SUM/COUNT
 //! unbiased under uniform loss), each [`WindowResult`] reports its
 //! `completeness` fraction and `dropped_late` count, runs report per-hop
-//! [`HopFaults`], and `Topology::builder().allowed_lateness(..)` keeps
-//! windows open for jitter-delayed stragglers. An all-zero spec is a
-//! strict no-op. See [`fault`] for the determinism contract and
+//! [`HopFaults`]. An all-zero spec is a strict no-op. See [`fault`] for the determinism contract and
 //! `examples/chaos.rs` for a loss sweep.
 //!
 //! ## Fleet churn

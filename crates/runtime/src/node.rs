@@ -420,20 +420,53 @@ impl SamplingNode {
     /// freely. (The name predates running the shards inline; the sharded
     /// benchmark workload calls it.)
     pub fn process_columns_parallel(&mut self, batch: &ColumnarBatch) -> Vec<ColumnarBatch> {
-        let Some(shards) = self.shards.as_mut() else {
+        if self.shards.is_none() {
             return vec![self.process_columns(batch)];
-        };
-        self.items_in += batch.len() as u64;
-        let size = self.budget.sample_size(batch.len());
-        // Resolve carried weights through the node's single weight store.
-        let resolved = self.whs.resolve_weights_columns(batch);
-        let outs = shards.sample_columns_with_weights(batch.view(), size, &resolved);
-        outs.into_iter()
-            .filter(|o| !o.is_empty())
-            .inspect(|o| {
-                self.items_out += o.len() as u64;
-            })
-            .collect()
+        }
+        let mut outs = Vec::new();
+        let kept = self.process_columns_parallel_into(batch, &mut outs);
+        outs.truncate(kept);
+        outs
+    }
+
+    /// [`SamplingNode::process_columns_parallel`] into caller-owned
+    /// outputs, the way [`SamplingNode::process_columns_into`] reuses its
+    /// one output: `outs` holds one batch per shard afterwards, each
+    /// sampled in place, and the returned `kept` says how many are
+    /// non-empty — those are `outs[..kept]`, in shard order, and they are
+    /// bit-identical to `process_columns_parallel`'s. A node without
+    /// shards samples into `outs[0]` alone, exactly as
+    /// `process_columns_into`. A caller that passes the same `outs` every
+    /// frame allocates no output columns once they have grown, which
+    /// leaves a warmed two-shard WHS leaf allocating its resolved input
+    /// weights, and per shard its output weights and forwarded payload:
+    /// 5 per frame, pinned by `tests/alloc_budget.rs`.
+    pub fn process_columns_parallel_into(
+        &mut self,
+        batch: &ColumnarBatch,
+        outs: &mut Vec<ColumnarBatch>,
+    ) -> usize {
+        if let Some(shards) = self.shards.as_mut() {
+            self.items_in += batch.len() as u64;
+            let size = self.budget.sample_size(batch.len());
+            // Resolve carried weights through the node's single weight store.
+            let resolved = self.whs.resolve_weights_columns(batch);
+            shards.sample_columns_with_weights_into(batch.view(), size, &resolved, outs);
+            self.items_out += outs.iter().map(|o| o.len() as u64).sum::<u64>();
+        } else {
+            outs.resize_with(1, ColumnarBatch::new);
+            self.process_columns_into(batch, &mut outs[0]);
+        }
+        // Move the non-empty outputs to the front, keeping their order;
+        // the empty ones keep their storage for the next frame.
+        let mut kept = 0;
+        for i in 0..outs.len() {
+            if !outs[i].is_empty() {
+                outs.swap(kept, i);
+                kept += 1;
+            }
+        }
+        kept
     }
 
     /// Absorbs one payload into the sketch accumulator: items are
@@ -793,6 +826,32 @@ mod sharded_tests {
         assert_eq!(a.len(), c.len());
         for (a, c) in a.into_iter().zip(c) {
             assert_eq!(c.to_batch(), a, "shard outputs diverged");
+        }
+    }
+
+    #[test]
+    fn reused_parallel_outputs_match_fresh_ones() {
+        // Sharded and unsharded, over frames that shrink below the shard
+        // count: the non-empty reused outputs, moved to the front, are the
+        // fresh non-empty outputs, and the counters agree.
+        for workers in [1, 3] {
+            let mut fresh =
+                SamplingNode::with_workers(Strategy::whs(), 0.3, 4, workers).expect("valid");
+            let mut reusing =
+                SamplingNode::with_workers(Strategy::whs(), 0.3, 4, workers).expect("valid");
+            let mut outs = Vec::new();
+            for n in [900usize, 2, 350, 0, 41] {
+                let cols = ColumnarBatch::from_batch(&batch(n));
+                let expected = fresh.process_columns_parallel(&cols);
+                let kept = reusing.process_columns_parallel_into(&cols, &mut outs);
+                assert_eq!(outs.len(), workers, "one output per shard, empty ones kept");
+                assert!(outs[kept..].iter().all(ColumnarBatch::is_empty));
+                let expected: Vec<ColumnarBatch> =
+                    expected.into_iter().filter(|o| !o.is_empty()).collect();
+                assert_eq!(outs[..kept], expected, "workers {workers}, n = {n}");
+            }
+            assert_eq!(fresh.items_in(), reusing.items_in());
+            assert_eq!(fresh.items_out(), reusing.items_out());
         }
     }
 

@@ -25,6 +25,35 @@
 //!   it. Only the root closes windows, so the window size shows up in the
 //!   root's result lag, not in any item's edge latency.
 //!
+//! ## When the root answers a window
+//!
+//! Every wall-clock record carries an event-time **low watermark** in its
+//! metadata ([`Record::watermark`]; the payload, and so every byte count,
+//! is unchanged): the promise that nothing its sender puts on that
+//! partition later holds an item earlier than it (MillWheel's low
+//! watermark, and the Dataflow model's). The driver stamps a source's
+//! frame with its send time, which all of its items carry; an edge node
+//! stamps each output with the minimum, over its child partitions, of the
+//! latest watermark each has sent — 0, no promise, until every child has
+//! sent once. The root takes the same minimum over its children, counting
+//! a record's watermark only once it has ingested that record, and closes
+//! every window whose end it has passed. Every item in a frame is at or
+//! after the watermark the frame carries, and each partition is read in
+//! order, so this close never makes an item late — not under jitter, nor
+//! reordering or duplication inside a burst (see `LowWatermark`).
+//!
+//! A child that falls silent — a churned-down subtree, an idle source, a
+//! node whose samples come out empty — holds that minimum back. The older
+//! wall-clock rule stays as the bound for it: a window also closes once
+//! `now − 2 × total delay` passes its end plus
+//! [`crate::TopologyBuilder::allowed_lateness`], and whatever the silent
+//! child sends for it afterwards is dropped and counted in
+//! [`WindowResult::dropped_late`]. So no window closes later than under
+//! the wall-clock rule alone, and a root whose children all keep sending
+//! answers a window about one source frame interval plus the tree's delay
+//! after it ends, whatever the allowed lateness. Replay mode and sketch
+//! roots answer at the end of the run and carry no watermark.
+//!
 //! ## Fault injection
 //!
 //! Hops with a non-trivial [`crate::Topology::hop_impairment`] spec get
@@ -32,8 +61,10 @@
 //! injectors (one per source), each edge node owns its outgoing hop's. In
 //! wall-clock mode drops skip the limiter and the wire, duplicates send
 //! twice, and jitter is added to the send timestamp so consumers hold the
-//! frame longer (pair with `Topology::allowed_lateness` to keep jittered
-//! stragglers countable). In deterministic mode the same decision streams
+//! frame longer. The in-band watermarks never count a jittered straggler
+//! as late, but the wall-clock rule does not know the jitter: pair it with
+//! `Topology::allowed_lateness` so a straggler held past twice the tree's
+//! delay still counts. In deterministic mode the same decision streams
 //! run against the canonical frame order, so impaired fixed-seed runs
 //! remain bit-identical to the sim engine — see [`crate::fault`].
 //!
@@ -57,10 +88,9 @@
 //! ([`BatchProducer::send_v2_stamped_to`]; replay keeps event time,
 //! [`BatchProducer::send_v2_to`]). A sampling (WHS or SRS) edge node
 //! decodes each frame it receives into its one reused input column set
-//! ([`decode_columns_into`] — four bulk copies), samples that into its
-//! one reused output through the flat-slice kernels
-//! ([`SamplingNode::process_columns_into`]; sharded nodes
-//! [`SamplingNode::process_columns_parallel`]) and forwards with
+//! ([`decode_columns_into`] — four bulk copies), samples that through
+//! the flat-slice kernels into reused outputs, one per §III-E shard
+//! ([`SamplingNode::process_columns_parallel_into`]), and forwards with
 //! [`BatchProducer::send_columns_to`]; the root decodes into one reused
 //! column set and condenses the columns into its `Θ` rows
 //! ([`RootNode::ingest_columns`]). Sampling output and the root's rows
@@ -90,8 +120,10 @@
 //! per frame at a leaf fed by sources and 4 at a node fed by samplers,
 //! pinned by `tests/alloc_budget.rs`; a native node allocates none.
 //! Sharded WHS nodes run their shards one after another on the edge
-//! thread, with one fresh output per shard: 14 allocations per source
-//! frame at a two-shard leaf, pinned by the same test. The root samples
+//! thread, each sampling into an output the node keeps between frames
+//! ([`SamplingNode::process_columns_parallel_into`]): a two-shard leaf
+//! allocates its resolved input weights, and per shard its output weights
+//! and forwarded payload — 5 per source frame, pinned by the same test. The root samples
 //! every frame (under WHS or SRS) into one reused column set too. What it
 //! still allocates is its sampler's weight-map nodes per frame, each open
 //! window's growing rows, and a per-window split for a frame that
@@ -330,7 +362,6 @@ impl PipelineEngine {
                     hop_delay: topology.layer_link(l).delay,
                     window: topology.window(),
                     out_partition: j as u32,
-                    sharded: layer.workers > 1,
                 };
                 let deterministic = options.deterministic;
                 let sketch_seed = topology.sketch_seed();
@@ -454,6 +485,7 @@ impl PipelineEngine {
             Consumer::subscribe_all(Arc::clone(&feeds[n_layers]), StartOffset::Earliest);
         let root_delay = topology.root_link().delay;
         let total_delay = topology.total_delay();
+        let allowed_lateness = topology.allowed_lateness();
         let root_latencies = Arc::clone(&latencies);
         let deterministic = options.deterministic;
         handles.push(
@@ -489,6 +521,7 @@ impl PipelineEngine {
                             epoch,
                             root_delay,
                             total_delay,
+                            allowed_lateness,
                         );
                     }
                     let _ = elapsed_tx.send(epoch.elapsed());
@@ -544,8 +577,9 @@ impl PipelineEngine {
     /// side holds the frame longer.
     ///
     /// In wall-clock mode `ts` is the send time: the frame's items are
-    /// stamped with it as they are encoded (for true end-to-end latency)
-    /// and the record carries it plus any jitter. In replay mode `ts` is
+    /// stamped with it as they are encoded (for true end-to-end latency),
+    /// the record carries it plus any jitter, and `ts` is also the
+    /// record's watermark — the source's send times never decrease. In replay mode `ts` is
     /// the interval key and items keep their event time: the jitter draw
     /// still happens (stream alignment with the sim engine) but must never
     /// perturb the key.
@@ -751,13 +785,57 @@ fn wait_until(epoch: Instant, sent_ts: u64, delay: Duration) {
     }
 }
 
+/// A wall-clock node's input low watermark, after MillWheel's and the
+/// Dataflow model's: the latest watermark ([`Record::watermark`]) each
+/// child partition has sent, and their minimum.
+///
+/// Why no item can arrive below the minimum, by induction from the
+/// sources: the driver stamps each source frame with its send time, which
+/// every item in it carries and which never decreases per source. A node
+/// stamps what it sends with its input minimum, which is at most the
+/// watermark of the frame it is forwarding from, so again every item in a
+/// frame is at or after the watermark that frame carries; and the minimum
+/// never decreases, because each child's latest watermark does not. A
+/// partition is read in offset order, and [`wait_until`] keeps frames
+/// FIFO within it even when jitter holds one longer, so whatever a child
+/// sends after a record is at or after that record's watermark. Frames
+/// reordered or duplicated inside one burst all carry the same stamp, so
+/// they cannot expose an item either.
+struct LowWatermark {
+    /// `(partition, latest watermark)` per child partition, ascending.
+    children: Vec<(u32, u64)>,
+}
+
+impl LowWatermark {
+    /// Every partition `consumer` reads, none heard from yet.
+    fn new(consumer: &Consumer) -> Self {
+        LowWatermark {
+            children: consumer.assignment().map(|p| (p, 0)).collect(),
+        }
+    }
+
+    /// Notes the watermark `record` carries from its partition.
+    fn observe(&mut self, record: &Record) {
+        let found = self
+            .children
+            .binary_search_by_key(&record.partition, |&(partition, _)| partition);
+        if let Ok(i) = found {
+            let latest = &mut self.children[i].1;
+            *latest = (*latest).max(record.watermark);
+        }
+    }
+
+    /// The minimum over the children: 0 — no promise — until every child
+    /// has sent a watermark.
+    fn get(&self) -> u64 {
+        self.children.iter().map(|&(_, wm)| wm).min().unwrap_or(0)
+    }
+}
+
 struct EdgeParams {
     hop_delay: Duration,
     window: Duration,
     out_partition: u32,
-    /// Sample each batch on the node's §III-E shards, forwarding one batch
-    /// per shard that kept an item.
-    sharded: bool,
 }
 
 /// One edge thread's view of the fleet churn schedule: its own slot's
@@ -821,11 +899,13 @@ impl FaultFrame for RelayFrame<'_> {
 
 impl NativeRelay<'_> {
     /// The wall-clock relay: holds each frame for the hop delay, then
-    /// forwards it stamped with its send time (plus any jitter). Churn is
+    /// forwards it stamped with its send time (plus any jitter) and the
+    /// relay's own low watermark ([`LowWatermark`]). Churn is
     /// evaluated at the wall window of the forwarding moment, as in the
     /// sampling loop.
     fn run(mut self, mut consumer: Consumer, hop_delay: Duration, epoch: Instant) {
         let mut records: Vec<Record> = Vec::new();
+        let mut low = LowWatermark::new(&consumer);
         while consumer
             .poll_into(&mut records, POLL_MAX, Duration::from_millis(5))
             .is_ok()
@@ -835,13 +915,15 @@ impl NativeRelay<'_> {
                     return;
                 };
                 wait_until(epoch, record.timestamp, hop_delay);
+                low.observe(record);
                 let interval = self.churn.as_ref().map_or(0, |churn| {
                     churn.scheme.index_of(epoch.elapsed().as_nanos() as u64)
                 });
                 let stamp = |extra: Duration| {
                     (epoch.elapsed().as_nanos() as u64).saturating_add(extra.as_nanos() as u64)
                 };
-                if !self.forward(RelayFrame { record, items }, interval, stamp) {
+                let frame = RelayFrame { record, items };
+                if !self.forward(frame, interval, stamp, low.get()) {
                     return;
                 }
             }
@@ -866,7 +948,7 @@ impl NativeRelay<'_> {
         };
         for (record, items) in held.iter().zip(items) {
             let key = record.timestamp;
-            if !self.forward(RelayFrame { record, items }, key, |_| key) {
+            if !self.forward(RelayFrame { record, items }, key, |_| key, 0) {
                 return;
             }
         }
@@ -874,12 +956,14 @@ impl NativeRelay<'_> {
 
     /// Forwards one frame, with the node's churn state taken at
     /// `interval`; `stamp(extra)` is the timestamp of a copy the injector
-    /// delays by `extra`. Returns `false` once the transport is closed.
+    /// delays by `extra`, and every copy carries the node's low
+    /// `watermark`. Returns `false` once the transport is closed.
     fn forward(
         &mut self,
         frame: RelayFrame<'_>,
         interval: u64,
         stamp: impl Fn(Duration) -> u64,
+        watermark: u64,
     ) -> bool {
         // An empty frame forwards nothing and draws no fault decision.
         if frame.items == 0 {
@@ -898,7 +982,12 @@ impl NativeRelay<'_> {
                 l.acquire(frame.record.value.len() as u64);
             }
             producer
-                .relay_to(partition, frame.record.value.clone(), stamp(extra))
+                .relay_to(
+                    partition,
+                    frame.record.value.clone(),
+                    stamp(extra),
+                    watermark,
+                )
                 .is_ok()
         };
         match self.injector {
@@ -915,16 +1004,17 @@ impl NativeRelay<'_> {
 /// Every strategy forwards on arrival: each frame is held for its hop
 /// delay, decoded into **one** reused input column set — which validates
 /// it, so a poisoned frame stops the node there, whatever its churn
-/// disposition — and sampled into **one** reused output
-/// ([`SamplingNode::process_columns_into`]); a sharded node samples the
-/// same input over its shards instead, one fresh output per shard.
-/// Each frame's sample is sized from that frame alone, so no edge node
-/// holds input across frames; only the root closes windows.
+/// disposition — and sampled into reused outputs, one per §III-E shard
+/// ([`SamplingNode::process_columns_parallel_into`]; one in all on an
+/// unsharded node). Each frame's sample is sized from that frame alone,
+/// so no edge node holds input across frames; only the root closes
+/// windows. Every output carries the node's low watermark
+/// ([`LowWatermark`]), taken after the frame it came from was received.
 ///
 /// Per frame a warmed unsharded WHS node on an unimpaired hop allocates
 /// the forwarded payload and its weight maps' tree nodes: 3 allocations
-/// at a leaf, 4 above it (see the module docs; `tests/alloc_budget.rs`
-/// pins both).
+/// at a leaf, 4 above it, 5 at a two-shard leaf (see the module docs;
+/// `tests/alloc_budget.rs` pins them).
 /// With an injector present the outputs route through it: dropped frames
 /// never touch the limiter or the wire, duplicated frames are sent twice,
 /// and jitter is added to the send timestamp (the consumer side holds the
@@ -942,14 +1032,16 @@ fn edge_node_loop(
 ) {
     let mut records: Vec<Record> = Vec::new();
     let mut input = ColumnarBatch::new();
-    let mut output = ColumnarBatch::new();
-    let send = |out: &ColumnarBatch, extra: Duration| {
+    // One output per shard (one in all on an unsharded node), reused.
+    let mut outputs: Vec<ColumnarBatch> = Vec::new();
+    let mut low = LowWatermark::new(&consumer);
+    let send = |out: &ColumnarBatch, extra: Duration, watermark: u64| {
         if let Some(l) = &limiter {
             l.acquire(encoded_len_columns(out) as u64);
         }
         let ts = (epoch.elapsed().as_nanos() as u64).saturating_add(extra.as_nanos() as u64);
         producer
-            .send_columns_to(params.out_partition, out, ts)
+            .send_columns_to(params.out_partition, out, ts, watermark)
             .is_ok()
     };
     while consumer
@@ -961,6 +1053,7 @@ fn edge_node_loop(
             if decode_columns_into(&record.value, &mut input).is_err() {
                 return;
             }
+            low.observe(&record);
             let mut crashed = false;
             if let Some(churn) = churn.as_mut() {
                 // Wall mode evaluates the schedule at the wall window of
@@ -980,27 +1073,18 @@ fn edge_node_loop(
                     }
                 }
             }
-            // The non-empty outputs of one input frame: one transmission
-            // burst.
-            let mut shards;
-            let outs: &[ColumnarBatch] = if params.sharded {
-                shards = node.process_columns_parallel(&input);
-                shards.retain(|out| !out.is_empty());
-                &shards
-            } else {
-                node.process_columns_into(&input, &mut output);
-                if output.is_empty() {
-                    &[]
-                } else {
-                    std::slice::from_ref(&output)
-                }
-            };
+            let kept = node.process_columns_parallel_into(&input, &mut outputs);
             if crashed {
                 continue;
             }
+            // The non-empty outputs of one input frame: one transmission
+            // burst, every frame of it stamped with the same watermark.
+            let (outs, watermark) = (&outputs[..kept], low.get());
             let sent = match injector.as_mut() {
-                Some(injector) => injector.transmit(outs, &mut |out, extra| send(out, extra)),
-                None => outs.iter().all(|out| send(out, Duration::ZERO)),
+                Some(injector) => {
+                    injector.transmit(outs, &mut |out, extra| send(out, extra, watermark))
+                }
+                None => outs.iter().all(|out| send(out, Duration::ZERO, watermark)),
             };
             if !sent {
                 return;
@@ -1056,7 +1140,7 @@ fn edge_node_replay(
                 l.acquire(encoded_len_columns(out) as u64);
             }
             producer
-                .send_columns_to(params.out_partition, out, key)
+                .send_columns_to(params.out_partition, out, key, 0)
                 .is_ok()
         };
         let sent = match injector {
@@ -1162,8 +1246,18 @@ fn edge_node_sketch_replay(
 }
 
 /// The wall-clock root loop: ingest with delay emulation and latency
-/// sampling, advancing the watermark conservatively as wall time passes,
-/// streaming each closed window's result as it becomes available.
+/// sampling, streaming each window's result as soon as it closes.
+///
+/// A window closes on whichever of two rules fires first:
+/// * **in band**: its end is at or before the root's input low watermark
+///   ([`LowWatermark`]) — every child has promised that nothing earlier
+///   follows, so nothing it holds can be late. A partition's watermark
+///   counts only once the record carrying it has been ingested.
+/// * **wall clock**: wall time minus twice the tree's total delay has
+///   passed its end plus the allowed lateness — the bound for a child
+///   that has gone silent (a churned-down subtree, an idle source), whose
+///   watermark stops advancing.
+#[allow(clippy::too_many_arguments)]
 fn root_loop(
     mut consumer: Consumer,
     mut root: RootNode,
@@ -1172,9 +1266,11 @@ fn root_loop(
     epoch: Instant,
     root_delay: Duration,
     total_delay: Duration,
+    allowed_lateness: Duration,
 ) {
     let mut batch = ColumnarBatch::new();
     let mut records: Vec<Record> = Vec::new();
+    let mut low = LowWatermark::new(&consumer);
     // Sampled on this thread and handed over once, at exit: nothing reads
     // `latencies` before the engine has joined the root.
     let mut samples: Vec<u64> = Vec::new();
@@ -1198,14 +1294,19 @@ fn root_loop(
                         );
                     }
                     root.ingest_columns(&batch);
+                    low.observe(&record);
                 }
-                // Advance the watermark conservatively: no item older than
-                // now − 2×total network delay can still be in flight.
-                let wm = epoch
+                // Wall rule: no item older than now − 2×total network
+                // delay is assumed in flight, and `advance_watermark`
+                // waits the allowed lateness past that. In-band rule: the
+                // lateness is added back so a window closes as soon as
+                // its end ≤ the children's low watermark.
+                let wall = epoch
                     .elapsed()
                     .as_nanos()
                     .saturating_sub(2 * total_delay.as_nanos()) as u64;
-                for result in root.advance_watermark(wm) {
+                let in_band = low.get().saturating_add(allowed_lateness.as_nanos() as u64);
+                for result in root.advance_watermark(wall.max(in_band)) {
                     let _ = result_tx.send(result);
                 }
             }
@@ -1249,8 +1350,10 @@ fn root_replay<T>(
 mod tests {
     use super::*;
     use crate::topology::{LayerSpec, LinkSpec, TopologyBuilder};
+    use crate::EngineKind;
     use approxiot_core::{accuracy_loss, StratumId, StreamItem};
     use approxiot_mq::Topic;
+    use approxiot_net::ImpairmentSpec;
 
     fn intervals(
         n_intervals: usize,
@@ -1550,6 +1653,89 @@ mod tests {
         assert_eq!(count, report.source_items as f64, "nothing lost or late");
     }
 
+    /// Pushes `data` through a wall-clock [`crate::Driver`] paced at 2 ms
+    /// per interval, polling after every push and then, for up to 10 s,
+    /// until some window has been answered. Returns how many results the
+    /// driver handed out before `finish`, and the report.
+    fn run_polling(topology: TopologyBuilder, data: &[Vec<Batch>]) -> (usize, RunReport) {
+        let options = PipelineOptions {
+            deterministic: false,
+            source_interval: Some(Duration::from_millis(2)),
+        };
+        let topology = topology.build().expect("valid");
+        let mut driver =
+            crate::Driver::new(topology, QuerySet::default(), EngineKind::Pipeline(options))
+                .expect("valid");
+        let mut polled = 0;
+        for interval in data {
+            driver.push_interval(interval).expect("open");
+            polled += driver.poll().len();
+        }
+        let start = Instant::now();
+        while polled == 0 && start.elapsed() < Duration::from_secs(10) {
+            thread::sleep(Duration::from_millis(5));
+            polled += driver.poll().len();
+        }
+        (polled, driver.finish())
+    }
+
+    /// An hour of allowed lateness: the wall-clock rule cannot close a
+    /// window before `finish`, so every window answered earlier was closed
+    /// by the in-band watermarks.
+    fn hour_late_tree(seed: u64) -> TopologyBuilder {
+        fast_tree(Strategy::whs(), 0.5, 4, fast_edge().workers(2))
+            .window(Duration::from_millis(20))
+            .allowed_lateness(Duration::from_secs(3600))
+            .seed(seed)
+    }
+
+    #[test]
+    fn in_band_watermarks_answer_windows_before_finish() {
+        let data = intervals(60, 4, 50, 1.0);
+        let (polled, report) = run_polling(hour_late_tree(42), &data);
+        assert!(polled > 0, "no window was answered before finish");
+        assert!(
+            report.results.len() > polled,
+            "the last windows close at finish"
+        );
+        let late: u64 = report.results.iter().map(|r| r.dropped_late).sum();
+        assert_eq!(late, 0, "an in-band close made items late");
+        let count: f64 = report.results.iter().map(|r| r.count_hat).sum();
+        assert!(
+            (count - report.source_items as f64).abs() < 1e-6,
+            "{count} of {} items reconstructed",
+            report.source_items
+        );
+    }
+
+    #[test]
+    fn in_band_watermarks_survive_jitter_reorder_and_duplication() {
+        // Every item in a frame is at or after the watermark the frame
+        // carries (see `LowWatermark`), so jitter, reordering inside a
+        // burst (two shards per node make two-frame bursts) and
+        // duplication on every hop never expose an item to a window the
+        // in-band watermark has closed.
+        let impairment = ImpairmentSpec::none()
+            .jitter(Duration::from_millis(3))
+            .reorder(0.5)
+            .duplicate(0.2);
+        let data = intervals(60, 4, 50, 1.0);
+        for seed in 1..=4 {
+            let tree = hour_late_tree(seed).impair_all_hops(impairment);
+            let (polled, report) = run_polling(tree, &data);
+            assert!(polled > 0, "seed {seed}: no window answered before finish");
+            let late: u64 = report.results.iter().map(|r| r.dropped_late).sum();
+            assert_eq!(late, 0, "seed {seed}: items were late");
+            let duplicated: u64 = report
+                .faults
+                .hops()
+                .iter()
+                .map(|hop| hop.duplicated_frames)
+                .sum();
+            assert!(duplicated > 0, "seed {seed}: the impairment never fired");
+        }
+    }
+
     /// A lone WHS leaf (fraction 0.5, seed 1) on its own wall-clock loop,
     /// reading topic `input` and writing topic `output` (one partition
     /// each). The receiver yields the frames it sent once it returns.
@@ -1564,7 +1750,6 @@ mod tests {
             hop_delay: Duration::ZERO,
             window: Duration::from_secs(3600),
             out_partition: 0,
-            sharded: false,
         };
         let node = SamplingNode::new(Strategy::whs(), 0.5, 1).expect("valid");
         let (done_tx, done_rx) = mpsc::channel();
@@ -1592,10 +1777,10 @@ mod tests {
         let frame = ColumnarBatch::from_batch(&intervals(1, 1, 64, 1.0)[0][0]);
         let mut poisoned = approxiot_mq::codec::encode_columns(&frame).to_vec();
         poisoned.pop();
-        feed.send_columns_to(0, &frame, 0).expect("open");
-        feed.send_columns_to(0, &frame, 0).expect("open");
-        feed.relay_to(0, poisoned.into(), 0).expect("open");
-        feed.send_columns_to(0, &frame, 0).expect("open");
+        feed.send_columns_to(0, &frame, 0, 0).expect("open");
+        feed.send_columns_to(0, &frame, 0, 0).expect("open");
+        feed.relay_to(0, poisoned.into(), 0, 0).expect("open");
+        feed.send_columns_to(0, &frame, 0, 0).expect("open");
         let (leaf, done) = spawn_whs_leaf(&input, &output, churn);
         let stopped = done.recv_timeout(Duration::from_secs(10));
         input.close(); // releases a leaf that failed to stop
@@ -1662,7 +1847,7 @@ mod tests {
         let frame = ColumnarBatch::from_batch(&intervals(1, 1, 64, 1.0)[0][0]);
         let (leaf, done) = spawn_whs_leaf(&input, &output, None);
         for k in 0..3 {
-            feed.send_columns_to(0, &frame, 0).expect("open");
+            feed.send_columns_to(0, &frame, 0, 0).expect("open");
             let out = watch.poll(POLL_MAX, Duration::from_secs(10)).expect("open");
             assert_eq!(out.len(), 1, "frame {k} still held after 10 s");
         }

@@ -78,9 +78,12 @@ pub struct RootConfig {
     /// under uniform random loss) so SUM/COUNT stay unbiased; `1.0` — the
     /// unimpaired value — changes nothing.
     pub delivery_factor: f64,
-    /// How long each window keeps accepting jitter-delayed arrivals past
-    /// its end; later stragglers are dropped and counted in
-    /// [`WindowResult::dropped_late`].
+    /// How far past a window's end the watermark handed to
+    /// [`RootNode::advance_watermark`] must reach before the window
+    /// closes; arrivals for a closed window are dropped and counted in
+    /// [`WindowResult::dropped_late`]. (The wall-clock pipeline adds it to
+    /// its in-band watermark too, so there it only bounds the wait for a
+    /// silent child.)
     pub allowed_lateness: Duration,
 }
 

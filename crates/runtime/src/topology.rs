@@ -354,9 +354,11 @@ impl Topology {
         (0..self.hops()).map(|h| self.hop_link(h).delay).sum()
     }
 
-    /// How long the root keeps each window open past its end for
-    /// jitter-delayed arrivals (wall-clock engine only; virtual time has
-    /// no late arrivals).
+    /// How much longer than the tree's delay the wall-clock root waits on
+    /// a silent child before closing a window without it (wall-clock
+    /// engine only; virtual time has no late arrivals). While every child
+    /// keeps sending, windows close on in-band watermarks instead — see
+    /// [`TopologyBuilder::allowed_lateness`].
     pub fn allowed_lateness(&self) -> Duration {
         self.allowed_lateness
     }
@@ -594,8 +596,15 @@ impl TopologyBuilder {
         self
     }
 
-    /// Keeps each root window open for `lateness` past its end so
-    /// jitter-delayed arrivals still count (wall-clock engine).
+    /// Bounds how long the wall-clock root waits for a child that has gone
+    /// silent (a churned-down subtree, an idle source): with no word from
+    /// it, a window closes once wall time minus twice
+    /// [`Topology::total_delay`] passes the window's end plus `lateness`,
+    /// and whatever that child sends for the window afterwards is dropped
+    /// and counted as late. While every child keeps sending, the root
+    /// closes a window as soon as every child's in-band watermark has
+    /// passed its end, however long `lateness` is, and that close never
+    /// makes an item late. Virtual time ignores it.
     pub fn allowed_lateness(mut self, lateness: Duration) -> Self {
         self.allowed_lateness = lateness;
         self

@@ -8,15 +8,21 @@
 //! windowing and the `approxiot-runtime` engine — all behind the same
 //! `Topology` + `QuerySet` description the virtual-time engine runs.
 //!
+//! It exits non-zero unless every window dropped no late item and the
+//! windows' reconstructed counts add up to the items pushed: the root
+//! closes a window once every child's in-band watermark has passed its
+//! end, and that rule must never cut an item off.
+//!
 //! Run with: `cargo run --release --example edge_pipeline`
 
 use approxiot::prelude::*;
 use approxiot::workload::scenarios;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 use std::time::Duration;
 
-fn main() -> Result<(), EngineError> {
+fn main() -> Result<ExitCode, EngineError> {
     let window = Duration::from_millis(100);
     let intervals = 20;
 
@@ -73,6 +79,7 @@ fn main() -> Result<(), EngineError> {
         }),
     )?;
     let report = driver.run(&source_intervals)?;
+    let pushed: usize = source_intervals.iter().flatten().map(Batch::len).sum();
 
     let total_truth: f64 = truth_per_interval.iter().sum();
     let total_estimate: f64 = report.results.iter().map(|r| r.estimate.value).sum();
@@ -120,5 +127,14 @@ fn main() -> Result<(), EngineError> {
                 - report.bytes.sampled_wire_bytes() as f64
                     / (2 * report.bytes.source_bytes()) as f64)
     );
-    Ok(())
+
+    let late: u64 = report.results.iter().map(|r| r.dropped_late).sum();
+    let counted: f64 = report.results.iter().map(|r| r.count_hat).sum();
+    println!("late items dropped: {late}");
+    println!("items counted     : {counted:.0} of {pushed} pushed");
+    if late > 0 || (counted - pushed as f64).abs() > 1e-6 * pushed as f64 {
+        eprintln!("FAIL: a window lost items ({late} late, {counted} of {pushed} counted)");
+        return Ok(ExitCode::FAILURE);
+    }
+    Ok(ExitCode::SUCCESS)
 }

@@ -29,9 +29,11 @@
 //! counted there too.
 //!
 //! * **sharded leaf**, one 512-item frame in, two sampled frames out: the
-//!   resolved input weights (one node), the vector of shard outputs (one),
-//!   and per shard a fresh output — four columns and one weight node —
-//!   and its forwarded payload (two × six) — **14**;
+//!   resolved input weights (one node), and per shard its output's weights
+//!   (one node) and its forwarded payload (two × two) — **5**. The shard
+//!   outputs themselves are kept between frames
+//!   (`SamplingNode::process_columns_parallel_into`), like the unsharded
+//!   leaf's one output;
 //! * **mid** fed by sharded leaves: two leaf frames in per source frame,
 //!   each costing the four above — **8**.
 //!
@@ -54,7 +56,7 @@ const LEAF_BUDGET: f64 = 3.0;
 const MID_BUDGET: f64 = 4.0;
 /// Allocations per source frame of a WHS leaf with two shards (see the
 /// module docs).
-const SHARDED_LEAF_BUDGET: f64 = 14.0;
+const SHARDED_LEAF_BUDGET: f64 = 5.0;
 /// Allocations per source frame of a mid node fed by two-shard leaves
 /// (see the module docs).
 const SHARDED_MID_BUDGET: f64 = 8.0;
